@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -237,10 +238,15 @@ def _validate(config: CampaignConfig) -> None:
     elif c == "verify-sampler":
         _stable_params(p, c)
         _positive_int(p, "n", c)
-        if not p["t_step"] > 0:
+        t_min, t_max, t_step = p["t_min"], p["t_max"], p["t_step"]
+        if not all(math.isfinite(v) for v in (t_min, t_max, t_step)):
+            raise ConfigError("verify-sampler: t-min, t-max and t-step must be finite")
+        if not t_step > 0:
             raise ConfigError("verify-sampler: t-step must be positive")
-        if not p["t_min"] < p["t_max"]:
+        if not t_min < t_max:
             raise ConfigError("verify-sampler: need t-min < t-max")
+        if not math.isfinite((t_max - t_min) / t_step):
+            raise ConfigError("verify-sampler: (t-max - t-min)/t-step is not finite")
     elif c == "verify-remark":
         alpha = _require(p, "alpha", c)
         beta = _require(p, "beta", c)

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import kolmogorov
 
 from .functionals import (
     FunctionalConfig,
@@ -50,6 +51,7 @@ __all__ = [
 
 # Sub-stream labels: simulation replicates, null-law draws, control draws.
 _SIM, _NULL, _CONTROL = 0, 1, 2
+# verify_sampler draws in chunks of this size, so changing it changes the draws.
 _ECF_CHUNK = 2**14
 
 
@@ -81,19 +83,6 @@ def ecdf(samples) -> Ecdf:
     return Ecdf(samples)
 
 
-def _kolmogorov_sf(lam: float) -> float:
-    """Asymptotic tail 2*sum (-1)^(j-1) exp(-2 j^2 lam^2), clamped to [0,1]."""
-    if lam <= 0.0:
-        return 1.0
-    total = 0.0
-    for j in range(1, 101):
-        term = 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-        total += term
-        if abs(term) < 1e-18:
-            break
-    return min(1.0, max(0.0, total))
-
-
 def ks_two_sample(a, b) -> tuple[float, float]:
     """Two-sample KS statistic and its asymptotic p-value.
 
@@ -108,7 +97,7 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     fb = np.searchsorted(b, pooled, side="right") / b.size
     stat = float(np.abs(fa - fb).max())
     en = math.sqrt(a.size * b.size / (a.size + b.size))
-    return stat, _kolmogorov_sf((en + 0.12 + 0.11 / en) * stat)
+    return stat, float(kolmogorov((en + 0.12 + 0.11 / en) * stat))
 
 
 def _eval_cdf(cdf_fn, xs: np.ndarray) -> np.ndarray:
@@ -135,7 +124,37 @@ def ks_one_sample(samples, cdf_fn) -> tuple[float, float]:
     grid = np.arange(1, n + 1) / n
     stat = float(max((grid - f).max(), (f - (grid - 1.0 / n)).max()))
     sq = math.sqrt(n)
-    return stat, _kolmogorov_sf((sq + 0.12 + 0.11 / sq) * stat)
+    return stat, float(kolmogorov((sq + 0.12 + 0.11 / sq) * stat))
+
+
+def _common_step(t: np.ndarray):
+    """The step dt when t is t[0] + dt*k, k = 0..t.size-1, to within a few
+    ulps of max|t|; otherwise None.  Grids of one or two points also give
+    None, because stepping through them saves no exponentials."""
+    if t.size < 3:
+        return None
+    dt = (t[-1] - t[0]) / (t.size - 1)
+    drift = np.abs(t[0] + dt * np.arange(t.size) - t).max()
+    return dt if drift <= 8 * np.finfo(float).eps * np.abs(t).max() else None
+
+
+def _ecf_sums(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j exp(i*t_k*x_j) for every frequency t_k.
+
+    On an arithmetic grid this costs two complex exponentials per draw: it
+    starts from exp(i*t_0*x) and steps through the grid by multiplying with
+    exp(i*dt*x).  Any other grid takes the full outer product.
+    """
+    dt = _common_step(t)
+    if dt is None:
+        return np.exp(1j * np.outer(t, x)).sum(axis=1)
+    step = np.exp(1j * dt * x)
+    w = np.exp(1j * t[0] * x)
+    out = np.empty(t.size, dtype=complex)
+    for k in range(t.size):
+        out[k] = w.sum()
+        w *= step
+    return out
 
 
 def empirical_char_fn(samples, t):
@@ -147,8 +166,7 @@ def empirical_char_fn(samples, t):
     tt = np.atleast_1d(t)
     acc = np.zeros(tt.size, dtype=complex)
     for start in range(0, x.size, _ECF_CHUNK):
-        chunk = x[start : start + _ECF_CHUNK]
-        acc += np.exp(1j * np.outer(tt, chunk)).sum(axis=1)
+        acc += _ecf_sums(tt, x[start : start + _ECF_CHUNK])
     out = acc / x.size
     if t.ndim == 0:
         return complex(out[0])
@@ -299,7 +317,7 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
         remaining -= chunk.size
         if head is None:
             head = chunk[: min(5000, chunk.size)]
-        acc += np.exp(1j * np.outer(grid, chunk)).sum(axis=1)
+        acc += _ecf_sums(grid, chunk)
     ecf_vals = acc / n
 
     gaps = np.abs(ecf_vals - char_fn(params, grid))

@@ -122,6 +122,23 @@ def test_bad_params_exit_two(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("grid_args", [
+    ["--t-max", "inf"],
+    ["--t-min=-inf"],
+    ["--t-step", "inf"],
+    ["--t-step", "nan"],
+    ["--t-min=-1e308", "--t-max", "1e308"],
+])
+def test_verify_sampler_rejects_non_finite_grid(tmp_path, capsys, grid_args):
+    out = tmp_path / "o"
+    code = _run("verify-sampler", "--alpha", "2", "--beta", "0", "--n", "10",
+                "--seed", "1", *grid_args, "--out-dir", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: verify-sampler:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_paths_csv_schema(tmp_path):
     assert _run("paths", "--alpha", "1.6", "--beta", "-0.5", "--grid", "16",
                 "--reps", "2", "--seed", "4", "--out-dir", str(tmp_path)) == 0

@@ -18,6 +18,7 @@ from stablesums import (
     ks_two_sample,
     pareto,
     qi_log,
+    sample,
     two_sided_pareto,
     verify_fclt,
     verify_lemma,
@@ -26,6 +27,7 @@ from stablesums import (
     verify_sampler,
 )
 from stablesums.rng import stream
+from stablesums.verification import _common_step
 
 
 def test_ecdf_hand_example():
@@ -125,6 +127,64 @@ def test_empirical_char_fn_is_plain_mean():
     direct = np.exp(1j * t[:, None] * x[None, :]).mean(axis=1)
     np.testing.assert_allclose(empirical_char_fn(x, t), direct,
                                rtol=0, atol=5e-16)
+
+
+CRITERION_1_LAWS = [(2.0, 0.0), (1.5, 0.0), (1.5, 1.0), (1.2, 0.5)]
+ARITHMETIC_GRIDS = {
+    "library-default": np.arange(-50, 51) / 10.0,
+    "cli-default": -5.0 + 0.1 * np.arange(101),
+    "asymmetric": np.array([0.5, 1.5, 2.5, 3.5]),
+}
+
+
+@pytest.fixture(scope="module", params=CRITERION_1_LAWS, ids=str)
+def criterion_1_draws(request):
+    # 40_007 is not a multiple of the 2**14 chunk, so a partial chunk is summed
+    return sample(StableParams(*request.param), stream(4410, 0), 40_007)
+
+
+@pytest.mark.parametrize("name", sorted(ARITHMETIC_GRIDS))
+def test_ecf_power_recurrence_matches_outer_product(criterion_1_draws, name):
+    x, t = criterion_1_draws, ARITHMETIC_GRIDS[name]
+    assert _common_step(t) is not None  # the recurrence path is the one tested
+    direct = np.exp(1j * np.outer(t, x)).mean(axis=1)
+    np.testing.assert_allclose(empirical_char_fn(x, t), direct,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [np.array([0.3, 1.7]), np.array([2.5]), 2.5],
+                         ids=["two-point", "one-point", "scalar"])
+def test_ecf_short_grids_match_outer_product(criterion_1_draws, t):
+    x = criterion_1_draws
+    direct = np.exp(1j * np.outer(t, x)).mean(axis=1)
+    got = empirical_char_fn(x, t)
+    assert np.ndim(got) == np.ndim(t)
+    np.testing.assert_allclose(np.atleast_1d(got), direct, rtol=0, atol=1e-12)
+
+
+def test_ecf_non_arithmetic_grid_is_exact_outer_product(criterion_1_draws):
+    x, t = criterion_1_draws, np.array([0.3, 1.7, 4.0])
+    assert _common_step(t) is None
+    chunk = 2**14
+    acc = np.zeros(t.size, dtype=complex)
+    for start in range(0, x.size, chunk):
+        acc += np.exp(1j * np.outer(t, x[start : start + chunk])).sum(axis=1)
+    np.testing.assert_array_equal(empirical_char_fn(x, t), acc / x.size)
+
+
+def test_verify_sampler_draws_in_fixed_chunks(tmp_path):
+    params = StableParams(1.5, 1.0)
+    verify_sampler(params, 2**14 + 1, 4411, out_dir=str(tmp_path))
+    head = sample(params, stream(4411, 0), 2**14)[:5000]
+    want = "value\n" + "".join(f"{v!r}\n" for v in head.tolist())
+    assert (tmp_path / "samples.csv").read_bytes() == want.encode()
+
+
+def test_ks_one_sample_perfect_fit_p_value():
+    u = (np.arange(10**4) + 0.5) / 10**4
+    stat, p = ks_one_sample(u, lambda x: np.clip(x, 0.0, 1.0))
+    assert stat == pytest.approx(0.5e-4, abs=1e-15)
+    assert p == 1.0
 
 
 def test_report_roundtrip_and_campaign_logic():
