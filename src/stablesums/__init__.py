@@ -21,10 +21,8 @@ from .functionals import (
     qi_log,
 )
 from .norming import (
-    IidPartialSums,
     MeanAbsDeviation,
     NormingSeq,
-    iid_source,
     karamata_partial_sum,
     mean_abs_deviation,
     norming_for,
@@ -34,7 +32,6 @@ from .norming import (
 from .paths import (
     DoaSpec,
     SamplePath,
-    SequenceSource,
     degenerate,
     exact_stable,
     exponential,
@@ -76,13 +73,11 @@ __all__ = [
     "Ecdf",
     "FunctionSpec",
     "FunctionalConfig",
-    "IidPartialSums",
     "MAX_SEED",
     "MeanAbsDeviation",
     "NormingSeq",
     "QuadratureError",
     "SamplePath",
-    "SequenceSource",
     "StableParams",
     "VerificationReport",
     "as_generator",
@@ -95,7 +90,6 @@ __all__ = [
     "exponential",
     "functional_statistic",
     "identity_fn",
-    "iid_source",
     "integral_riemann",
     "karamata_partial_sum",
     "ks_one_sample",

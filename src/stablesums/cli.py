@@ -7,12 +7,15 @@ campaign writes ``report.json`` plus CSV artifacts into ``--out-dir``
 failed (report still written), 2 configuration error (nothing written).
 
 Options may come from ``--config FILE`` (JSON object, or ``key=value`` lines
-with ``#`` comments); explicit flags override the file, the file overrides
-built-in defaults.  Seeds are mandatory for ``verify-*`` so no verification
-ever depends on hidden state; ``sample``/``paths`` default to seed 0.  The
-``--threads`` flag is an upper bound on worker threads; results are
-byte-identical whatever its value, because every replicate draws from its own
-counter-based stream.
+with ``#`` comments) holding options of the same subcommand; explicit flags
+override the file, the file overrides built-in defaults.  Seeds are mandatory
+for ``verify-*`` so no verification ever depends on hidden state;
+``sample``/``paths`` default to seed 0.  Results are byte-identical for a
+given seed, because every replicate draws from its own counter-based stream.
+
+The library checks its own inputs before it draws or writes, and this module
+adds only the checks the library cannot make.  ``--out-dir`` is created by the
+first write, so a configuration error leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -37,10 +40,13 @@ from .paths import (
     simulate_levy_path,
     two_sided_pareto,
 )
-from .rng import MAX_SEED, stream
+from .rng import stream
 from .stable import StableParams, cdf, sample
 from .verification import (
     VerificationReport,
+    _law_dict,
+    _write_csv,
+    _write_limit_laws,
     ecdf,
     verify_fclt,
     verify_lemma,
@@ -56,6 +62,9 @@ _VERIFY = ("verify-sampler", "verify-remark", "verify-fclt", "verify-lemma",
 _FAMILIES = ("exponential", "pareto", "two-sided-pareto", "exact-stable",
              "degenerate")
 _OVERLAY_MAX_ROWS = 2048
+# verify-sampler frequency grids hold at most this many points, about 1000
+# times the default 101; a larger grid is a mistyped --t-step, not a test.
+_MAX_T_POINTS = 10**5
 
 
 class ConfigError(ValueError):
@@ -69,11 +78,12 @@ class CampaignConfig:
     campaign: str
     seed: Optional[int]
     out_dir: str
-    threads: int
     params: dict = field(default_factory=dict)
 
 
 # Per-campaign defaults, applied after flags and config-file values.
+_FAMILY_DEFAULTS = {"rate": 1.0, "x_min": 1.0, "shift": 0.0, "asymmetry": 0.0,
+                    "dispersion": 1.0, "location": 0.0}
 _DEFAULTS = {
     "sample": {"dispersion": 1.0, "location": 0.0},
     "paths": {"grid": 2**12, "reps": 1},
@@ -82,20 +92,14 @@ _DEFAULTS = {
                        "threshold": 5e-3},
     "verify-remark": {"reps": 5000, "grid": 2**12, "t": 1.0,
                       "threshold": 0.04},
-    "verify-fclt": {"family": "exponential", "rate": 1.0, "x_min": 1.0,
-                    "shift": 0.0, "asymmetry": 0.0, "dispersion": 1.0,
-                    "location": 0.0, "n": 10**4, "grid": 2**12,
-                    "times": "0.25,0.5,0.75,1.0", "reps": 5000,
+    "verify-fclt": {**_FAMILY_DEFAULTS, "family": "exponential", "n": 10**4,
+                    "grid": 2**12, "times": "0.25,0.5,0.75,1.0", "reps": 5000,
                     "threshold": 0.04},
-    "verify-lemma": {"family": "exponential", "rate": 1.0, "x_min": 1.0,
-                     "shift": 0.0, "asymmetry": 0.0, "dispersion": 1.0,
-                     "location": 0.0, "ns": "100,1000,10000", "reps": 400,
-                     "band": 2.0, "trend_tol": 0.25},
-    "verify-product": {"family": "pareto", "rate": 1.0, "x_min": 1.0,
-                       "shift": 0.0, "asymmetry": 0.0, "dispersion": 1.0,
-                       "location": 0.0, "n": 10**4, "reps": 5000,
-                       "threshold": 0.07},
-    "plotdata": {},
+    "verify-lemma": {**_FAMILY_DEFAULTS, "family": "exponential",
+                     "ns": "100,1000,10000", "reps": 400, "band": 2.0,
+                     "trend_tol": 0.25},
+    "verify-product": {**_FAMILY_DEFAULTS, "family": "pareto", "n": 10**4,
+                       "reps": 5000, "threshold": 0.07},
 }
 
 _COERCE = {
@@ -104,19 +108,16 @@ _COERCE = {
     "asymmetry": float, "value": float, "t": float, "eps": float,
     "t_min": float, "t_max": float, "t_step": float, "threshold": float,
     "band": float, "trend_tol": float,
-    "n": int, "reps": int, "grid": int, "seed": int, "threads": int,
-    "times": str, "ns": str, "family": str, "report": str, "out_dir": str,
+    "n": int, "reps": int, "grid": int, "seed": int,
+    "times": str, "ns": str, "family": str, "out_dir": str,
 }
 
 
 def _parse_number_list(text: str, kind, what: str):
     try:
-        vals = [kind(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"could not parse {what} list {text!r}") from exc
-    if not vals:
-        raise ConfigError(f"{what} list is empty")
-    return vals
 
 
 def _load_config_file(path: str) -> dict:
@@ -146,166 +147,83 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _resolve(campaign: str, cli_values: dict, file_values: dict) -> dict:
-    """Merge flag > config file > default, coercing config-file strings."""
+def _resolve(ns: argparse.Namespace) -> CampaignConfig:
+    """Merge flag > config file > default, coercing config-file strings.
+
+    A config file may set exactly the options of its subcommand."""
+    campaign = ns.campaign
     merged = dict(_DEFAULTS[campaign])
-    for key, raw in file_values.items():
-        key = key.replace("-", "_")
-        if key == "campaign":
-            continue
-        if key not in _COERCE:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            merged[key] = _COERCE[key](raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: cannot coerce {raw!r}") from exc
-    for key, val in cli_values.items():
-        if val is not None:
+    if ns.config:
+        allowed = set(vars(build_parser().parse_args([campaign]))) - {"config"}
+        for key, raw in _load_config_file(ns.config).items():
+            key = key.replace("-", "_")
+            if key == "campaign":
+                continue
+            if key not in allowed:
+                raise ConfigError(f"unknown config key {key!r}")
+            try:
+                merged[key] = _COERCE[key](raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key!r}: cannot coerce {raw!r}") from exc
+    for key, val in vars(ns).items():
+        if val is not None and key not in ("campaign", "config"):
             merged[key] = val
-    return merged
+    seed = merged.pop("seed", None)
+    if seed is None and campaign not in _VERIFY:
+        seed = 0  # documented fixed default; never wall clock
+    out_dir = merged.pop("out_dir", None) or "."
+    return CampaignConfig(campaign, seed=seed, out_dir=out_dir, params=merged)
 
 
-def _require(params: dict, key: str, campaign: str):
+def _require(params: dict, key: str):
     if params.get(key) is None:
-        raise ConfigError(f"{campaign} requires --{key.replace('_', '-')}")
+        raise ConfigError(f"missing --{key.replace('_', '-')}")
     return params[key]
 
 
-def _positive_int(params: dict, key: str, campaign: str) -> int:
-    v = _require(params, key, campaign)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ConfigError(f"{campaign}: {key} must be a positive integer, got {v!r}")
+def _positive_int(params: dict, key: str) -> int:
+    v = _require(params, key)
+    if v < 1:
+        raise ConfigError(f"--{key} must be at least 1, got {v!r}")
     return v
 
 
-def _build_spec(params: dict, campaign: str) -> DoaSpec:
-    family = params.get("family")
-    if family not in _FAMILIES:
-        raise ConfigError(f"{campaign}: family must be one of {', '.join(_FAMILIES)}")
-    try:
-        if family == "exponential":
-            return exponential(params["rate"])
-        if family == "pareto":
-            return pareto(_require(params, "tail_index", campaign),
-                          params["x_min"], params["shift"])
-        if family == "two-sided-pareto":
-            return two_sided_pareto(_require(params, "tail_index", campaign),
-                                    params["asymmetry"])
-        if family == "exact-stable":
-            return exact_stable(StableParams(
-                _require(params, "alpha", campaign),
-                _require(params, "beta", campaign),
-                params["dispersion"], params["location"]))
-        return degenerate(_require(params, "value", campaign))
-    except ValueError as exc:
-        raise ConfigError(f"{campaign}: {exc}") from exc
+def _stable_params(params: dict) -> StableParams:
+    return StableParams(_require(params, "alpha"), _require(params, "beta"),
+                        params["dispersion"], params["location"])
 
 
-def _stable_params(params: dict, campaign: str) -> StableParams:
-    try:
-        return StableParams(
-            alpha=_require(params, "alpha", campaign),
-            beta=_require(params, "beta", campaign),
-            dispersion=params.get("dispersion", 1.0),
-            location=params.get("location", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{campaign}: {exc}") from exc
+def _build_spec(params: dict) -> DoaSpec:
+    family = params["family"]
+    if family == "exponential":
+        return exponential(params["rate"])
+    if family == "pareto":
+        return pareto(_require(params, "tail_index"), params["x_min"],
+                      params["shift"])
+    if family == "two-sided-pareto":
+        return two_sided_pareto(_require(params, "tail_index"),
+                                params["asymmetry"])
+    if family == "exact-stable":
+        return exact_stable(_stable_params(params))
+    if family == "degenerate":
+        return degenerate(_require(params, "value"))
+    raise ConfigError(f"family must be one of {', '.join(_FAMILIES)}, got {family!r}")
 
 
-def _validate(config: CampaignConfig) -> None:
-    """Reject bad configurations before anything touches the filesystem."""
-    c, p = config.campaign, config.params
-    if config.threads < 1:
-        raise ConfigError("--threads must be >= 1")
-    if config.seed is None:
-        if c in _VERIFY:
-            raise ConfigError(f"{c} requires --seed (no wall-clock default)")
-    elif not 0 <= config.seed <= MAX_SEED:
-        raise ConfigError(f"seed must be in [0, 2**64), got {config.seed}")
-
-    if c == "sample":
-        _stable_params(p, c)
-        _positive_int(p, "n", c)
-    elif c == "paths":
-        alpha, beta = _require(p, "alpha", c), _require(p, "beta", c)
-        if not (1.0 < alpha <= 2.0):
-            raise ConfigError(f"paths: alpha must be in (1, 2], got {alpha}")
-        if not (-1.0 <= beta <= 1.0):
-            raise ConfigError(f"paths: beta must be in [-1, 1], got {beta}")
-        _positive_int(p, "grid", c)
-        _positive_int(p, "reps", c)
-    elif c == "verify-sampler":
-        _stable_params(p, c)
-        _positive_int(p, "n", c)
-        t_min, t_max, t_step = p["t_min"], p["t_max"], p["t_step"]
-        if not all(math.isfinite(v) for v in (t_min, t_max, t_step)):
-            raise ConfigError("verify-sampler: t-min, t-max and t-step must be finite")
-        if not t_step > 0:
-            raise ConfigError("verify-sampler: t-step must be positive")
-        if not t_min < t_max:
-            raise ConfigError("verify-sampler: need t-min < t-max")
-        if not math.isfinite((t_max - t_min) / t_step):
-            raise ConfigError("verify-sampler: (t-max - t-min)/t-step is not finite")
-    elif c == "verify-remark":
-        alpha = _require(p, "alpha", c)
-        beta = _require(p, "beta", c)
-        if not (1.0 < alpha <= 2.0):
-            raise ConfigError(f"verify-remark: alpha must be in (1, 2], got {alpha}")
-        if not (-1.0 <= beta <= 1.0):
-            raise ConfigError(f"verify-remark: beta must be in [-1, 1], got {beta}")
-        grid = _positive_int(p, "grid", c)
-        _positive_int(p, "reps", c)
-        if not 0.0 < p["t"] <= 1.0:
-            raise ConfigError(f"verify-remark: t must be in (0, 1], got {p['t']}")
-        eps = p.get("eps")
-        if eps is not None and not 0.0 < eps < p["t"]:
-            raise ConfigError(f"verify-remark: eps must be in (0, t), got {eps}")
-    elif c == "verify-fclt":
-        spec = _build_spec(p, c)
-        n = _positive_int(p, "n", c)
-        grid = _positive_int(p, "grid", c)
-        _positive_int(p, "reps", c)
-        times = _parse_number_list(p["times"], float, "times")
-        for t in times:
-            if not 0.0 < t <= 1.0:
-                raise ConfigError(f"verify-fclt: time {t} outside (0, 1]")
-            if abs(t * grid - round(t * grid)) > 1e-9:
-                raise ConfigError(f"verify-fclt: time {t} not on a grid of {grid} cells")
-            if n * round(t * grid) // grid < 1:
-                raise ConfigError(f"verify-fclt: time {t} cuts an empty sum at n={n}")
-        if not spec.positivity:
-            raise ConfigError("verify-fclt: the log transform needs a positive family")
-    elif c == "verify-lemma":
-        _build_spec(p, c)
-        ns = _parse_number_list(p["ns"], int, "ns")
-        if len(ns) < 2 or sorted(set(ns)) != ns or ns[0] < 2:
-            raise ConfigError("verify-lemma: ns must be >= 2 increasing integers >= 2")
-        _positive_int(p, "reps", c)
-        if not p["band"] > 1.0:
-            raise ConfigError("verify-lemma: band must exceed 1")
-        if not p["trend_tol"] > 0.0:
-            raise ConfigError("verify-lemma: trend-tol must be positive")
-    elif c == "verify-product":
-        spec = _build_spec(p, c)
-        if not spec.positivity:
-            raise ConfigError("verify-product: family must guarantee positive draws")
-        _positive_int(p, "n", c)
-        _positive_int(p, "reps", c)
-    elif c == "plotdata":
-        report = _require(p, "report", c)
-        if not os.path.isfile(report):
-            raise ConfigError(f"plotdata: report file not found: {report}")
-    else:
-        raise ConfigError(f"unknown campaign {c!r}")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+def _t_grid(params: dict) -> np.ndarray:
+    """t-min + t-step*k for k = 0..round((t-max - t-min)/t-step)."""
+    t_min, t_max, t_step = params["t_min"], params["t_max"], params["t_step"]
+    if not all(math.isfinite(v) for v in (t_min, t_max, t_step)):
+        raise ConfigError("--t-min, --t-max and --t-step must be finite")
+    if not t_step > 0:
+        raise ConfigError("--t-step must be positive")
+    if not t_min < t_max:
+        raise ConfigError("need --t-min < --t-max")
+    steps = (t_max - t_min) / t_step
+    if not steps <= _MAX_T_POINTS - 1:
+        raise ConfigError(f"--t-step {t_step!r} gives {steps + 1:.4g} frequencies "
+                          f"from --t-min to --t-max, more than {_MAX_T_POINTS}")
+    return t_min + t_step * np.arange(int(round(steps)) + 1)
 
 
 def _trivial_report(config: CampaignConfig, name: str, n: int, reps: int,
@@ -323,79 +241,65 @@ def _trivial_report(config: CampaignConfig, name: str, n: int, reps: int,
 
 
 def _execute(config: CampaignConfig) -> VerificationReport:
-    c, p, out = config.campaign, config.params, config.out_dir
+    c, p, out, seed = config.campaign, config.params, config.out_dir, config.seed
     if c == "sample":
-        params = _stable_params(p, c)
-        draws = sample(params, stream(config.seed, 0), p["n"])
-        _write_csv(os.path.join(out, "samples.csv"), "value",
-                   [(float(v),) for v in draws])
-        with open(os.path.join(out, "limit_laws.json"), "w", newline="\n") as fh:
-            json.dump({"sampled": {"alpha": params.alpha, "beta": params.beta,
-                                   "dispersion": params.dispersion,
-                                   "location": params.location}}, fh, indent=2)
-            fh.write("\n")
-        return _trivial_report(config, "sample", p["n"], 1,
-                               {"mean": float(draws.mean()) if draws.size else 0.0},
-                               ["samples.csv", "limit_laws.json"])
+        params = _stable_params(p)
+        n = _positive_int(p, "n")
+        draws = sample(params, stream(seed, 0), n)
+        return _trivial_report(config, "sample", n, 1, {"mean": float(draws.mean())}, [
+            _write_csv(out, "samples.csv", "value", [(float(v),) for v in draws]),
+            _write_limit_laws(out, {"sampled": _law_dict(params)}),
+        ])
     if c == "paths":
+        law = StableParams(_require(p, "alpha"), _require(p, "beta"), 1.0, 0.0)
+        reps = _positive_int(p, "reps")
         names = []
-        for r in range(p["reps"]):
-            path = simulate_levy_path(p["alpha"], p["beta"],
-                                      stream(config.seed, 0, r), p["grid"])
-            name = f"path_{r:04d}.csv"
-            path.to_csv(os.path.join(out, name))
-            names.append(name)
-        law = StableParams(p["alpha"], p["beta"], 1.0, 0.0)
-        with open(os.path.join(out, "limit_laws.json"), "w", newline="\n") as fh:
-            json.dump({"t=1.0": {"alpha": law.alpha, "beta": law.beta,
-                                 "dispersion": law.dispersion,
-                                 "location": law.location}}, fh, indent=2)
-            fh.write("\n")
-        return _trivial_report(config, "paths", p["grid"], p["reps"], {},
-                               names + ["limit_laws.json"])
+        for r in range(reps):
+            path = simulate_levy_path(law.alpha, law.beta, stream(seed, 0, r), p["grid"])
+            # made only once the first path has passed the library's checks
+            os.makedirs(out, exist_ok=True)
+            names.append(f"path_{r:04d}.csv")
+            path.to_csv(os.path.join(out, names[-1]))
+        names.append(_write_limit_laws(out, {"t=1.0": _law_dict(law)}))
+        return _trivial_report(config, "paths", p["grid"], reps, {}, names)
     if c == "verify-sampler":
-        params = _stable_params(p, c)
-        steps = int(round((p["t_max"] - p["t_min"]) / p["t_step"]))
-        grid = p["t_min"] + p["t_step"] * np.arange(steps + 1)
-        return verify_sampler(params, p["n"], config.seed, t_grid=grid,
+        return verify_sampler(_stable_params(p), p["n"], seed, t_grid=_t_grid(p),
                               threshold=p["threshold"], out_dir=out)
     if c == "verify-remark":
-        return verify_remark(p["alpha"], p["beta"], p["reps"], p["grid"],
-                             config.seed, t=p["t"], eps=p.get("eps"),
+        return verify_remark(_require(p, "alpha"), _require(p, "beta"), p["reps"],
+                             p["grid"], seed, t=p["t"], eps=p.get("eps"),
                              threshold=p["threshold"], out_dir=out)
     if c == "verify-fclt":
-        spec = _build_spec(p, c)
+        spec = _build_spec(p)
+        if not spec.positivity:
+            raise ConfigError("the log transform needs a positive family")
         fc = FunctionalConfig(spec=spec, fn=qi_log(spec.known_mu),
                               n=p["n"], grid=p["grid"])
         times = _parse_number_list(p["times"], float, "times")
-        return verify_fclt(fc, times, p["reps"], config.seed,
+        return verify_fclt(fc, times, p["reps"], seed,
                            threshold=p["threshold"], out_dir=out)
     if c == "verify-lemma":
-        spec = _build_spec(p, c)
         ns = _parse_number_list(p["ns"], int, "ns")
-        return verify_lemma(spec, ns, p["reps"], config.seed,
+        return verify_lemma(_build_spec(p), ns, p["reps"], seed,
                             band=p["band"], trend_tol=p["trend_tol"], out_dir=out)
     if c == "verify-product":
-        spec = _build_spec(p, c)
-        return verify_product(spec, p["n"], p["reps"], config.seed,
+        return verify_product(_build_spec(p), p["n"], p["reps"], seed,
                               threshold=p["threshold"], out_dir=out)
     raise ConfigError(f"unknown campaign {c!r}")
 
 
 def run(config: CampaignConfig) -> int:
-    """Execute a resolved campaign; returns the process exit code."""
-    _validate(config)
-    if config.campaign == "plotdata":
-        emit_plotdata(config.params["report"],
-                      config.params.get("out_dir_override"))
-        return 0
-    os.makedirs(config.out_dir, exist_ok=True)
+    """Execute a resolved campaign; returns the process exit code.
+
+    A bad configuration raises ``ValueError`` before anything is drawn or
+    written."""
+    if config.seed is None and config.campaign in _VERIFY:
+        raise ConfigError("requires --seed (no wall-clock default)")
     report = _execute(config)
     report.config["invocation"] = {
         "campaign": config.campaign,
         "seed": config.seed,
         "out_dir": config.out_dir,
-        "threads": config.threads,
         "params": {k: v for k, v in sorted(config.params.items())},
     }
     report.write(os.path.join(config.out_dir, "report.json"))
@@ -428,7 +332,6 @@ def emit_plotdata(report_path: str, out_dir: Optional[str] = None) -> list:
         report = json.load(fh)
     campaign = report.get("test_name")
     artifacts = set(report.get("artifacts", []))
-    os.makedirs(out_dir, exist_ok=True)
 
     def _load_column(name, column):
         path = os.path.join(report_dir, name)
@@ -440,12 +343,11 @@ def emit_plotdata(report_path: str, out_dir: Optional[str] = None) -> list:
     written = []
     if campaign in ("sample", "verify-sampler"):
         values, _ = _load_column("samples.csv", "value")
-        law_key = "sampled"
-        laws = json.load(open(os.path.join(report_dir, "limit_laws.json")))
-        law = StableParams(**laws[law_key])
-        target = os.path.join(out_dir, "overlay.csv")
-        _write_csv(target, "x,empirical,theoretical", _overlay_rows(values, law))
-        written.append(target)
+        with open(os.path.join(report_dir, "limit_laws.json")) as fh:
+            law = StableParams(**json.load(fh)["sampled"])
+        name = _write_csv(out_dir, "overlay.csv", "x,empirical,theoretical",
+                          _overlay_rows(values, law))
+        written.append(os.path.join(out_dir, name))
     elif campaign in ("verify-remark", "verify-fclt", "verify-product"):
         _, data = _load_column("statistics.csv", "value")
         ts = np.atleast_1d(data["t"])
@@ -459,9 +361,9 @@ def emit_plotdata(report_path: str, out_dir: Optional[str] = None) -> list:
         for t in sorted(set(float(v) for v in ts)):
             law = StableParams(**limits[repr(t)])
             rows = _overlay_rows(values[ts == t], law)
-            target = os.path.join(out_dir, f"overlay_t{t!r}.csv")
-            _write_csv(target, "x,empirical,theoretical", rows)
-            written.append(target)
+            name = _write_csv(out_dir, f"overlay_t{t!r}.csv",
+                              "x,empirical,theoretical", rows)
+            written.append(os.path.join(out_dir, name))
     return written
 
 
@@ -472,8 +374,6 @@ def _add_common(sub):
                      help="directory for report.json and artifacts (default: .)")
     sub.add_argument("--config", type=str, default=None,
                      help="JSON or key=value settings file; flags override it")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker-thread cap; never changes results")
 
 
 def _add_family(sub):
@@ -571,38 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    campaign = ns.campaign
+    ns = build_parser().parse_args(argv)
     try:
-        if campaign == "plotdata":
-            config = CampaignConfig(campaign, seed=None, out_dir=".", threads=1,
-                                    params={"report": ns.report,
-                                            "out_dir_override": ns.out_dir})
-            return run(config)
-        cli_values = {k: v for k, v in vars(ns).items()
-                      if k not in ("campaign", "seed", "out_dir", "config", "threads")}
-        file_values = _load_config_file(ns.config) if ns.config else {}
-        seed = ns.seed if ns.seed is not None else file_values.pop("seed", None)
-        if seed is not None:
-            try:
-                seed = int(seed)
-            except (TypeError, ValueError):
-                raise ConfigError(f"seed must be an integer, got {seed!r}")
-        out_dir = ns.out_dir or file_values.pop("out_dir", None) or "."
-        threads = ns.threads if ns.threads is not None else \
-            int(file_values.pop("threads", 1))
-        params = _resolve(campaign, cli_values, file_values)
-        if campaign not in _VERIFY and seed is None:
-            seed = 0  # documented fixed default; never wall clock
-        config = CampaignConfig(campaign, seed=seed, out_dir=out_dir,
-                                threads=threads, params=params)
-        return run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if ns.campaign == "plotdata":
+            emit_plotdata(ns.report, ns.out_dir)
+            return 0
+        return run(_resolve(ns))
     except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {ns.campaign}: {exc}", file=sys.stderr)
         return 2
 
 

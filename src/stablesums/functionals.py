@@ -83,15 +83,13 @@ def identity_fn() -> FunctionSpec:
 
 @dataclass(frozen=True)
 class FunctionalConfig:
-    """One functional-CLT experiment: input family, transform, horizon n,
-    path grid, and (optionally) the finite-variance exponent constant gamma =
-    mu/sigma for product runs that use the gamma/sqrt(n) convention."""
+    """One functional-CLT experiment: input family, transform, horizon n and
+    path grid."""
 
     spec: DoaSpec
     fn: FunctionSpec
     n: int
     grid: int
-    gamma: Optional[float] = None
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
@@ -102,8 +100,6 @@ class FunctionalConfig:
             or self.grid < 1
         ):
             raise ValueError(f"grid must be a positive integer, got {self.grid!r}")
-        if self.gamma is not None and not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 def functional_statistic(x, fn: FunctionSpec, mu: float, a_n: float, grid: int) -> SamplePath:

@@ -22,14 +22,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .rng import stream, as_generator
+from .rng import stream
 from .paths import (
     Degenerate,
     DoaSpec,
     ExactStable,
     Exponential,
     Pareto,
-    SequenceSource,
     TwoSidedPareto,
     sample_doa,
 )
@@ -42,8 +41,6 @@ __all__ = [
     "norming_sequence",
     "karamata_partial_sum",
     "mean_abs_deviation",
-    "IidPartialSums",
-    "iid_source",
 ]
 
 
@@ -146,10 +143,11 @@ class MeanAbsDeviation(NamedTuple):
 def mean_abs_deviation(spec: DoaSpec, k: int, reps: int, seed) -> MeanAbsDeviation:
     """Monte Carlo estimate of E|S_k - k*mu| with its standard error.
 
-    Replicate r draws from the sub-stream (seed, r), so the estimate is
-    independent of chunking or thread count.  For indices alpha < 2 the
-    summand has infinite variance; the reported standard error is then the
-    usual finite-sample estimate and should be read qualitatively.
+    Replicate r draws from the sub-stream (seed, r), so the estimate does
+    not depend on how the replicates are chunked or ordered.  For indices
+    alpha < 2 the summand has infinite variance; the reported standard error
+    is then the usual finite-sample estimate and should be read
+    qualitatively.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
@@ -164,24 +162,3 @@ def mean_abs_deviation(spec: DoaSpec, k: int, reps: int, seed) -> MeanAbsDeviati
         estimate=float(devs.mean()),
         stderr=float(devs.std(ddof=1) / math.sqrt(reps)),
     )
-
-
-class IidPartialSums(SequenceSource):
-    """Partial sums of iid draws from a DoaSpec, with the registry scaling."""
-
-    def __init__(self, spec: DoaSpec):
-        self.spec = spec
-        self.mu = spec.known_mu
-        self.alpha = spec.known_alpha
-        self.beta = spec.known_beta
-        self._norming = norming_for(spec)
-
-    def scale(self, n: int) -> float:
-        return float(self._norming.a(n))
-
-    def partial_sums(self, seed, n: int) -> np.ndarray:
-        return np.cumsum(sample_doa(self.spec, as_generator(seed), n))
-
-
-def iid_source(spec: DoaSpec) -> IidPartialSums:
-    return IidPartialSums(spec)

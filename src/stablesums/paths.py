@@ -34,7 +34,6 @@ __all__ = [
     "two_sided_pareto",
     "degenerate",
     "SamplePath",
-    "SequenceSource",
     "sample_doa",
     "partial_sum_process",
     "simulate_levy_path",
@@ -239,26 +238,6 @@ class SamplePath:
             fh.write("t,value\n")
             for t, v in zip(self.times, self.values):
                 fh.write(f"{float(t)!r},{float(v)!r}\n")
-
-
-class SequenceSource:
-    """Partial-sum generator with declared limit constants.
-
-    Anything exposing ``mu``, ``alpha``, ``beta``, ``scale(n)`` and
-    ``partial_sums(seed, n)`` plugs into the functional statistics; the
-    sequence does not have to be iid as long as the declared constants are
-    honest.
-    """
-
-    mu: float
-    alpha: float
-    beta: float
-
-    def scale(self, n: int) -> float:
-        raise NotImplementedError
-
-    def partial_sums(self, seed, n: int) -> np.ndarray:
-        raise NotImplementedError
 
 
 def partial_sum_process(x, mu: float, a_n: float, grid: int = DEFAULT_GRID) -> SamplePath:

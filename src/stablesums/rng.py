@@ -4,8 +4,7 @@ Every simulation entry point in this package takes either an integer seed or a
 ready ``numpy.random.Generator``.  Integer seeds are expanded into Philox
 (counter-based) streams, and replicated campaigns derive one sub-stream per
 replicate from ``(seed, label, replicate)``.  Replicate r therefore sees the
-same bits no matter how replicates are chunked, ordered, or spread over
-threads.
+same bits no matter how replicates are chunked or ordered.
 """
 
 from __future__ import annotations

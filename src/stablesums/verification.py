@@ -8,8 +8,8 @@ null survive"; ``campaign_passed`` additionally demands that the wrong null
 was rejected, so a test with no power cannot certify anything.
 
 Replicate r of every campaign draws from the sub-stream (seed, label, r) with
-fixed labels per role, which keeps reports byte-identical across reruns,
-chunkings, and thread counts.
+fixed labels per role, which keeps reports byte-identical across reruns
+and chunkings.
 """
 
 from __future__ import annotations
@@ -277,17 +277,24 @@ def _check_reps(reps) -> int:
     return int(reps)
 
 
-def _write_csv(path, header: str, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
+def _create(out_dir, name: str):
+    """Open ``out_dir/name`` for writing, making ``out_dir`` at the first
+    write, so a run that stops at a check leaves no directory behind."""
+    os.makedirs(out_dir, exist_ok=True)
+    return open(os.path.join(out_dir, name), "w", newline="\n")
+
+
+def _write_csv(out_dir, name: str, header: str, rows) -> str:
+    with _create(out_dir, name) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
                               else str(v) for v in row) + "\n")
+    return name
 
 
 def _write_limit_laws(out_dir, laws: dict) -> str:
-    path = os.path.join(out_dir, "limit_laws.json")
-    with open(path, "w", newline="\n") as fh:
+    with _create(out_dir, "limit_laws.json") as fh:
         fh.write(json.dumps(_plain(laws), indent=2) + "\n")
     return "limit_laws.json"
 
@@ -322,6 +329,10 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
 
     gaps = np.abs(ecf_vals - char_fn(params, grid))
     stat = float(gaps.max())
+    # Both the ECF of real draws and char_fn are conjugate-symmetric, so the
+    # gap is even in t and its maximum ties at +-t; rounding would pick the
+    # sign.  Report the largest t among the gaps tied with the maximum.
+    tied = gaps >= stat * (1.0 - 1e-12)
     wrong = replace(params, dispersion=2.0 * params.dispersion)
     control_stat = float(np.abs(ecf_vals - char_fn(wrong, grid)).max())
 
@@ -335,7 +346,7 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
         "threshold": float(threshold),
     }
     details = {
-        "worst_t": float(grid[int(np.argmax(gaps))]),
+        "worst_t": float(grid[tied].max()),
         "sampled_law": _law_dict(params),
         "control_law": _law_dict(wrong),
     }
@@ -343,15 +354,11 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
                      config, details, "char fn with doubled dispersion",
                      control_stat, threshold)
     if out_dir is not None:
-        _write_csv(os.path.join(out_dir, "charfn_fit.csv"),
-                   "t,ecf_re,ecf_im,cf_re,cf_im",
-                   [(float(t), v.real, v.imag, c.real, c.imag)
-                    for t, v, c in zip(grid, ecf_vals, char_fn(params, grid))])
-        _write_csv(os.path.join(out_dir, "samples.csv"), "value",
-                   [(float(v),) for v in head])
         report.artifacts = [
-            "charfn_fit.csv",
-            "samples.csv",
+            _write_csv(out_dir, "charfn_fit.csv", "t,ecf_re,ecf_im,cf_re,cf_im",
+                       [(float(t), v.real, v.imag, c.real, c.imag)
+                        for t, v, c in zip(grid, ecf_vals, char_fn(params, grid))]),
+            _write_csv(out_dir, "samples.csv", "value", [(float(v),) for v in head]),
             _write_limit_laws(out_dir, {"sampled": _law_dict(params)}),
         ]
     return report
@@ -370,6 +377,11 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     """
     reps = _check_reps(reps)
     law = limit_law(alpha, beta, t, 1.0)
+    if not isinstance(grid, (int, np.integer)) or isinstance(grid, bool) or grid < 1:
+        raise ValueError(f"grid must be a positive integer, got {grid!r}")
+    eps_used = 1.0 / grid if eps is None else float(eps)
+    if not 0.0 < eps_used < t:
+        raise ValueError(f"need 0 < eps < t, got eps={eps_used!r}, t={t!r}")
     integrals = np.empty(reps)
     for r in range(reps):
         path = simulate_levy_path(alpha, beta, stream(seed, _SIM, r), grid)
@@ -381,7 +393,6 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     wrong = sample(wrong_law, stream(seed, _CONTROL), reps)
     control_stat, _ = ks_two_sample(integrals, wrong)
 
-    eps_used = 1.0 / grid if eps is None else float(eps)
     config = {
         "campaign": "verify-remark",
         "alpha": float(alpha),
@@ -401,13 +412,11 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
                      "leq", config, details,
                      "direct draws at half dispersion", control_stat, threshold)
     if out_dir is not None:
-        _write_csv(os.path.join(out_dir, "statistics.csv"), "rep,t,value",
-                   [(r, float(t), integrals[r]) for r in range(reps)])
-        _write_csv(os.path.join(out_dir, "draws.csv"), "rep,value",
-                   [(r, direct[r]) for r in range(reps)])
         report.artifacts = [
-            "statistics.csv",
-            "draws.csv",
+            _write_csv(out_dir, "statistics.csv", "rep,t,value",
+                       [(r, float(t), integrals[r]) for r in range(reps)]),
+            _write_csv(out_dir, "draws.csv", "rep,value",
+                       [(r, direct[r]) for r in range(reps)]),
             _write_limit_laws(out_dir, {"t=" + repr(float(t)): _law_dict(law)}),
         ]
     return report
@@ -485,9 +494,8 @@ def verify_fclt(config: FunctionalConfig, times: Sequence[float], reps: int,
     if out_dir is not None:
         rows = [(r, float(t), stats[r, i])
                 for r in range(reps) for i, t in enumerate(times)]
-        _write_csv(os.path.join(out_dir, "statistics.csv"), "rep,t,value", rows)
         report.artifacts = [
-            "statistics.csv",
+            _write_csv(out_dir, "statistics.csv", "rep,t,value", rows),
             _write_limit_laws(out_dir, {repr(t): _law_dict(law)
                                         for t, law in zip(times, laws)}),
         ]
@@ -538,10 +546,9 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     report = _report("verify-product", seed, n, reps, stat, threshold, "leq",
                      cfg, details, "half-dispersion null", control_stat, threshold)
     if out_dir is not None:
-        _write_csv(os.path.join(out_dir, "statistics.csv"), "rep,t,value",
-                   [(r, 1.0, logs[r]) for r in range(reps)])
         report.artifacts = [
-            "statistics.csv",
+            _write_csv(out_dir, "statistics.csv", "rep,t,value",
+                       [(r, 1.0, logs[r]) for r in range(reps)]),
             _write_limit_laws(out_dir, {"t=1.0": _law_dict(law)}),
         ]
     return report
@@ -549,14 +556,14 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
 
 def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
                  band: float = 2.0, trend_tol: float = 0.25,
-                 scale_fn=None, out_dir=None) -> VerificationReport:
+                 out_dir=None) -> VerificationReport:
     """Boundedness of sum_{k<=n} E|S_k - k*mu| / k relative to a_n.
 
     Estimates the sum per replicate (so Monte Carlo error is quantified by
-    honest replicate-to-replicate spread), divides by a_n from the registry
-    (or ``scale_fn``), and checks two things across the requested n's: every
-    ratio within ``band`` of the largest-n ratio, and growth over the top
-    step at most 1 + trend_tol.  Statistic = max(spread/band,
+    honest replicate-to-replicate spread), divides by a_n from the registry,
+    and checks two things across the requested n's: every ratio within
+    ``band`` (> 1) of the largest-n ratio, and growth over the top step at
+    most 1 + trend_tol (trend_tol > 0).  Statistic = max(spread/band,
     growth/(1+trend_tol)), threshold 1.  The control rescales the same sums
     by a_n/log(n), which a genuinely bounded ratio must reject.
     """
@@ -564,11 +571,13 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     ns = [int(v) for v in ns]
     if len(ns) < 2 or sorted(set(ns)) != ns or ns[0] < 2:
         raise ValueError("ns must be >= 2 distinct increasing integers, each >= 2")
+    if not band > 1.0:
+        raise ValueError(f"band must exceed 1, got {band!r}")
+    if not trend_tol > 0.0:
+        raise ValueError(f"trend_tol must be positive, got {trend_tol!r}")
     seq = norming_for(spec)
     n_arr = np.array(ns)
-    a_vals = np.asarray(scale_fn(n_arr) if scale_fn is not None else seq.a(n_arr), dtype=float)
-    if not np.all(a_vals > 0.0):
-        raise ValueError("scaling sequence must be positive")
+    a_vals = seq.a(n_arr)
     mu, nmax = spec.known_mu, ns[-1]
     k = np.arange(1, nmax + 1)
     q = np.empty((reps, len(ns)))
@@ -601,7 +610,6 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
         "reps": reps,
         "band": float(band),
         "trend_tol": float(trend_tol),
-        "custom_scale": scale_fn is not None,
     }
     details = {
         "ratios": [float(v) for v in ratios],
@@ -614,14 +622,14 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     report = _report("verify-lemma", seed, nmax, reps, stat, 1.0, "leq",
                      cfg, details, "scaling deflated by log(n)", control_stat, 1.0)
     if out_dir is not None:
-        _write_csv(os.path.join(out_dir, "ratios.csv"),
-                   "n,ratio,stderr,ci_low,ci_high",
-                   [(ns[i], ratios[i], ratio_se[i],
-                     ratios[i] - 1.96 * ratio_se[i], ratios[i] + 1.96 * ratio_se[i])
-                    for i in range(len(ns))])
         b_vals = seq.b(n_arr)
-        _write_csv(os.path.join(out_dir, "norming.csv"), "n,a_n,b_n,family",
-                   [(ns[i], float(seq.a(ns[i])), float(b_vals[i]), repr(spec.family))
-                    for i in range(len(ns))])
-        report.artifacts = ["ratios.csv", "norming.csv"]
+        report.artifacts = [
+            _write_csv(out_dir, "ratios.csv", "n,ratio,stderr,ci_low,ci_high",
+                       [(ns[i], ratios[i], ratio_se[i],
+                         ratios[i] - 1.96 * ratio_se[i], ratios[i] + 1.96 * ratio_se[i])
+                        for i in range(len(ns))]),
+            _write_csv(out_dir, "norming.csv", "n,a_n,b_n,family",
+                       [(ns[i], float(seq.a(ns[i])), float(b_vals[i]), repr(spec.family))
+                        for i in range(len(ns))]),
+        ]
     return report

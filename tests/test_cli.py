@@ -106,20 +106,53 @@ def test_config_file_json_form(tmp_path):
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("bogus = 1\n")
-    assert _run("verify-remark", "--config", str(cfg), "--seed", "1") == 2
-    assert "bogus" in capsys.readouterr().err
+    # a config file may set only the options of its own subcommand:
+    # tail_index belongs to verify-fclt, report to plotdata, threads to none
+    for key in ("bogus", "tail_index", "report", "threads"):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"alpha = 1.5\nbeta = 0\n{key} = 1\n")
+        out = tmp_path / "o"
+        assert _run("verify-remark", "--config", str(cfg), "--seed", "1",
+                    "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: verify-remark: unknown config key {key!r}\n"
+        assert not out.exists()
 
 
-def test_bad_params_exit_two(tmp_path):
-    assert _run("sample", "--alpha", "2.5", "--beta", "0", "--n", "5",
-                "--out-dir", str(tmp_path / "x")) == 2
-    assert _run("verify-fclt", "--times", "0.3", "--grid", "8", "--seed", "1",
-                "--out-dir", str(tmp_path / "y")) == 2
-    assert _run("verify-remark", "--alpha", "1.5", "--beta", "0", "--seed",
-                "1", "--threads", "0", "--out-dir", str(tmp_path / "z")) == 2
-    assert not (tmp_path / "x").exists()
+_REMARK = ("verify-remark", "--alpha", "1.5", "--beta", "0", "--grid", "16")
+_FCLT = ("verify-fclt", "--n", "100", "--grid", "8", "--times", "1")
+_LEMMA = ("verify-lemma", "--ns", "10,100")
+_PRODUCT = ("verify-product", "--tail-index", "1.5", "--n", "100")
+
+
+@pytest.mark.parametrize("args", [
+    ("sample", "--alpha", "2.5", "--beta", "0", "--n", "5"),
+    ("sample", "--alpha", "2", "--beta", "0", "--n", "0"),
+    ("paths", "--alpha", "1", "--beta", "0", "--grid", "8"),
+    ("paths", "--alpha", "1.5", "--beta", "0", "--reps", "0"),
+    ("verify-sampler", "--alpha", "2", "--beta", "0", "--n", "0", "--seed", "1"),
+    ("verify-fclt", "--times", "0.3", "--grid", "8", "--seed", "1"),
+    ("verify-fclt", "--family", "two-sided-pareto", "--tail-index", "1.5",
+     "--seed", "1"),
+    ("verify-product", "--family", "two-sided-pareto", "--tail-index", "1.5",
+     "--seed", "1"),
+    # the CLI once accepted these and the library then refused them
+    _REMARK + ("--reps", "1", "--seed", "1"),
+    _FCLT + ("--reps", "1", "--seed", "1"),
+    _LEMMA + ("--reps", "1", "--seed", "1"),
+    _PRODUCT + ("--reps", "1", "--seed", "1"),
+    _LEMMA + ("--reps", "5", "--band", "1", "--seed", "1"),
+    _LEMMA + ("--reps", "5", "--trend-tol", "0", "--seed", "1"),
+    _REMARK + ("--reps", "5", "--eps", "0.6", "--t", "0.5", "--seed", "1"),
+    _REMARK + ("--reps", "5", "--seed", "18446744073709551616"),
+    ("sample", "--alpha", "2", "--beta", "0", "--n", "5", "--seed", "-1"),
+])
+def test_bad_params_exit_two(tmp_path, capsys, args):
+    out = tmp_path / "o"
+    assert _run(*args, "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {args[0]}: ") and err.count("\n") == 1
+    assert not out.exists()  # config errors never touch the filesystem
 
 
 @pytest.mark.parametrize("grid_args", [
@@ -128,6 +161,7 @@ def test_bad_params_exit_two(tmp_path):
     ["--t-step", "inf"],
     ["--t-step", "nan"],
     ["--t-min=-1e308", "--t-max", "1e308"],
+    ["--t-step", "1e-300"],
 ])
 def test_verify_sampler_rejects_non_finite_grid(tmp_path, capsys, grid_args):
     out = tmp_path / "o"

@@ -65,15 +65,11 @@ def test_functional_statistic_domain_error_names_index():
 
 
 def test_functional_config_validation():
-    cfg = FunctionalConfig(spec=exponential(1.0), fn=qi_log(1.0), n=100, grid=8)
-    assert cfg.gamma is None
+    FunctionalConfig(spec=exponential(1.0), fn=qi_log(1.0), n=100, grid=8)
     with pytest.raises(ValueError):
         FunctionalConfig(spec=exponential(1.0), fn=qi_log(1.0), n=0, grid=8)
     with pytest.raises(ValueError):
         FunctionalConfig(spec=exponential(1.0), fn=qi_log(1.0), n=10, grid=0)
-    with pytest.raises(ValueError):
-        FunctionalConfig(spec=exponential(1.0), fn=qi_log(1.0), n=10, grid=8,
-                         gamma=math.inf)
 
 
 def test_log_product_bridge_is_exact():

@@ -13,7 +13,6 @@ from stablesums import (
     degenerate,
     exact_stable,
     exponential,
-    iid_source,
     ks_one_sample,
     ks_two_sample,
     pareto,
@@ -240,16 +239,6 @@ def test_partial_sums_invariance_principle():
         vals[r] = partial_sum_process(x, 1.0, a_n, grid=8).at(0.5)
     stat, p = ks_one_sample(vals, lambda y: cdf(StableParams(2.0, 0.0, 0.5), y))
     assert p > 0.01, (stat, p)
-
-
-def test_iid_source_matches_direct_sums():
-    spec = exponential(1.0)
-    src = iid_source(spec)
-    got = src.partial_sums(stream(4006, 0), 100)
-    want = np.cumsum(sample_doa(spec, stream(4006, 0), 100))
-    np.testing.assert_array_equal(got, want)
-    assert src.scale(100) == 10.0
-    assert (src.mu, src.alpha, src.beta) == (1.0, 2.0, 0.0)
 
 
 class _DriftSource:

@@ -10,6 +10,7 @@ from stablesums import (
     FunctionalConfig,
     StableParams,
     VerificationReport,
+    char_fn,
     degenerate,
     ecdf,
     empirical_char_fn,
@@ -180,6 +181,23 @@ def test_verify_sampler_draws_in_fixed_chunks(tmp_path):
     assert (tmp_path / "samples.csv").read_bytes() == want.encode()
 
 
+@pytest.mark.parametrize("law", CRITERION_1_LAWS, ids=str)
+def test_verify_sampler_worst_t_matches_direct_ecf(law):
+    # |ECF - char fn| is even in t, so its maximum ties at +-t whatever the
+    # law; the report must name +t however the kernel's sums round.
+    params, n, seed = StableParams(*law), 40_007, 4412
+    rep = verify_sampler(params, n, seed, threshold=1.0)
+    rng = stream(seed, 0)
+    x = np.concatenate([sample(params, rng, min(2**14, n - s))
+                        for s in range(0, n, 2**14)])
+    t = np.arange(-50, 51) / 10.0
+    direct = np.array([np.exp(1j * tk * x).mean() for tk in t])
+    gaps = np.abs(direct - char_fn(params, t))
+    tied = t[gaps >= gaps.max() * (1.0 - 1e-12)]
+    assert rep.details["worst_t"] > 0
+    assert set(np.abs(tied).tolist()) == {rep.details["worst_t"]}
+
+
 def test_ks_one_sample_perfect_fit_p_value():
     u = (np.arange(10**4) + 0.5) / 10**4
     stat, p = ks_one_sample(u, lambda x: np.clip(x, 0.0, 1.0))
@@ -267,6 +285,25 @@ def test_lemma_validates_horizons():
         verify_lemma(exponential(1.0), [100, 100], 10, 1)
     with pytest.raises(ValueError):
         verify_lemma(exponential(1.0), [500, 100], 10, 1)
+
+
+def test_lemma_validates_band_and_trend_tol():
+    for kwargs in ({"band": 1.0}, {"band": 0.5}, {"trend_tol": 0.0},
+                   {"trend_tol": -1.0}):
+        with pytest.raises(ValueError):
+            verify_lemma(exponential(1.0), [10, 100], 5, 1, **kwargs)
+
+
+def test_remark_checks_eps_before_simulating(monkeypatch):
+    import stablesums.verification as verification
+
+    def no_paths(*args, **kwargs):
+        pytest.fail("simulated a path before checking eps")
+    monkeypatch.setattr(verification, "simulate_levy_path", no_paths)
+    with pytest.raises(ValueError, match="eps"):
+        verify_remark(1.5, 0.0, 5, 16, 1, t=0.5, eps=0.6)
+    with pytest.raises(ValueError, match="eps"):
+        verify_remark(1.5, 0.0, 5, 1, 1)  # default eps 1/grid = t
 
 
 def test_product_requires_positive_support():
