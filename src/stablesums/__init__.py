@@ -21,8 +21,6 @@ from .functionals import (
     qi_log,
 )
 from .norming import (
-    MeanAbsDeviation,
-    NormingSeq,
     karamata_partial_sum,
     mean_abs_deviation,
     norming_for,
@@ -41,7 +39,7 @@ from .paths import (
     simulate_levy_path,
     two_sided_pareto,
 )
-from .rng import MAX_SEED, as_generator, stream
+from .rng import stream
 from .stable import (
     QuadratureError,
     StableParams,
@@ -52,7 +50,6 @@ from .stable import (
     scale_shift,
 )
 from .verification import (
-    Ecdf,
     VerificationReport,
     ecdf,
     empirical_char_fn,
@@ -70,17 +67,12 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError",
     "DoaSpec",
-    "Ecdf",
     "FunctionSpec",
     "FunctionalConfig",
-    "MAX_SEED",
-    "MeanAbsDeviation",
-    "NormingSeq",
     "QuadratureError",
     "SamplePath",
     "StableParams",
     "VerificationReport",
-    "as_generator",
     "cdf",
     "char_fn",
     "degenerate",

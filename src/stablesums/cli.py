@@ -7,11 +7,13 @@ campaign writes ``report.json`` plus CSV artifacts into ``--out-dir``
 failed (report still written), 2 configuration error (nothing written).
 
 Options may come from ``--config FILE`` (JSON object, or ``key=value`` lines
-with ``#`` comments) holding options of the same subcommand; explicit flags
-override the file, the file overrides built-in defaults.  Seeds are mandatory
-for ``verify-*`` so no verification ever depends on hidden state;
-``sample``/``paths`` default to seed 0.  Results are byte-identical for a
-given seed, because every replicate draws from its own counter-based stream.
+with ``#`` comments) holding options of the same subcommand.  A file value is
+parsed from its text exactly like the flag's, so an integer option needs an
+integer (``n = 40``, not ``40.0``).  Explicit flags override the file, the
+file overrides built-in defaults.  Seeds are mandatory for ``verify-*`` so no
+verification ever depends on hidden state; ``sample``/``paths`` default to
+seed 0.  Results are byte-identical for a given seed, because every replicate
+draws from its own counter-based stream.
 
 The library checks its own inputs before it draws or writes, and this module
 adds only the checks the library cannot make.  ``--out-dir`` is created by the
@@ -81,35 +83,58 @@ class CampaignConfig:
     params: dict = field(default_factory=dict)
 
 
-# Per-campaign defaults, applied after flags and config-file values.
-_FAMILY_DEFAULTS = {"rate": 1.0, "x_min": 1.0, "shift": 0.0, "asymmetry": 0.0,
-                    "dispersion": 1.0, "location": 0.0}
-_DEFAULTS = {
-    "sample": {"dispersion": 1.0, "location": 0.0},
-    "paths": {"grid": 2**12, "reps": 1},
-    "verify-sampler": {"dispersion": 1.0, "location": 0.0, "n": 10**6,
-                       "t_min": -5.0, "t_max": 5.0, "t_step": 0.1,
-                       "threshold": 5e-3},
-    "verify-remark": {"reps": 5000, "grid": 2**12, "t": 1.0,
-                      "threshold": 0.04},
-    "verify-fclt": {**_FAMILY_DEFAULTS, "family": "exponential", "n": 10**4,
-                    "grid": 2**12, "times": "0.25,0.5,0.75,1.0", "reps": 5000,
-                    "threshold": 0.04},
-    "verify-lemma": {**_FAMILY_DEFAULTS, "family": "exponential",
-                     "ns": "100,1000,10000", "reps": 400, "band": 2.0,
-                     "trend_tol": 0.25},
-    "verify-product": {**_FAMILY_DEFAULTS, "family": "pareto", "n": 10**4,
-                       "reps": 5000, "threshold": 0.07},
+# Every campaign option, declared once as (argparse type, default, help): the
+# subcommand parsers, the keys a config file may set, their parsing and the
+# defaults all come from this table.  A tuple type lists the choices of a
+# string option; a None default means the option has none.
+_COMMON = {
+    "seed": (int, None, "64-bit stream seed (mandatory for verify-*)"),
+    "out_dir": (str, None, "directory for report.json and artifacts (default: .)"),
+    "config": (str, None, "JSON or key=value settings file; flags override it"),
 }
-
-_COERCE = {
-    "alpha": float, "beta": float, "dispersion": float, "location": float,
-    "rate": float, "tail_index": float, "x_min": float, "shift": float,
-    "asymmetry": float, "value": float, "t": float, "eps": float,
-    "t_min": float, "t_max": float, "t_step": float, "threshold": float,
-    "band": float, "trend_tol": float,
-    "n": int, "reps": int, "grid": int, "seed": int,
-    "times": str, "ns": str, "family": str, "out_dir": str,
+_ALPHA_BETA = {"alpha": (float, None, None), "beta": (float, None, None)}
+_LAW = {**_ALPHA_BETA, "dispersion": (float, 1.0, None),
+        "location": (float, 0.0, None)}
+_FAMILY = {
+    "family": (_FAMILIES, "exponential", None),
+    "rate": (float, 1.0, "exponential rate"),
+    "tail_index": (float, None, None),
+    "x_min": (float, 1.0, None),
+    "shift": (float, 0.0, None),
+    "asymmetry": (float, 0.0, None),
+    "value": (float, None, "degenerate point"),
+    **_LAW,
+    "alpha": (float, None, "exact-stable index"),
+    "beta": (float, None, "exact-stable skewness"),
+}
+_OPTIONS = {
+    "sample": ("draw iid stable variates to CSV", {
+        **_COMMON, **_LAW, "n": (int, None, None)}),
+    "paths": ("simulate stable Levy paths to CSV", {
+        **_COMMON, **_ALPHA_BETA, "grid": (int, 2**12, None),
+        "reps": (int, 1, None)}),
+    "verify-sampler": ("char-fn fidelity of the sampler", {
+        **_COMMON, **_LAW, "n": (int, 10**6, None),
+        "t_min": (float, -5.0, None), "t_max": (float, 5.0, None),
+        "t_step": (float, 0.1, None), "threshold": (float, 5e-3, None)}),
+    "verify-remark": ("truncated path integral vs its stable law", {
+        **_COMMON, **_ALPHA_BETA, "reps": (int, 5000, None),
+        "grid": (int, 2**12, None), "t": (float, 1.0, None),
+        "eps": (float, None, None), "threshold": (float, 0.04, None)}),
+    "verify-fclt": ("functional statistic marginals vs limit laws", {
+        **_COMMON, **_FAMILY, "n": (int, 10**4, None),
+        "grid": (int, 2**12, None),
+        "times": (str, "0.25,0.5,0.75,1.0", "comma-separated times in (0,1]"),
+        "reps": (int, 5000, None), "threshold": (float, 0.04, None)}),
+    "verify-lemma": ("boundedness of the mean-deviation sums", {
+        **_COMMON, **_FAMILY,
+        "ns": (str, "100,1000,10000", "comma-separated horizons, increasing"),
+        "reps": (int, 400, None), "band": (float, 2.0, None),
+        "trend_tol": (float, 0.25, None)}),
+    "verify-product": ("log product statistic vs its stable law", {
+        **_COMMON, **_FAMILY, "family": (_FAMILIES, "pareto", None),
+        "n": (int, 10**4, None), "reps": (int, 5000, None),
+        "threshold": (float, 0.07, None)}),
 }
 
 
@@ -148,22 +173,25 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve(ns: argparse.Namespace) -> CampaignConfig:
-    """Merge flag > config file > default, coercing config-file strings.
+    """Merge flag > config file > default.
 
-    A config file may set exactly the options of its subcommand."""
+    A config file may set exactly the options of its subcommand, and each
+    value is parsed from its text by the option's own flag type."""
     campaign = ns.campaign
-    merged = dict(_DEFAULTS[campaign])
+    options = _OPTIONS[campaign][1]
+    merged = {key: default for key, (_, default, _) in options.items()
+              if default is not None}
     if ns.config:
-        allowed = set(vars(build_parser().parse_args([campaign]))) - {"config"}
         for key, raw in _load_config_file(ns.config).items():
             key = key.replace("-", "_")
             if key == "campaign":
                 continue
-            if key not in allowed:
+            if key not in options or key == "config":
                 raise ConfigError(f"unknown config key {key!r}")
+            kind = options[key][0]
             try:
-                merged[key] = _COERCE[key](raw)
-            except (TypeError, ValueError) as exc:
+                merged[key] = str(raw) if isinstance(kind, tuple) else kind(str(raw))
+            except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: cannot coerce {raw!r}") from exc
     for key, val in vars(ns).items():
         if val is not None and key not in ("campaign", "config"):
@@ -211,7 +239,8 @@ def _build_spec(params: dict) -> DoaSpec:
 
 
 def _t_grid(params: dict) -> np.ndarray:
-    """t-min + t-step*k for k = 0..round((t-max - t-min)/t-step)."""
+    """t-min + t-step*k for k = 0, 1, ... up to the last point not above t-max,
+    give or take 8 ulps of max|t| of rounding."""
     t_min, t_max, t_step = params["t_min"], params["t_max"], params["t_step"]
     if not all(math.isfinite(v) for v in (t_min, t_max, t_step)):
         raise ConfigError("--t-min, --t-max and --t-step must be finite")
@@ -219,11 +248,12 @@ def _t_grid(params: dict) -> np.ndarray:
         raise ConfigError("--t-step must be positive")
     if not t_min < t_max:
         raise ConfigError("need --t-min < --t-max")
-    steps = (t_max - t_min) / t_step
-    if not steps <= _MAX_T_POINTS - 1:
+    slack = 8 * math.ulp(max(abs(t_min), abs(t_max)))
+    steps = (t_max - t_min + slack) / t_step
+    if not steps < _MAX_T_POINTS:
         raise ConfigError(f"--t-step {t_step!r} gives {steps + 1:.4g} frequencies "
                           f"from --t-min to --t-max, more than {_MAX_T_POINTS}")
-    return t_min + t_step * np.arange(int(round(steps)) + 1)
+    return t_min + t_step * np.arange(math.floor(steps) + 1)
 
 
 def _trivial_report(config: CampaignConfig, name: str, n: int, reps: int,
@@ -367,102 +397,17 @@ def emit_plotdata(report_path: str, out_dir: Optional[str] = None) -> list:
     return written
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=None,
-                     help="64-bit stream seed (mandatory for verify-*)")
-    sub.add_argument("--out-dir", type=str, default=None,
-                     help="directory for report.json and artifacts (default: .)")
-    sub.add_argument("--config", type=str, default=None,
-                     help="JSON or key=value settings file; flags override it")
-
-
-def _add_family(sub):
-    sub.add_argument("--family", choices=_FAMILIES, default=None)
-    sub.add_argument("--rate", type=float, default=None, help="exponential rate")
-    sub.add_argument("--tail-index", type=float, default=None, dest="tail_index")
-    sub.add_argument("--x-min", type=float, default=None, dest="x_min")
-    sub.add_argument("--shift", type=float, default=None)
-    sub.add_argument("--asymmetry", type=float, default=None)
-    sub.add_argument("--value", type=float, default=None, help="degenerate point")
-    sub.add_argument("--alpha", type=float, default=None, help="exact-stable index")
-    sub.add_argument("--beta", type=float, default=None, help="exact-stable skewness")
-    sub.add_argument("--dispersion", type=float, default=None)
-    sub.add_argument("--location", type=float, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stablesums",
         description="Simulation campaigns for stable partial-sum limit laws",
     )
     subs = parser.add_subparsers(dest="campaign", required=True)
-
-    s = subs.add_parser("sample", help="draw iid stable variates to CSV")
-    _add_common(s)
-    s.add_argument("--alpha", type=float, default=None)
-    s.add_argument("--beta", type=float, default=None)
-    s.add_argument("--dispersion", type=float, default=None)
-    s.add_argument("--location", type=float, default=None)
-    s.add_argument("--n", type=int, default=None)
-
-    s = subs.add_parser("paths", help="simulate stable Levy paths to CSV")
-    _add_common(s)
-    s.add_argument("--alpha", type=float, default=None)
-    s.add_argument("--beta", type=float, default=None)
-    s.add_argument("--grid", type=int, default=None)
-    s.add_argument("--reps", type=int, default=None)
-
-    s = subs.add_parser("verify-sampler", help="char-fn fidelity of the sampler")
-    _add_common(s)
-    s.add_argument("--alpha", type=float, default=None)
-    s.add_argument("--beta", type=float, default=None)
-    s.add_argument("--dispersion", type=float, default=None)
-    s.add_argument("--location", type=float, default=None)
-    s.add_argument("--n", type=int, default=None)
-    s.add_argument("--t-min", type=float, default=None, dest="t_min")
-    s.add_argument("--t-max", type=float, default=None, dest="t_max")
-    s.add_argument("--t-step", type=float, default=None, dest="t_step")
-    s.add_argument("--threshold", type=float, default=None)
-
-    s = subs.add_parser("verify-remark",
-                        help="truncated path integral vs its stable law")
-    _add_common(s)
-    s.add_argument("--alpha", type=float, default=None)
-    s.add_argument("--beta", type=float, default=None)
-    s.add_argument("--reps", type=int, default=None)
-    s.add_argument("--grid", type=int, default=None)
-    s.add_argument("--t", type=float, default=None)
-    s.add_argument("--eps", type=float, default=None)
-    s.add_argument("--threshold", type=float, default=None)
-
-    s = subs.add_parser("verify-fclt",
-                        help="functional statistic marginals vs limit laws")
-    _add_common(s)
-    _add_family(s)
-    s.add_argument("--n", type=int, default=None)
-    s.add_argument("--grid", type=int, default=None)
-    s.add_argument("--times", type=str, default=None,
-                   help="comma-separated times in (0,1]")
-    s.add_argument("--reps", type=int, default=None)
-    s.add_argument("--threshold", type=float, default=None)
-
-    s = subs.add_parser("verify-lemma",
-                        help="boundedness of the mean-deviation sums")
-    _add_common(s)
-    _add_family(s)
-    s.add_argument("--ns", type=str, default=None,
-                   help="comma-separated horizons, increasing")
-    s.add_argument("--reps", type=int, default=None)
-    s.add_argument("--band", type=float, default=None)
-    s.add_argument("--trend-tol", type=float, default=None, dest="trend_tol")
-
-    s = subs.add_parser("verify-product",
-                        help="log product statistic vs its stable law")
-    _add_common(s)
-    _add_family(s)
-    s.add_argument("--n", type=int, default=None)
-    s.add_argument("--reps", type=int, default=None)
-    s.add_argument("--threshold", type=float, default=None)
+    for campaign, (summary, options) in _OPTIONS.items():
+        sub = subs.add_parser(campaign, help=summary)
+        for key, (kind, _, text) in options.items():
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            sub.add_argument("--" + key.replace("_", "-"), help=text, **typed)
 
     s = subs.add_parser("plotdata", help="ECDF overlays from a campaign report")
     s.add_argument("--report", type=str, required=True)

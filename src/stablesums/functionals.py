@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .paths import DoaSpec, SamplePath
+from .rng import _as_samples, _check_count
 from .stable import StableParams
 
 __all__ = [
@@ -92,14 +93,8 @@ class FunctionalConfig:
     grid: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if (
-            not isinstance(self.grid, (int, np.integer))
-            or isinstance(self.grid, bool)
-            or self.grid < 1
-        ):
-            raise ValueError(f"grid must be a positive integer, got {self.grid!r}")
+        _check_count(self.n, "n", 1)
+        _check_count(self.grid, "grid", 1)
 
 
 def functional_statistic(x, fn: FunctionSpec, mu: float, a_n: float, grid: int) -> SamplePath:
@@ -110,16 +105,10 @@ def functional_statistic(x, fn: FunctionSpec, mu: float, a_n: float, grid: int) 
     arithmetic.  A partial-sum average outside f's domain raises
     :class:`DomainError` naming the offending k.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("x must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
+    x = _as_samples(x, "x")
     if not (a_n > 0.0 and math.isfinite(a_n)):
         raise ValueError(f"a_n must be positive and finite, got {a_n}")
-    if not isinstance(grid, (int, np.integer)) or isinstance(grid, bool) or grid < 1:
-        raise ValueError(f"grid must be a positive integer, got {grid!r}")
-    n, m = x.size, int(grid)
+    n, m = x.size, _check_count(grid, "grid", 1)
     averages = np.cumsum(x) / np.arange(1, n + 1)
     ok = np.asarray(fn.domain_check(averages), dtype=bool)
     if not ok.all():
@@ -137,11 +126,7 @@ def functional_statistic(x, fn: FunctionSpec, mu: float, a_n: float, grid: int) 
 
 def log_product_statistic(x, mu: float, exponent: float) -> float:
     """exponent * sum_k log(S_k / (k*mu)), the product statistic in log space."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("x must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
+    x = _as_samples(x, "x")
     if not (mu > 0.0 and math.isfinite(mu)):
         raise ValueError(f"mu must be positive and finite, got {mu}")
     if not math.isfinite(exponent):

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .rng import stream
+from .rng import _check_count, stream
 from .paths import (
     Degenerate,
     DoaSpec,
@@ -111,8 +111,7 @@ def norming_for(spec: DoaSpec) -> NormingSeq:
 
 def norming_sequence(spec: DoaSpec, n: int) -> tuple[float, float]:
     """(a_n, b_n) at one n >= 1."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = _check_count(n, "n", 1)
     seq = norming_for(spec)
     return float(seq.a(n)), float(seq.b(n))
 
@@ -124,13 +123,12 @@ def karamata_partial_sum(a, n: int) -> float:
     regularly varying a(k) ~ k**g * slowly_varying, g > 0, this sum grows like
     a(n)/g, which is what the boundedness diagnostics lean on.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = _check_count(n, "n", 1)
     fn = a.a if isinstance(a, NormingSeq) else a
     total = 0.0
     # Chunked so n in the tens of millions stays cheap on memory.
-    for start in range(1, int(n) + 1, 2**20):
-        k = np.arange(start, min(start + 2**20, int(n) + 1))
+    for start in range(1, n + 1, 2**20):
+        k = np.arange(start, min(start + 2**20, n + 1))
         total += float(np.sum(fn(k) / k))
     return total
 
@@ -149,14 +147,12 @@ def mean_abs_deviation(spec: DoaSpec, k: int, reps: int, seed) -> MeanAbsDeviati
     is then the usual finite-sample estimate and should be read
     qualitatively.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not isinstance(reps, (int, np.integer)) or isinstance(reps, bool) or reps < 2:
-        raise ValueError(f"reps must be an integer >= 2, got {reps!r}")
+    k = _check_count(k, "k", 1)
+    reps = _check_count(reps, "reps", 2)
     mu = spec.known_mu
     devs = np.empty(reps)
-    for r in range(int(reps)):
-        x = sample_doa(spec, stream(seed, r), int(k))
+    for r in range(reps):
+        x = sample_doa(spec, stream(seed, r), k)
         devs[r] = abs(float(np.sum(x)) - k * mu)
     return MeanAbsDeviation(
         estimate=float(devs.mean()),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_generator
+from .rng import _as_samples, _check_count, as_generator
 from .stable import StableParams, sample
 
 __all__ = [
@@ -175,9 +175,7 @@ def degenerate(value: float) -> DoaSpec:
 
 def sample_doa(spec: DoaSpec, seed, n: int) -> np.ndarray:
     """Draw ``n`` iid variates from the spec's family."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    n = _check_count(n, "n", 0)
     rng = as_generator(seed)
     fam = spec.family
     if isinstance(fam, Exponential):
@@ -247,16 +245,10 @@ def partial_sum_process(x, mu: float, a_n: float, grid: int = DEFAULT_GRID) -> S
     computed in exact integer arithmetic; t = 0 carries the empty sum 0 and
     t = 1 the fully centered sum.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("x must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
+    x = _as_samples(x, "x")
     if not (a_n > 0.0 and math.isfinite(a_n)):
         raise ValueError(f"a_n must be positive and finite, got {a_n}")
-    if not isinstance(grid, (int, np.integer)) or isinstance(grid, bool) or grid < 1:
-        raise ValueError(f"grid must be a positive integer, got {grid!r}")
-    n, m = x.size, int(grid)
+    n, m = x.size, _check_count(grid, "grid", 1)
     sums = np.concatenate(([0.0], np.cumsum(x)))
     j = np.arange(m + 1)
     k = n * j // m
@@ -271,11 +263,9 @@ def simulate_levy_path(alpha: float, beta: float, seed, grid: int = DEFAULT_GRID
     so every dyadic marginal is exact: the value at time t is distributed with
     dispersion t, and grid refinement changes nothing in law.
     """
-    if not isinstance(grid, (int, np.integer)) or isinstance(grid, bool) or grid < 1:
-        raise ValueError(f"grid must be a positive integer, got {grid!r}")
+    m = _check_count(grid, "grid", 1)
     if not (1.0 < alpha <= 2.0):
         raise ValueError(f"alpha must be in (1, 2], got {alpha}")
-    m = int(grid)
     rng = as_generator(seed)
     increments = sample(StableParams(alpha, beta, dispersion=1.0 / m), rng, m)
     values = np.concatenate(([0.0], np.cumsum(increments)))

@@ -5,6 +5,9 @@ ready ``numpy.random.Generator``.  Integer seeds are expanded into Philox
 (counter-based) streams, and replicated campaigns derive one sub-stream per
 replicate from ``(seed, label, replicate)``.  Replicate r therefore sees the
 same bits no matter how replicates are chunked or ordered.
+
+The input checks the simulation entry points share (seeds, counts, sample
+arrays) live here too, so each is written once.
 """
 
 from __future__ import annotations
@@ -25,6 +28,25 @@ def _check_seed(seed) -> int:
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return seed
+
+
+def _check_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int; refuses bools, non-integers and values below
+    ``minimum`` with a ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _as_samples(x, name: str) -> np.ndarray:
+    """``x`` as a float array; refuses anything but a nonempty finite 1-d
+    sequence with a ``ValueError``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-d array")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
+    return x
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import quad
 
-from .rng import as_generator
+from .rng import _check_count, as_generator
 
 __all__ = [
     "StableParams",
@@ -149,9 +149,7 @@ def sample(params: StableParams, seed, n: int) -> np.ndarray:
     branch short-circuits to normal draws; alpha == 1 uses its dedicated
     transform, everything else the trigonometric one.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    n = _check_count(n, "n", 0)
     rng = as_generator(seed)
     a, b, d, mu = params.alpha, params.beta, params.dispersion, params.location
     if a == 2.0:

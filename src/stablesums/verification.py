@@ -32,7 +32,7 @@ from .functionals import (
 )
 from .norming import norming_for
 from .paths import DoaSpec, sample_doa, simulate_levy_path
-from .rng import stream
+from .rng import _as_samples, _check_count, stream
 from .stable import StableParams, cdf, char_fn, sample
 
 __all__ = [
@@ -55,20 +55,11 @@ _SIM, _NULL, _CONTROL = 0, 1, 2
 _ECF_CHUNK = 2**14
 
 
-def _as_samples(x, name: str = "samples") -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d array")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} must be finite")
-    return x
-
-
 class Ecdf:
     """Empirical CDF as a right-continuous step function."""
 
     def __init__(self, samples):
-        self.xs = np.sort(_as_samples(samples))
+        self.xs = np.sort(_as_samples(samples, "samples"))
         self.n = self.xs.size
 
     def __call__(self, x):
@@ -118,7 +109,7 @@ def ks_one_sample(samples, cdf_fn) -> tuple[float, float]:
     ``cdf_fn`` may be vectorized or scalar-only; both one-sided gaps (before
     and after each jump of the ECDF) enter the sup.
     """
-    xs = np.sort(_as_samples(samples))
+    xs = np.sort(_as_samples(samples, "samples"))
     f = _eval_cdf(cdf_fn, xs)
     n = xs.size
     grid = np.arange(1, n + 1) / n
@@ -159,7 +150,7 @@ def _ecf_sums(t: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def empirical_char_fn(samples, t):
     """Sample mean of exp(i*t*X) at scalar or array ``t``."""
-    x = _as_samples(samples)
+    x = _as_samples(samples, "samples")
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
@@ -271,12 +262,6 @@ def _spec_dict(spec: DoaSpec) -> dict:
     }
 
 
-def _check_reps(reps) -> int:
-    if not isinstance(reps, (int, np.integer)) or isinstance(reps, bool) or reps < 2:
-        raise ValueError(f"reps must be an integer >= 2, got {reps!r}")
-    return int(reps)
-
-
 def _create(out_dir, name: str):
     """Open ``out_dir/name`` for writing, making ``out_dir`` at the first
     write, so a run that stops at a check leaves no directory behind."""
@@ -308,9 +293,7 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     sup norm.  The control re-tests the same draws against the law with
     doubled dispersion.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _check_count(n, "n", 1)
     grid = np.arange(-50, 51) / 10.0 if t_grid is None else np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("t_grid must be a nonempty finite 1-d array")
@@ -375,10 +358,9 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     control compares against draws with half that dispersion, e.g. N(0,1)
     instead of N(0,2) at alpha = 2.
     """
-    reps = _check_reps(reps)
+    reps = _check_count(reps, "reps", 2)
     law = limit_law(alpha, beta, t, 1.0)
-    if not isinstance(grid, (int, np.integer)) or isinstance(grid, bool) or grid < 1:
-        raise ValueError(f"grid must be a positive integer, got {grid!r}")
+    grid = _check_count(grid, "grid", 1)
     eps_used = 1.0 / grid if eps is None else float(eps)
     if not 0.0 < eps_used < t:
         raise ValueError(f"need 0 < eps < t, got eps={eps_used!r}, t={t!r}")
@@ -398,7 +380,7 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
         "alpha": float(alpha),
         "beta": float(beta),
         "reps": reps,
-        "grid": int(grid),
+        "grid": grid,
         "t": float(t),
         "eps": eps_used,
         "threshold": float(threshold),
@@ -408,7 +390,7 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
         "limit_law": _law_dict(law),
         "control_law": _law_dict(wrong_law),
     }
-    report = _report("verify-remark", seed, int(grid), reps, stat, threshold,
+    report = _report("verify-remark", seed, grid, reps, stat, threshold,
                      "leq", config, details,
                      "direct draws at half dispersion", control_stat, threshold)
     if out_dir is not None:
@@ -433,7 +415,7 @@ def verify_fclt(config: FunctionalConfig, times: Sequence[float], reps: int,
     against half-dispersion nulls, so "fail" means even the easiest marginal
     rejected the wrong law.
     """
-    reps = _check_reps(reps)
+    reps = _check_count(reps, "reps", 2)
     times = [float(t) for t in times]
     if not times:
         raise ValueError("need at least one time")
@@ -513,10 +495,8 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     """
     if not spec.positivity:
         raise ValueError("verify_product needs a spec with positivity=True")
-    reps = _check_reps(reps)
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    reps = _check_count(reps, "reps", 2)
+    n = _check_count(n, "n", 1)
     seq = norming_for(spec)
     a_n, mu = float(seq.a(n)), spec.known_mu
     exponent = mu / a_n
@@ -567,7 +547,7 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     growth/(1+trend_tol)), threshold 1.  The control rescales the same sums
     by a_n/log(n), which a genuinely bounded ratio must reject.
     """
-    reps = _check_reps(reps)
+    reps = _check_count(reps, "reps", 2)
     ns = [int(v) for v in ns]
     if len(ns) < 2 or sorted(set(ns)) != ns or ns[0] < 2:
         raise ValueError("ns must be >= 2 distinct increasing integers, each >= 2")

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from stablesums.cli import emit_plotdata, main
+from stablesums.cli import _resolve, build_parser, emit_plotdata, main
 
 
 def _run(*args):
@@ -119,6 +119,72 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("key, name, text", [
+    ("n", "c.json", '{"n": 2.9}'),
+    ("seed", "c.json", '{"seed": 1.9}'),
+    ("alpha", "c.json", '{"alpha": true}'),
+    ("n", "c.json", '{"n": null}'),
+    ("n", "c.cfg", "n = 2.9\n"),
+])
+def test_config_values_parse_like_flags(tmp_path, capsys, key, name, text):
+    # a file value is parsed from its text by the flag's own type, so it is
+    # refused exactly when the flag would be (--n 2.9, --alpha True)
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    flags = {"alpha": "2", "beta": "0", "n": "5"}
+    flags.pop(key, None)
+    out = tmp_path / "o"
+    args = [arg for k, v in flags.items() for arg in (f"--{k}", v)]
+    assert _run("sample", *args, "--config", str(cfg), "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sample: config key {key!r}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+_MANDATORY = {
+    "sample": ["--alpha", "1.5", "--beta", "0", "--n", "7"],
+    "paths": ["--alpha", "1.5", "--beta", "0"],
+    "verify-sampler": ["--alpha", "1.5", "--beta", "0", "--seed", "1"],
+    "verify-remark": ["--alpha", "1.5", "--beta", "0", "--seed", "1"],
+    "verify-fclt": ["--seed", "1"],
+    "verify-lemma": ["--seed", "1"],
+    "verify-product": ["--tail-index", "1.5", "--seed", "1"],
+}
+_FAMILY_DEFAULTS = {"rate": 1.0, "x_min": 1.0, "shift": 0.0, "asymmetry": 0.0,
+                    "dispersion": 1.0, "location": 0.0}
+_PINNED_PARAMS = {
+    "sample": {"dispersion": 1.0, "location": 0.0,
+               "alpha": 1.5, "beta": 0.0, "n": 7},
+    "paths": {"grid": 4096, "reps": 1, "alpha": 1.5, "beta": 0.0},
+    "verify-sampler": {"dispersion": 1.0, "location": 0.0, "n": 1000000,
+                       "t_min": -5.0, "t_max": 5.0, "t_step": 0.1,
+                       "threshold": 0.005, "alpha": 1.5, "beta": 0.0},
+    "verify-remark": {"reps": 5000, "grid": 4096, "t": 1.0, "threshold": 0.04,
+                      "alpha": 1.5, "beta": 0.0},
+    "verify-fclt": {**_FAMILY_DEFAULTS, "family": "exponential", "n": 10000,
+                    "grid": 4096, "times": "0.25,0.5,0.75,1.0", "reps": 5000,
+                    "threshold": 0.04},
+    "verify-lemma": {**_FAMILY_DEFAULTS, "family": "exponential",
+                     "ns": "100,1000,10000", "reps": 400, "band": 2.0,
+                     "trend_tol": 0.25},
+    "verify-product": {**_FAMILY_DEFAULTS, "family": "pareto", "n": 10000,
+                       "reps": 5000, "threshold": 0.07, "tail_index": 1.5},
+}
+
+
+@pytest.mark.parametrize("campaign", sorted(_MANDATORY))
+def test_campaign_defaults_are_pinned(campaign):
+    # invocation.params in report.json is exactly these, so a default that
+    # moves or goes missing changes report bytes
+    config = _resolve(build_parser().parse_args([campaign, *_MANDATORY[campaign]]))
+    assert config.params == _PINNED_PARAMS[campaign]
+    assert all(type(v) is type(_PINNED_PARAMS[campaign][k])
+               for k, v in config.params.items())
+    assert config.seed == (1 if campaign.startswith("verify-") else 0)
+    assert config.out_dir == "."
+
+
 _REMARK = ("verify-remark", "--alpha", "1.5", "--beta", "0", "--grid", "16")
 _FCLT = ("verify-fclt", "--n", "100", "--grid", "8", "--times", "1")
 _LEMMA = ("verify-lemma", "--ns", "10,100")
@@ -171,6 +237,19 @@ def test_verify_sampler_rejects_non_finite_grid(tmp_path, capsys, grid_args):
     err = capsys.readouterr().err
     assert err.startswith("error: verify-sampler:") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_verify_sampler_grid_stops_at_t_max(tmp_path):
+    # (5 - 0)/3 rounds to 2 steps, but t = 6 lies past --t-max
+    code = _run("verify-sampler", "--alpha", "2", "--beta", "0", "--n", "100",
+                "--seed", "1", "--t-min", "0", "--t-max", "5", "--t-step", "3",
+                "--out-dir", str(tmp_path))
+    assert code in (0, 1)
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert config["t_count"] == 2 and config["t_max"] == 3.0
+    with open(tmp_path / "charfn_fit.csv") as fh:
+        ts = [float(line.split(",")[0]) for line in fh.read().splitlines()[1:]]
+    assert ts == [0.0, 3.0]
 
 
 def test_paths_csv_schema(tmp_path):
