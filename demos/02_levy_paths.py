@@ -9,6 +9,7 @@ import os
 import numpy as np
 
 from stablesums import StableParams, ks_two_sample, sample, simulate_levy_path
+from stablesums.cli import main
 from stablesums.rng import stream
 
 # A stable Levy motion has independent stationary increments; over a cell of
@@ -23,13 +24,12 @@ print(f"one path on {path.times.size - 1} cells; "
 for t in (0.1, 0.25, 0.5, 0.9):
     print(f"  L({t}) = {path.at(t):+.4f}")
 
-# Write one path per replicate for external plotting.
+# Write one path per replicate for external plotting: the `paths` command
+# writes path_0000.csv, ... (columns t,value) plus report.json.
 out = os.path.join(os.path.dirname(__file__), "out")
-os.makedirs(out, exist_ok=True)
-for r in range(3):
-    p = simulate_levy_path(alpha, beta, stream(7, 1, r), grid=2**8)
-    p.to_csv(os.path.join(out, f"levy_{r}.csv"))
-print(f"wrote 3 paths to {out}/levy_*.csv")
+main(["paths", "--alpha", str(alpha), "--beta", str(beta), "--grid", "256",
+      "--reps", "3", "--seed", "7", "--out-dir", out])
+print(f"wrote 3 paths to {out}/path_*.csv")
 
 # Sanity: across replicates, the time-1 values must be draws from the
 # unit-dispersion law itself.  A two-sample KS test agrees.

@@ -4,7 +4,9 @@ Subcommands: ``sample``, ``paths``, ``verify-sampler``, ``verify-remark``,
 ``verify-fclt``, ``verify-lemma``, ``verify-product``, ``plotdata``.  Every
 campaign writes ``report.json`` plus CSV artifacts into ``--out-dir``
 (default: current directory).  Exit codes: 0 campaign passed, 1 campaign
-failed (report still written), 2 configuration error (nothing written).
+failed (report still written), 2 configuration error, a bad flag included
+(nothing written), 3 numerical failure: a CDF quadrature did not converge
+(no report written).  Each error prints one line ``error: <subcommand>: ...``.
 
 Options may come from ``--config FILE`` (JSON object, or ``key=value`` lines
 with ``#`` comments) holding options of the same subcommand.  A file value is
@@ -43,12 +45,13 @@ from .paths import (
     two_sided_pareto,
 )
 from .rng import stream
-from .stable import StableParams, cdf, sample
+from .stable import QuadratureError, StableParams, cdf, sample
 from .verification import (
     VerificationReport,
     _law_dict,
+    _json,
+    _write,
     _write_csv,
-    _write_limit_laws,
     ecdf,
     verify_fclt,
     verify_lemma,
@@ -277,8 +280,8 @@ def _execute(config: CampaignConfig) -> VerificationReport:
         n = _positive_int(p, "n")
         draws = sample(params, stream(seed, 0), n)
         return _trivial_report(config, "sample", n, 1, {"mean": float(draws.mean())}, [
-            _write_csv(out, "samples.csv", "value", [(float(v),) for v in draws]),
-            _write_limit_laws(out, {"sampled": _law_dict(params)}),
+            _write_csv(out, "samples.csv", "value", draws),
+            _write(out, "limit_laws.json", _json({"sampled": _law_dict(params)})),
         ])
     if c == "paths":
         law = StableParams(_require(p, "alpha"), _require(p, "beta"), 1.0, 0.0)
@@ -286,11 +289,9 @@ def _execute(config: CampaignConfig) -> VerificationReport:
         names = []
         for r in range(reps):
             path = simulate_levy_path(law.alpha, law.beta, stream(seed, 0, r), p["grid"])
-            # made only once the first path has passed the library's checks
-            os.makedirs(out, exist_ok=True)
-            names.append(f"path_{r:04d}.csv")
-            path.to_csv(os.path.join(out, names[-1]))
-        names.append(_write_limit_laws(out, {"t=1.0": _law_dict(law)}))
+            names.append(_write_csv(out, f"path_{r:04d}.csv", "t,value",
+                                    path.times, path.values))
+        names.append(_write(out, "limit_laws.json", _json({repr(1.0): _law_dict(law)})))
         return _trivial_report(config, "paths", p["grid"], reps, {}, names)
     if c == "verify-sampler":
         return verify_sampler(_stable_params(p), p["n"], seed, t_grid=_t_grid(p),
@@ -332,19 +333,18 @@ def run(config: CampaignConfig) -> int:
         "out_dir": config.out_dir,
         "params": {k: v for k, v in sorted(config.params.items())},
     }
-    report.write(os.path.join(config.out_dir, "report.json"))
+    _write(config.out_dir, "report.json", report.to_json())
     if config.campaign in ("sample", "paths"):
         return 0
     return 0 if report.campaign_passed else 1
 
 
-def _overlay_rows(values: np.ndarray, law: StableParams):
-    xs = np.sort(values)
-    if xs.size > _OVERLAY_MAX_ROWS:
-        idx = np.unique(np.linspace(0, xs.size - 1, _OVERLAY_MAX_ROWS).astype(int))
-        xs = xs[idx]
+def _overlay_columns(values: np.ndarray, law: StableParams):
     emp = ecdf(values)
-    return [(float(x), float(emp(x)), cdf(law, float(x))) for x in xs]
+    xs = emp.xs
+    if xs.size > _OVERLAY_MAX_ROWS:
+        xs = xs[np.unique(np.linspace(0, xs.size - 1, _OVERLAY_MAX_ROWS).astype(int))]
+    return xs, emp(xs), [cdf(law, x) for x in xs.tolist()]
 
 
 def emit_plotdata(report_path: str, out_dir: Optional[str] = None) -> list:
@@ -352,53 +352,59 @@ def emit_plotdata(report_path: str, out_dir: Optional[str] = None) -> list:
 
     Reads a campaign's report.json plus its CSV artifacts and writes one
     ``overlay_t<t>.csv`` per marginal (a single ``overlay.csv`` for sampler and
-    sample campaigns) next to the report, or into ``out_dir``.  Campaigns
-    without a distributional marginal (paths, verify-lemma) yield no files.
-    Overlays are subsampled to at most 2048 rows, monotone in x.
+    sample campaigns) next to the report, or into ``out_dir``, with the laws
+    of ``limit_laws.json``.  Campaigns without a distributional marginal
+    (paths, verify-lemma) yield no files.  Overlays are subsampled to at most
+    2048 rows, monotone in x.
     """
     report_dir = os.path.dirname(os.path.abspath(report_path))
     out_dir = report_dir if out_dir is None else out_dir
     with open(report_path) as fh:
         report = json.load(fh)
     campaign = report.get("test_name")
-    artifacts = set(report.get("artifacts", []))
-
-    def _load_column(name, column):
-        path = os.path.join(report_dir, name)
-        if name not in artifacts or not os.path.isfile(path):
-            raise FileNotFoundError(f"report artifact {name} missing at {path}")
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        return np.atleast_1d(data[column]), data
-
-    written = []
     if campaign in ("sample", "verify-sampler"):
-        values, _ = _load_column("samples.csv", "value")
-        with open(os.path.join(report_dir, "limit_laws.json")) as fh:
-            law = StableParams(**json.load(fh)["sampled"])
-        name = _write_csv(out_dir, "overlay.csv", "x,empirical,theoretical",
-                          _overlay_rows(values, law))
-        written.append(os.path.join(out_dir, name))
+        source = "samples.csv"
     elif campaign in ("verify-remark", "verify-fclt", "verify-product"):
-        _, data = _load_column("statistics.csv", "value")
+        source = "statistics.csv"
+    else:
+        return []
+
+    def _artifact(name):
+        path = os.path.join(report_dir, name)
+        if name not in report.get("artifacts", []) or not os.path.isfile(path):
+            raise FileNotFoundError(f"report artifact {name} missing at {path}")
+        return path
+
+    data = np.genfromtxt(_artifact(source), delimiter=",", names=True)
+    with open(_artifact("limit_laws.json")) as fh:
+        laws = json.load(fh)
+    values = np.atleast_1d(data["value"])
+    if source == "samples.csv":
+        marginals = [("overlay.csv", "sampled", values)]
+    else:
         ts = np.atleast_1d(data["t"])
-        values = np.atleast_1d(data["value"])
-        if campaign == "verify-fclt":
-            limits = report["details"]["limits"]
-        elif campaign == "verify-remark":
-            limits = {repr(float(report["config"]["t"])): report["details"]["limit_law"]}
-        else:
-            limits = {repr(1.0): report["details"]["limit_law"]}
-        for t in sorted(set(float(v) for v in ts)):
-            law = StableParams(**limits[repr(t)])
-            rows = _overlay_rows(values[ts == t], law)
-            name = _write_csv(out_dir, f"overlay_t{t!r}.csv",
-                              "x,empirical,theoretical", rows)
-            written.append(os.path.join(out_dir, name))
+        marginals = [(f"overlay_t{t!r}.csv", repr(t), values[ts == t])
+                     for t in sorted(set(ts.tolist()))]
+    written = []
+    for name, key, sample_values in marginals:
+        if key not in laws:
+            raise ValueError(f"limit_laws.json holds no law under {key!r}")
+        columns = _overlay_columns(sample_values, StableParams(**laws[key]))
+        written.append(os.path.join(out_dir, _write_csv(
+            out_dir, name, "x,empirical,theoretical", *columns)))
     return written
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag in the one line every configuration error gets;
+    a subcommand's prog is "stablesums <subcommand>"."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog.split()[-1]}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stablesums",
         description="Simulation campaigns for stable partial-sum limit laws",
     )
@@ -416,15 +422,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
     try:
+        ns, unknown = build_parser().parse_known_args(argv)
+    except SystemExit as exc:  # --help, or a bad flag already reported
+        return exc.code
+    try:
+        if unknown:
+            raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
         if ns.campaign == "plotdata":
             emit_plotdata(ns.report, ns.out_dir)
             return 0
         return run(_resolve(ns))
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, QuadratureError) as exc:
         print(f"error: {ns.campaign}: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, QuadratureError) else 2
 
 
 if __name__ == "__main__":

@@ -231,12 +231,6 @@ class SamplePath:
 
     __call__ = at
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t,value\n")
-            for t, v in zip(self.times, self.values):
-                fh.write(f"{float(t)!r},{float(v)!r}\n")
-
 
 def partial_sum_process(x, mu: float, a_n: float, grid: int = DEFAULT_GRID) -> SamplePath:
     """Rescaled partial-sum step path of the sequence ``x``.

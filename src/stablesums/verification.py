@@ -188,15 +188,7 @@ class VerificationReport:
         return self.passed and not self.negative_control.get("passed", False)
 
     def to_json(self) -> str:
-        return json.dumps(_plain(asdict(self)), indent=2) + "\n"
-
-    def write(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_json())
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        return cls(**json.loads(text))
+        return _json(asdict(self))
 
 
 def _plain(obj):
@@ -262,26 +254,30 @@ def _spec_dict(spec: DoaSpec) -> dict:
     }
 
 
-def _create(out_dir, name: str):
-    """Open ``out_dir/name`` for writing, making ``out_dir`` at the first
+def _write(out_dir, name: str, text: str) -> str:
+    """Write ``text`` to ``out_dir/name``, making ``out_dir`` at the first
     write, so a run that stops at a check leaves no directory behind."""
     os.makedirs(out_dir, exist_ok=True)
-    return open(os.path.join(out_dir, name), "w", newline="\n")
-
-
-def _write_csv(out_dir, name: str, header: str, rows) -> str:
-    with _create(out_dir, name) as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row) + "\n")
+    with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
+        fh.write(text)
     return name
 
 
-def _write_limit_laws(out_dir, laws: dict) -> str:
-    with _create(out_dir, "limit_laws.json") as fh:
-        fh.write(json.dumps(_plain(laws), indent=2) + "\n")
-    return "limit_laws.json"
+def _write_csv(out_dir, name: str, header: str, *columns) -> str:
+    """Write ``columns`` side by side under ``header``.  A float column is
+    written as the repr of each value, which reads back exactly; any other
+    column with ``str``."""
+    cells = []
+    for column in columns:
+        column = np.asarray(column)
+        cells.append(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    rows = "".join([",".join(row) + "\n" for row in zip(*cells)])
+    return _write(out_dir, name, header + "\n" + rows)
+
+
+def _json(obj) -> str:
+    """The JSON text of every report and artifact: plain types, indent 2."""
+    return json.dumps(_plain(obj), indent=2) + "\n"
 
 
 def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
@@ -310,7 +306,8 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
         acc += _ecf_sums(grid, chunk)
     ecf_vals = acc / n
 
-    gaps = np.abs(ecf_vals - char_fn(params, grid))
+    cf_vals = char_fn(params, grid)
+    gaps = np.abs(ecf_vals - cf_vals)
     stat = float(gaps.max())
     # Both the ECF of real draws and char_fn are conjugate-symmetric, so the
     # gap is even in t and its maximum ties at +-t; rounding would pick the
@@ -339,10 +336,9 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     if out_dir is not None:
         report.artifacts = [
             _write_csv(out_dir, "charfn_fit.csv", "t,ecf_re,ecf_im,cf_re,cf_im",
-                       [(float(t), v.real, v.imag, c.real, c.imag)
-                        for t, v, c in zip(grid, ecf_vals, char_fn(params, grid))]),
-            _write_csv(out_dir, "samples.csv", "value", [(float(v),) for v in head]),
-            _write_limit_laws(out_dir, {"sampled": _law_dict(params)}),
+                       grid, ecf_vals.real, ecf_vals.imag, cf_vals.real, cf_vals.imag),
+            _write_csv(out_dir, "samples.csv", "value", head),
+            _write(out_dir, "limit_laws.json", _json({"sampled": _law_dict(params)})),
         ]
     return report
 
@@ -396,10 +392,9 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     if out_dir is not None:
         report.artifacts = [
             _write_csv(out_dir, "statistics.csv", "rep,t,value",
-                       [(r, float(t), integrals[r]) for r in range(reps)]),
-            _write_csv(out_dir, "draws.csv", "rep,value",
-                       [(r, direct[r]) for r in range(reps)]),
-            _write_limit_laws(out_dir, {"t=" + repr(float(t)): _law_dict(law)}),
+                       np.arange(reps), np.full(reps, float(t)), integrals),
+            _write_csv(out_dir, "draws.csv", "rep,value", np.arange(reps), direct),
+            _write(out_dir, "limit_laws.json", _json({repr(float(t)): _law_dict(law)})),
         ]
     return report
 
@@ -474,12 +469,11 @@ def verify_fclt(config: FunctionalConfig, times: Sequence[float], reps: int,
                      cfg, details, "half-dispersion null, best marginal",
                      control_stat, threshold)
     if out_dir is not None:
-        rows = [(r, float(t), stats[r, i])
-                for r in range(reps) for i, t in enumerate(times)]
         report.artifacts = [
-            _write_csv(out_dir, "statistics.csv", "rep,t,value", rows),
-            _write_limit_laws(out_dir, {repr(t): _law_dict(law)
-                                        for t, law in zip(times, laws)}),
+            _write_csv(out_dir, "statistics.csv", "rep,t,value",
+                       np.repeat(np.arange(reps), len(times)), np.tile(t_arr, reps),
+                       stats.ravel()),
+            _write(out_dir, "limit_laws.json", _json(details["limits"])),
         ]
     return report
 
@@ -528,8 +522,8 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     if out_dir is not None:
         report.artifacts = [
             _write_csv(out_dir, "statistics.csv", "rep,t,value",
-                       [(r, 1.0, logs[r]) for r in range(reps)]),
-            _write_limit_laws(out_dir, {"t=1.0": _law_dict(law)}),
+                       np.arange(reps), np.ones(reps), logs),
+            _write(out_dir, "limit_laws.json", _json({repr(1.0): _law_dict(law)})),
         ]
     return report
 
@@ -602,14 +596,10 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     report = _report("verify-lemma", seed, nmax, reps, stat, 1.0, "leq",
                      cfg, details, "scaling deflated by log(n)", control_stat, 1.0)
     if out_dir is not None:
-        b_vals = seq.b(n_arr)
         report.artifacts = [
             _write_csv(out_dir, "ratios.csv", "n,ratio,stderr,ci_low,ci_high",
-                       [(ns[i], ratios[i], ratio_se[i],
-                         ratios[i] - 1.96 * ratio_se[i], ratios[i] + 1.96 * ratio_se[i])
-                        for i in range(len(ns))]),
-            _write_csv(out_dir, "norming.csv", "n,a_n,b_n,family",
-                       [(ns[i], float(seq.a(ns[i])), float(b_vals[i]), repr(spec.family))
-                        for i in range(len(ns))]),
+                       n_arr, ratios, ratio_se, ratios - 1.96 * ratio_se,
+                       ratios + 1.96 * ratio_se),
+            _write_csv(out_dir, "norming.csv", "n,a_n,b_n", n_arr, a_vals, seq.b(n_arr)),
         ]
     return report

@@ -82,7 +82,7 @@ def fclt_report(tmp_path_factory):
                            n=10**4, grid=2**12)
     rep = verify_fclt(cfg, [0.25, 0.5, 0.75, 1.0], 5000, 41,
                       threshold=0.04, out_dir=str(out))
-    rep.write(os.path.join(str(out), "report.json"))
+    (out / "report.json").write_text(rep.to_json())
     return rep, str(out)
 
 

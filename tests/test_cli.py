@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from stablesums.cli import _resolve, build_parser, emit_plotdata, main
+from stablesums.paths import simulate_levy_path
+from stablesums.rng import stream
 
 
 def _run(*args):
@@ -212,6 +214,10 @@ _PRODUCT = ("verify-product", "--tail-index", "1.5", "--n", "100")
     _REMARK + ("--reps", "5", "--eps", "0.6", "--t", "0.5", "--seed", "1"),
     _REMARK + ("--reps", "5", "--seed", "18446744073709551616"),
     ("sample", "--alpha", "2", "--beta", "0", "--n", "5", "--seed", "-1"),
+    # flag errors argparse finds
+    ("sample", "--alpha", "2", "--beta", "0", "--n", "5.0"),
+    ("sample", "--alpha", "2", "--beta", "0", "--n", "5", "--bogus", "1"),
+    ("verify-fclt", "--family", "gamma", "--seed", "1"),
 ])
 def test_bad_params_exit_two(tmp_path, capsys, args):
     out = tmp_path / "o"
@@ -252,17 +258,48 @@ def test_verify_sampler_grid_stops_at_t_max(tmp_path):
     assert ts == [0.0, 3.0]
 
 
+def test_help_prints_usage(capsys):
+    assert _run("sample", "--help") == 0
+    assert capsys.readouterr().out.startswith("usage: stablesums sample")
+
+
 def test_paths_csv_schema(tmp_path):
     assert _run("paths", "--alpha", "1.6", "--beta", "-0.5", "--grid", "16",
                 "--reps", "2", "--seed", "4", "--out-dir", str(tmp_path)) == 0
     for r in range(2):
         with open(tmp_path / f"path_{r:04d}.csv") as fh:
             lines = fh.read().splitlines()
+        path = simulate_levy_path(1.6, -0.5, stream(4, 0, r), 16)
         assert lines[0] == "t,value"
-        assert lines[1] == "0.0,0.0"
-        assert len(lines) == 18
+        assert lines[1:] == [f"{t!r},{v!r}" for t, v in
+                             zip(path.times.tolist(), path.values.tolist())]
     report = json.loads((tmp_path / "report.json").read_text())
     assert "path_0001.csv" in report["artifacts"]
+
+
+_SMALL = {
+    "sample": ["--alpha", "1.5", "--beta", "1", "--n", "30"],
+    "paths": ["--alpha", "1.5", "--beta", "1", "--grid", "8", "--reps", "2"],
+    "verify-sampler": ["--alpha", "2", "--beta", "0", "--n", "200"],
+    "verify-remark": ["--alpha", "2", "--beta", "0", "--reps", "20", "--grid", "16"],
+    "verify-fclt": ["--n", "100", "--grid", "8", "--times", "0.5,1", "--reps", "20"],
+    "verify-lemma": ["--family", "pareto", "--tail-index", "1.5", "--ns", "10,100",
+                     "--reps", "5"],
+    "verify-product": ["--tail-index", "1.5", "--n", "100", "--reps", "20"],
+}
+
+
+@pytest.mark.parametrize("campaign", sorted(_SMALL))
+def test_csv_rows_match_their_header(tmp_path, campaign):
+    assert _run(campaign, *_SMALL[campaign], "--seed", "1",
+                "--out-dir", str(tmp_path)) in (0, 1)
+    names = json.loads((tmp_path / "report.json").read_text())["artifacts"]
+    csvs = [name for name in names if name.endswith(".csv")]
+    assert csvs
+    for name in csvs:
+        header, *rows = (tmp_path / name).read_text().splitlines()
+        assert rows
+        assert all(row.count(",") == header.count(",") for row in rows), name
 
 
 def test_plotdata_overlays(tmp_path):
@@ -286,6 +323,18 @@ def test_plotdata_via_subcommand(tmp_path):
                 "--seed", "2", "--out-dir", str(out)) == 0
     assert _run("plotdata", "--report", str(out / "report.json")) == 0
     assert (out / "overlay.csv").exists()
+
+
+def test_plotdata_quadrature_failure_exits_three(tmp_path, capsys):
+    # the CDF quadrature of the law (1.5, 1) does not converge at x = 3000
+    (tmp_path / "samples.csv").write_text("value\n3000.0\n")
+    (tmp_path / "limit_laws.json").write_text(json.dumps(
+        {"sampled": {"alpha": 1.5, "beta": 1.0, "dispersion": 1.0, "location": 0.0}}))
+    (tmp_path / "report.json").write_text(json.dumps(
+        {"test_name": "sample", "artifacts": ["samples.csv", "limit_laws.json"]}))
+    assert _run("plotdata", "--report", str(tmp_path / "report.json")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: plotdata: ") and err.count("\n") == 1
 
 
 def test_plotdata_missing_report(tmp_path):

@@ -1,7 +1,6 @@
 """Attraction-domain families, step paths, and Levy path simulation."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from stablesums import (
     two_sided_pareto,
 )
 from stablesums.rng import stream
+from stablesums.verification import _write_csv
 
 
 def test_exponential_spec():
@@ -130,9 +130,8 @@ def test_sample_path_validation():
 def test_sample_path_csv(tmp_path):
     path = SamplePath(times=np.array([0.0, 0.5, 1.0]),
                       values=np.array([0.0, -1.25, 3.0]))
-    target = os.path.join(tmp_path, "path.csv")
-    path.to_csv(target)
-    with open(target) as fh:
+    name = _write_csv(tmp_path, "path.csv", "t,value", path.times, path.values)
+    with open(tmp_path / name) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "t,value"
     assert lines[1] == "0.0,0.0"
