@@ -42,5 +42,5 @@ print(f"Cauchy CDF at 1.0: {cdf(cauchy, 1.0):.12f} (exactly 3/4 in theory)")
 # For the skewed law above there is no closed form; the inversion is still
 # monotone and lands in [0, 1] everywhere.
 xs = np.linspace(-5, 15, 9)
-vals = [cdf(law, float(v)) for v in xs]
+vals = cdf(law, xs)
 print("skewed CDF:", " ".join(f"{v:.3f}" for v in vals))

@@ -4,9 +4,10 @@ Subcommands: ``sample``, ``paths``, ``verify-sampler``, ``verify-remark``,
 ``verify-fclt``, ``verify-lemma``, ``verify-product``, ``plotdata``.  Every
 campaign writes ``report.json`` plus CSV artifacts into ``--out-dir``
 (default: current directory).  Exit codes: 0 campaign passed, 1 campaign
-failed (report still written), 2 configuration error, a bad flag included
-(nothing written), 3 numerical failure: a CDF quadrature did not converge
-(no report written).  Each error prints one line ``error: <subcommand>: ...``.
+failed (report still written), 2 configuration error, a bad flag or an
+unreadable or unwritable path included (nothing written), 3 numerical
+failure: a CDF quadrature did not converge (no report written).  Each error
+prints one line ``error: <subcommand>: ...``.
 
 Options may come from ``--config FILE`` (JSON object, or ``key=value`` lines
 with ``#`` comments) holding options of the same subcommand.  A file value is
@@ -29,7 +30,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -48,7 +49,6 @@ from .rng import stream
 from .stable import QuadratureError, StableParams, cdf, sample
 from .verification import (
     VerificationReport,
-    _law_dict,
     _json,
     _write,
     _write_csv,
@@ -281,7 +281,7 @@ def _execute(config: CampaignConfig) -> VerificationReport:
         draws = sample(params, stream(seed, 0), n)
         return _trivial_report(config, "sample", n, 1, {"mean": float(draws.mean())}, [
             _write_csv(out, "samples.csv", "value", draws),
-            _write(out, "limit_laws.json", _json({"sampled": _law_dict(params)})),
+            _write(out, "limit_laws.json", _json({"sampled": asdict(params)})),
         ])
     if c == "paths":
         law = StableParams(_require(p, "alpha"), _require(p, "beta"), 1.0, 0.0)
@@ -291,7 +291,7 @@ def _execute(config: CampaignConfig) -> VerificationReport:
             path = simulate_levy_path(law.alpha, law.beta, stream(seed, 0, r), p["grid"])
             names.append(_write_csv(out, f"path_{r:04d}.csv", "t,value",
                                     path.times, path.values))
-        names.append(_write(out, "limit_laws.json", _json({repr(1.0): _law_dict(law)})))
+        names.append(_write(out, "limit_laws.json", _json({repr(1.0): asdict(law)})))
         return _trivial_report(config, "paths", p["grid"], reps, {}, names)
     if c == "verify-sampler":
         return verify_sampler(_stable_params(p), p["n"], seed, t_grid=_t_grid(p),
@@ -344,7 +344,15 @@ def _overlay_columns(values: np.ndarray, law: StableParams):
     xs = emp.xs
     if xs.size > _OVERLAY_MAX_ROWS:
         xs = xs[np.unique(np.linspace(0, xs.size - 1, _OVERLAY_MAX_ROWS).astype(int))]
-    return xs, emp(xs), [cdf(law, x) for x in xs.tolist()]
+    return xs, emp(xs), cdf(law, xs)
+
+
+def _read_object(path: str) -> dict:
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return data
 
 
 def emit_plotdata(report_path: str, out_dir: Optional[str] = None) -> list:
@@ -359,8 +367,7 @@ def emit_plotdata(report_path: str, out_dir: Optional[str] = None) -> list:
     """
     report_dir = os.path.dirname(os.path.abspath(report_path))
     out_dir = report_dir if out_dir is None else out_dir
-    with open(report_path) as fh:
-        report = json.load(fh)
+    report = _read_object(report_path)
     campaign = report.get("test_name")
     if campaign in ("sample", "verify-sampler"):
         source = "samples.csv"
@@ -371,13 +378,13 @@ def emit_plotdata(report_path: str, out_dir: Optional[str] = None) -> list:
 
     def _artifact(name):
         path = os.path.join(report_dir, name)
-        if name not in report.get("artifacts", []) or not os.path.isfile(path):
+        listed = report.get("artifacts", [])
+        if not (isinstance(listed, list) and name in listed and os.path.isfile(path)):
             raise FileNotFoundError(f"report artifact {name} missing at {path}")
         return path
 
     data = np.genfromtxt(_artifact(source), delimiter=",", names=True)
-    with open(_artifact("limit_laws.json")) as fh:
-        laws = json.load(fh)
+    laws = _read_object(_artifact("limit_laws.json"))
     values = np.atleast_1d(data["value"])
     if source == "samples.csv":
         marginals = [("overlay.csv", "sampled", values)]
@@ -387,9 +394,11 @@ def emit_plotdata(report_path: str, out_dir: Optional[str] = None) -> list:
                      for t in sorted(set(ts.tolist()))]
     written = []
     for name, key, sample_values in marginals:
-        if key not in laws:
-            raise ValueError(f"limit_laws.json holds no law under {key!r}")
-        columns = _overlay_columns(sample_values, StableParams(**laws[key]))
+        try:
+            law = StableParams(**laws[key])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"limit_laws.json holds no valid law under {key!r}") from exc
+        columns = _overlay_columns(sample_values, law)
         written.append(os.path.join(out_dir, _write_csv(
             out_dir, name, "x,empirical,theoretical", *columns)))
     return written
@@ -433,7 +442,7 @@ def main(argv=None) -> int:
             emit_plotdata(ns.report, ns.out_dir)
             return 0
         return run(_resolve(ns))
-    except (ValueError, FileNotFoundError, QuadratureError) as exc:
+    except (ValueError, OSError, QuadratureError) as exc:
         print(f"error: {ns.campaign}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, QuadratureError) else 2
 

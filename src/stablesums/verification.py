@@ -18,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -91,26 +92,18 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     return stat, float(kolmogorov((en + 0.12 + 0.11 / en) * stat))
 
 
-def _eval_cdf(cdf_fn, xs: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(cdf_fn(xs), dtype=float)
-        if out.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        out = np.array([float(cdf_fn(float(x))) for x in xs])
-    if not np.all(np.isfinite(out)) or out.min() < -1e-9 or out.max() > 1.0 + 1e-9:
-        raise ValueError("cdf_fn must return values in [0, 1]")
-    return np.clip(out, 0.0, 1.0)
-
-
 def ks_one_sample(samples, cdf_fn) -> tuple[float, float]:
     """One-sample KS statistic against a continuous CDF, with p-value.
 
-    ``cdf_fn`` may be vectorized or scalar-only; both one-sided gaps (before
-    and after each jump of the ECDF) enter the sup.
+    ``cdf_fn`` takes the sorted samples as one array and returns the CDF at
+    each of them; both one-sided gaps (before and after each jump of the
+    ECDF) enter the sup.
     """
     xs = np.sort(_as_samples(samples, "samples"))
-    f = _eval_cdf(cdf_fn, xs)
+    f = np.asarray(cdf_fn(xs), dtype=float)
+    if f.shape != xs.shape or not np.all((f >= -1e-9) & (f <= 1.0 + 1e-9)):
+        raise ValueError("cdf_fn must return one value in [0, 1] per sample")
+    f = np.clip(f, 0.0, 1.0)
     n = xs.size
     grid = np.arange(1, n + 1) / n
     stat = float(max((grid - f).max(), (f - (grid - 1.0 / n)).max()))
@@ -206,52 +199,47 @@ def _plain(obj):
     return obj
 
 
-def _report(test_name, seed, n, reps, statistic, threshold, direction, config,
-            details, control_name, control_statistic, control_threshold) -> VerificationReport:
+def _report(test_name, seed, n, reps, statistic, threshold, config, details,
+            control_name, control_statistic) -> VerificationReport:
+    """A statistic, and its control's, passes when it is at most ``threshold``."""
     statistic = float(statistic)
     threshold = float(threshold)
-    passed = statistic <= threshold if direction == "leq" else statistic >= threshold
     c_stat = float(control_statistic)
-    control = {
-        "name": control_name,
-        "statistic": c_stat,
-        "threshold": float(control_threshold),
-        "direction": direction,
-        "passed": c_stat <= control_threshold if direction == "leq" else c_stat >= control_threshold,
-    }
+    control = {"name": control_name, "statistic": c_stat, "threshold": threshold,
+               "direction": "leq", "passed": c_stat <= threshold}
     return VerificationReport(
-        test_name=test_name,
-        seed=int(seed),
-        n=int(n),
-        reps=int(reps),
-        statistic=statistic,
-        threshold=threshold,
-        direction=direction,
-        passed=bool(passed),
-        config=_plain(config),
-        details=_plain(details),
-        negative_control=_plain(control),
-        artifacts=[],
-    )
+        test_name=test_name, seed=int(seed), n=int(n), reps=int(reps),
+        statistic=statistic, threshold=threshold, direction="leq",
+        passed=statistic <= threshold, config=_plain(config),
+        details=_plain(details), negative_control=control, artifacts=[])
 
 
-def _law_dict(p: StableParams) -> dict:
-    return {
-        "alpha": p.alpha,
-        "beta": p.beta,
-        "dispersion": p.dispersion,
-        "location": p.location,
-    }
+def _check_threshold(threshold) -> float:
+    threshold = float(threshold)
+    if not (threshold > 0.0 and math.isfinite(threshold)):
+        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
+    return threshold
+
+
+def _half_dispersion(law: StableParams) -> StableParams:
+    """The negative control's null: ``law`` at half its dispersion."""
+    return replace(law, dispersion=law.dispersion / 2.0)
+
+
+def _marginal_fits(stats: np.ndarray, laws) -> list:
+    """For each column of the (reps x times) matrix ``stats``: the KS
+    statistic and p-value against its law, and the KS statistic against
+    that law at half dispersion."""
+    fits = []
+    for column, law in zip(stats.T, laws):
+        stat, p = ks_one_sample(column, partial(cdf, law))
+        control, _ = ks_one_sample(column, partial(cdf, _half_dispersion(law)))
+        fits.append((stat, p, control))
+    return fits
 
 
 def _spec_dict(spec: DoaSpec) -> dict:
-    return {
-        "family": repr(spec.family),
-        "known_mu": spec.known_mu,
-        "known_alpha": spec.known_alpha,
-        "known_beta": spec.known_beta,
-        "positivity": spec.positivity,
-    }
+    return {**asdict(spec), "family": repr(spec.family)}
 
 
 def _write(out_dir, name: str, text: str) -> str:
@@ -280,6 +268,19 @@ def _json(obj) -> str:
     return json.dumps(_plain(obj), indent=2) + "\n"
 
 
+def _write_marginals(out_dir, times, stats: np.ndarray, laws) -> list:
+    """``statistics.csv`` (rep,t,value; the (reps x times) matrix ``stats``
+    row by row) and ``limit_laws.json`` (the law of each time, keyed repr(t))."""
+    t_arr = np.asarray(times, dtype=float)
+    reps = stats.shape[0]
+    return [
+        _write_csv(out_dir, "statistics.csv", "rep,t,value", np.repeat(np.arange(reps), t_arr.size),
+                   np.tile(t_arr, reps), stats.ravel()),
+        _write(out_dir, "limit_laws.json",
+               _json({repr(t): asdict(law) for t, law in zip(t_arr.tolist(), laws)})),
+    ]
+
+
 def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
                    threshold: float = 5e-3, out_dir=None) -> VerificationReport:
     """Characteristic-function fidelity of the exact sampler.
@@ -290,6 +291,7 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     doubled dispersion.
     """
     n = _check_count(n, "n", 1)
+    threshold = _check_threshold(threshold)
     grid = np.arange(-50, 51) / 10.0 if t_grid is None else np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("t_grid must be a nonempty finite 1-d array")
@@ -318,7 +320,7 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
 
     config = {
         "campaign": "verify-sampler",
-        "params": _law_dict(params),
+        "params": asdict(params),
         "n": n,
         "t_min": float(grid.min()),
         "t_max": float(grid.max()),
@@ -327,18 +329,17 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     }
     details = {
         "worst_t": float(grid[tied].max()),
-        "sampled_law": _law_dict(params),
-        "control_law": _law_dict(wrong),
+        "sampled_law": asdict(params),
+        "control_law": asdict(wrong),
     }
-    report = _report("verify-sampler", seed, n, 1, stat, threshold, "leq",
-                     config, details, "char fn with doubled dispersion",
-                     control_stat, threshold)
+    report = _report("verify-sampler", seed, n, 1, stat, threshold, config, details,
+                     "char fn with doubled dispersion", control_stat)
     if out_dir is not None:
         report.artifacts = [
             _write_csv(out_dir, "charfn_fit.csv", "t,ecf_re,ecf_im,cf_re,cf_im",
                        grid, ecf_vals.real, ecf_vals.imag, cf_vals.real, cf_vals.imag),
             _write_csv(out_dir, "samples.csv", "value", head),
-            _write(out_dir, "limit_laws.json", _json({"sampled": _law_dict(params)})),
+            _write(out_dir, "limit_laws.json", _json({"sampled": asdict(params)})),
         ]
     return report
 
@@ -355,6 +356,7 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     instead of N(0,2) at alpha = 2.
     """
     reps = _check_count(reps, "reps", 2)
+    threshold = _check_threshold(threshold)
     law = limit_law(alpha, beta, t, 1.0)
     grid = _check_count(grid, "grid", 1)
     eps_used = 1.0 / grid if eps is None else float(eps)
@@ -367,7 +369,7 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     direct = sample(law, stream(seed, _NULL), reps)
     stat, p = ks_two_sample(integrals, direct)
 
-    wrong_law = replace(law, dispersion=law.dispersion / 2.0)
+    wrong_law = _half_dispersion(law)
     wrong = sample(wrong_law, stream(seed, _CONTROL), reps)
     control_stat, _ = ks_two_sample(integrals, wrong)
 
@@ -383,18 +385,17 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     }
     details = {
         "p_value": float(p),
-        "limit_law": _law_dict(law),
-        "control_law": _law_dict(wrong_law),
+        "limit_law": asdict(law),
+        "control_law": asdict(wrong_law),
     }
-    report = _report("verify-remark", seed, grid, reps, stat, threshold,
-                     "leq", config, details,
-                     "direct draws at half dispersion", control_stat, threshold)
+    report = _report("verify-remark", seed, grid, reps, stat, threshold, config,
+                     details, "direct draws at half dispersion", control_stat)
     if out_dir is not None:
+        statistics, laws = _write_marginals(out_dir, [t], integrals[:, None], [law])
         report.artifacts = [
-            _write_csv(out_dir, "statistics.csv", "rep,t,value",
-                       np.arange(reps), np.full(reps, float(t)), integrals),
+            statistics,
             _write_csv(out_dir, "draws.csv", "rep,value", np.arange(reps), direct),
-            _write(out_dir, "limit_laws.json", _json({repr(float(t)): _law_dict(law)})),
+            laws,
         ]
     return report
 
@@ -411,9 +412,12 @@ def verify_fclt(config: FunctionalConfig, times: Sequence[float], reps: int,
     rejected the wrong law.
     """
     reps = _check_count(reps, "reps", 2)
+    threshold = _check_threshold(threshold)
     times = [float(t) for t in times]
     if not times:
         raise ValueError("need at least one time")
+    if len(set(times)) != len(times):
+        raise ValueError(f"times must be distinct, got {times}")
     m, n = config.grid, config.n
     for t in times:
         if not 0.0 < t <= 1.0:
@@ -435,14 +439,7 @@ def verify_fclt(config: FunctionalConfig, times: Sequence[float], reps: int,
 
     laws = [limit_law(spec.known_alpha, spec.known_beta, t, fn.f_prime_at_mu)
             for t in times]
-    per_time, per_time_p, control_per_time = [], [], []
-    for i, law in enumerate(laws):
-        s, p = ks_one_sample(stats[:, i], lambda x, law=law: cdf(law, x))
-        per_time.append(s)
-        per_time_p.append(p)
-        wrong = replace(law, dispersion=law.dispersion / 2.0)
-        cs, _ = ks_one_sample(stats[:, i], lambda x, wrong=wrong: cdf(wrong, x))
-        control_per_time.append(cs)
+    per_time, per_time_p, control_per_time = zip(*_marginal_fits(stats, laws))
 
     worst = int(np.argmax(per_time))
     stat = float(per_time[worst])
@@ -463,18 +460,12 @@ def verify_fclt(config: FunctionalConfig, times: Sequence[float], reps: int,
         "per_time": {repr(t): {"statistic": float(s), "p_value": float(p)}
                      for t, s, p in zip(times, per_time, per_time_p)},
         "worst_time": times[worst],
-        "limits": {repr(t): _law_dict(law) for t, law in zip(times, laws)},
+        "limits": {repr(t): asdict(law) for t, law in zip(times, laws)},
     }
-    report = _report("verify-fclt", seed, n, reps, stat, threshold, "leq",
-                     cfg, details, "half-dispersion null, best marginal",
-                     control_stat, threshold)
+    report = _report("verify-fclt", seed, n, reps, stat, threshold, cfg, details,
+                     "half-dispersion null, best marginal", control_stat)
     if out_dir is not None:
-        report.artifacts = [
-            _write_csv(out_dir, "statistics.csv", "rep,t,value",
-                       np.repeat(np.arange(reps), len(times)), np.tile(t_arr, reps),
-                       stats.ravel()),
-            _write(out_dir, "limit_laws.json", _json(details["limits"])),
-        ]
+        report.artifacts = _write_marginals(out_dir, times, stats, laws)
     return report
 
 
@@ -491,6 +482,7 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
         raise ValueError("verify_product needs a spec with positivity=True")
     reps = _check_count(reps, "reps", 2)
     n = _check_count(n, "n", 1)
+    threshold = _check_threshold(threshold)
     seq = norming_for(spec)
     a_n, mu = float(seq.a(n)), spec.known_mu
     exponent = mu / a_n
@@ -500,9 +492,7 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
         logs[r] = log_product_statistic(x, mu, exponent)
 
     law = limit_law(spec.known_alpha, spec.known_beta, 1.0, 1.0)
-    stat, p = ks_one_sample(logs, lambda x: cdf(law, x))
-    wrong = replace(law, dispersion=law.dispersion / 2.0)
-    control_stat, _ = ks_one_sample(logs, lambda x: cdf(wrong, x))
+    [(stat, p, control_stat)] = _marginal_fits(logs[:, None], [law])
 
     cfg = {
         "campaign": "verify-product",
@@ -514,17 +504,13 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     }
     details = {
         "p_value": float(p),
-        "limit_law": _law_dict(law),
-        "control_law": _law_dict(wrong),
+        "limit_law": asdict(law),
+        "control_law": asdict(_half_dispersion(law)),
     }
-    report = _report("verify-product", seed, n, reps, stat, threshold, "leq",
-                     cfg, details, "half-dispersion null", control_stat, threshold)
+    report = _report("verify-product", seed, n, reps, stat, threshold, cfg, details,
+                     "half-dispersion null", control_stat)
     if out_dir is not None:
-        report.artifacts = [
-            _write_csv(out_dir, "statistics.csv", "rep,t,value",
-                       np.arange(reps), np.ones(reps), logs),
-            _write(out_dir, "limit_laws.json", _json({repr(1.0): _law_dict(law)})),
-        ]
+        report.artifacts = _write_marginals(out_dir, [1.0], logs[:, None], [law])
     return report
 
 
@@ -545,10 +531,10 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     ns = [int(v) for v in ns]
     if len(ns) < 2 or sorted(set(ns)) != ns or ns[0] < 2:
         raise ValueError("ns must be >= 2 distinct increasing integers, each >= 2")
-    if not band > 1.0:
-        raise ValueError(f"band must exceed 1, got {band!r}")
-    if not trend_tol > 0.0:
-        raise ValueError(f"trend_tol must be positive, got {trend_tol!r}")
+    if not 1.0 < band < math.inf:
+        raise ValueError(f"band must exceed 1 and be finite, got {band!r}")
+    if not 0.0 < trend_tol < math.inf:
+        raise ValueError(f"trend_tol must be positive and finite, got {trend_tol!r}")
     seq = norming_for(spec)
     n_arr = np.array(ns)
     a_vals = seq.a(n_arr)
@@ -593,8 +579,8 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
         "a_n": [float(v) for v in a_vals],
         "control_ratios": [float(v) for v in control_ratios],
     }
-    report = _report("verify-lemma", seed, nmax, reps, stat, 1.0, "leq",
-                     cfg, details, "scaling deflated by log(n)", control_stat, 1.0)
+    report = _report("verify-lemma", seed, nmax, reps, stat, 1.0, cfg, details,
+                     "scaling deflated by log(n)", control_stat)
     if out_dir is not None:
         report.artifacts = [
             _write_csv(out_dir, "ratios.csv", "n,ratio,stderr,ci_low,ci_high",

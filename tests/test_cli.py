@@ -218,6 +218,16 @@ _PRODUCT = ("verify-product", "--tail-index", "1.5", "--n", "100")
     ("sample", "--alpha", "2", "--beta", "0", "--n", "5.0"),
     ("sample", "--alpha", "2", "--beta", "0", "--n", "5", "--bogus", "1"),
     ("verify-fclt", "--family", "gamma", "--seed", "1"),
+    # thresholds, bands and tolerances must be finite; times must be distinct
+    _REMARK + ("--reps", "5", "--threshold", "nan", "--seed", "1"),
+    _PRODUCT + ("--reps", "5", "--threshold", "-1", "--seed", "1"),
+    _FCLT + ("--reps", "5", "--threshold", "inf", "--seed", "1"),
+    ("verify-sampler", "--alpha", "2", "--beta", "0", "--n", "10",
+     "--threshold", "0", "--seed", "1"),
+    ("verify-fclt", "--n", "100", "--grid", "8", "--times", "0.5,0.5",
+     "--reps", "5", "--seed", "1"),
+    _LEMMA + ("--reps", "5", "--band", "inf", "--seed", "1"),
+    _LEMMA + ("--reps", "5", "--trend-tol", "inf", "--seed", "1"),
 ])
 def test_bad_params_exit_two(tmp_path, capsys, args):
     out = tmp_path / "o"
@@ -335,6 +345,40 @@ def test_plotdata_quadrature_failure_exits_three(tmp_path, capsys):
     assert _run("plotdata", "--report", str(tmp_path / "report.json")) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: plotdata: ") and err.count("\n") == 1
+
+
+def _plotdata_of(tmp_path, report, laws):
+    (tmp_path / "samples.csv").write_text("value\n0.5\n")
+    (tmp_path / "limit_laws.json").write_text(json.dumps(laws))
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    return ("plotdata", "--report", str(tmp_path / "report.json"))
+
+
+_SAMPLE_REPORT = {"test_name": "sample", "artifacts": ["samples.csv", "limit_laws.json"]}
+
+
+@pytest.mark.parametrize("make_args", [
+    # a report path that is a directory
+    lambda tmp: ("plotdata", "--report", str(tmp)),
+    # a report.json that holds a list, not an object
+    lambda tmp: _plotdata_of(tmp, [_SAMPLE_REPORT], {}),
+    # an artifact list that is not a list
+    lambda tmp: _plotdata_of(tmp, {"test_name": "sample", "artifacts": 5}, {}),
+    # a law without beta
+    lambda tmp: _plotdata_of(tmp, _SAMPLE_REPORT, {"sampled": {"alpha": 2.0}}),
+    # an out-dir that is an existing file
+    lambda tmp: ("sample", "--alpha", "2", "--beta", "0", "--n", "5",
+                 "--out-dir", str(tmp / "samples.csv")),
+], ids=["report-is-a-directory", "report-holds-a-list", "artifacts-not-a-list",
+        "law-without-beta", "out-dir-is-a-file"])
+def test_bad_paths_and_files_exit_two(tmp_path, capsys, make_args):
+    (tmp_path / "samples.csv").write_text("value\n0.5\n")
+    args = make_args(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert _run(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {args[0]}: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_plotdata_missing_report(tmp_path):

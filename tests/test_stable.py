@@ -239,6 +239,35 @@ def test_cdf_reports_quadrature_failure():
         cdf(StableParams(1.5, 0.0, 1e-9), 100.0)
 
 
+@pytest.mark.parametrize("alpha,beta", [(2.0, 0.0), (1.5, 0.0), (1.5, 1.0),
+                                        (1.2, 0.5), (1.0, 0.5)])
+def test_cdf_array_equals_scalar_loop(alpha, beta):
+    p = StableParams(alpha, beta, 1.3, -0.2)
+    xs = np.linspace(-8.0, 8.0, 33)
+    np.testing.assert_array_equal(cdf(p, xs), [cdf(p, x) for x in xs.tolist()])
+
+
+def test_cdf_array_keeps_shape_and_scalar_gives_float():
+    p = StableParams(1.5, 1.0)
+    xs = np.array([[-1.0, 0.0, 2.0], [3.0, -4.0, 0.5]])
+    out = cdf(p, xs)
+    assert out.shape == xs.shape
+    assert out[1, 2] == cdf(p, 0.5)
+    assert type(cdf(p, 0.5)) is float
+    assert type(cdf(p, np.float64(0.5))) is float
+
+
+def test_cdf_rejects_non_finite_element():
+    for bad in (np.array([0.0, math.nan]), [1.0, math.inf], -math.inf):
+        with pytest.raises(ValueError):
+            cdf(StableParams(1.5, 0.0), bad)
+
+
+def test_cdf_array_reports_quadrature_failure():
+    with pytest.raises(QuadratureError):
+        cdf(StableParams(1.5, 0.0, 1e-9), np.array([0.0, 100.0]))
+
+
 def test_limit_constant_exact_and_quadrature():
     assert limit_constant(2.0) == math.sqrt(2.0)
     for alpha in (1.1, 1.5, 1.9, 2.0):

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from stablesums import (
     FunctionalConfig,
@@ -84,7 +85,7 @@ def test_empirical_char_fn_edge_values():
 
 def test_ks_one_sample_uniforms():
     u = stream(4401, 0).random(100_000)
-    stat, p = ks_one_sample(u, lambda x: min(1.0, max(0.0, x)))
+    stat, p = ks_one_sample(u, lambda x: np.clip(x, 0.0, 1.0))
     assert stat < 0.006
     assert p > 0.05
 
@@ -92,15 +93,23 @@ def test_ks_one_sample_uniforms():
 def test_ks_one_sample_point_mass():
     # all mass at the continuous law's median leaves a one-sided gap of 1/2
     stat, _ = ks_one_sample(np.zeros(50),
-                            lambda x: 0.5 * (1 + math.erf(x / math.sqrt(2))))
+                            lambda x: 0.5 * (1 + erf(x / math.sqrt(2))))
     assert stat == 0.5
 
 
 def test_ks_one_sample_rejects_wrong_law():
     x = stream(4402, 0).standard_normal(10_000)
-    stat, p = ks_one_sample(x, lambda y: 0.5 + math.atan(y) / math.pi)
+    stat, p = ks_one_sample(x, lambda y: 0.5 + np.arctan(y) / math.pi)
     assert stat > 0.05
     assert p < 1e-20
+
+
+def test_ks_one_sample_refuses_bad_cdf_output():
+    u = stream(4401, 0).random(10)
+    for bad in (lambda x: 0.5, lambda x: x[:-1], lambda x: x + 1.0,
+                lambda x: np.full(x.shape, np.nan)):
+        with pytest.raises(ValueError):
+            ks_one_sample(u, bad)
 
 
 def test_ks_one_sample_dkw_band():
@@ -110,7 +119,7 @@ def test_ks_one_sample_dkw_band():
     fails = 0
     for r in range(trials):
         u = stream(4403, r).random(N)
-        s, _ = ks_one_sample(u, lambda x: min(1.0, max(0.0, x)))
+        s, _ = ks_one_sample(u, lambda x: np.clip(x, 0.0, 1.0))
         fails += s > bound
     assert fails <= 1, fails
 
