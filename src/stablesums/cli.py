@@ -6,8 +6,8 @@ campaign writes ``report.json`` plus CSV artifacts into ``--out-dir``
 (default: current directory).  Exit codes: 0 campaign passed, 1 campaign
 failed (report still written), 2 configuration error, a bad flag or an
 unreadable or unwritable path included (nothing written), 3 numerical
-failure: a CDF quadrature did not converge (no report written).  Each error
-prints one line ``error: <subcommand>: ...``.
+failure: the error estimate of a stable CDF value exceeded its tolerance (no
+report written).  Each error prints one line ``error: <subcommand>: ...``.
 
 Options may come from ``--config FILE`` (JSON object, or ``key=value`` lines
 with ``#`` comments) holding options of the same subcommand.  A file value is

@@ -1,6 +1,7 @@
 """Exit codes, config resolution, and artifacts of the command line."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from stablesums import stable
 from stablesums.cli import _resolve, build_parser, emit_plotdata, main
 from stablesums.paths import simulate_levy_path
 from stablesums.rng import stream
@@ -335,16 +337,42 @@ def test_plotdata_via_subcommand(tmp_path):
     assert (out / "overlay.csv").exists()
 
 
-def test_plotdata_quadrature_failure_exits_three(tmp_path, capsys):
-    # the CDF quadrature of the law (1.5, 1) does not converge at x = 3000
+def _far_tail_sample(tmp_path):
+    # one draw at x = 3000 under (1.5, 1), where the Fourier inversion the CDF
+    # once used did not converge
     (tmp_path / "samples.csv").write_text("value\n3000.0\n")
     (tmp_path / "limit_laws.json").write_text(json.dumps(
         {"sampled": {"alpha": 1.5, "beta": 1.0, "dispersion": 1.0, "location": 0.0}}))
     (tmp_path / "report.json").write_text(json.dumps(
         {"test_name": "sample", "artifacts": ["samples.csv", "limit_laws.json"]}))
-    assert _run("plotdata", "--report", str(tmp_path / "report.json")) == 3
+    return str(tmp_path / "report.json")
+
+
+def test_plotdata_far_tail_exits_zero(tmp_path):
+    assert _run("plotdata", "--report", _far_tail_sample(tmp_path)) == 0
+    data = np.genfromtxt(tmp_path / "overlay.csv", delimiter=",", names=True)
+    # P(X > x) ~ C_alpha (1 + beta)/2 x^-alpha (Samorodnitsky & Taqqu, Prop. 1.2.15)
+    c_alpha = (1 - 1.5) / (math.gamma(0.5) * math.cos(0.75 * math.pi))
+    assert 1.0 - float(data["theoretical"]) == pytest.approx(c_alpha * 3000.0 ** -1.5, rel=1e-4)
+
+
+def test_plotdata_quadrature_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # a tolerance below every error estimate of the CDF kernel makes it refuse
+    monkeypatch.setattr(stable, "_MAX_ABSERR", -1.0)
+    assert _run("plotdata", "--report", _far_tail_sample(tmp_path)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: plotdata: ") and err.count("\n") == 1
+    assert not (tmp_path / "overlay.csv").exists()
+
+
+def test_readme_pipeline_writes_overlay(tmp_path):
+    out = tmp_path / "runs" / "stable15"
+    assert _run("sample", "--alpha", "1.5", "--beta", "1", "--n", "100000",
+                "--seed", "1", "--out-dir", str(out)) == 0
+    assert _run("plotdata", "--report", str(out / "report.json")) == 0
+    data = np.genfromtxt(out / "overlay.csv", delimiter=",", names=True)
+    assert data.size == 2048
+    assert np.max(np.abs(data["empirical"] - data["theoretical"])) < 0.01
 
 
 def _plotdata_of(tmp_path, report, laws):

@@ -2,20 +2,29 @@
 
 import cmath
 import math
+import time
+import timeit
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_inversion import inversion_cdf
+from scipy import integrate, special
+from scipy.stats import levy_stable
 
 from stablesums import (
     QuadratureError,
     StableParams,
     cdf,
     char_fn,
+    ks_one_sample,
     limit_constant,
     sample,
     scale_shift,
 )
+from stablesums import stable
 from stablesums.rng import stream
 
 T_GRID = np.array([-7.3, -2.0, -1.0, -0.4, 0.0, 0.25, 1.0, math.e, 5.5])
@@ -232,11 +241,22 @@ def test_cdf_extreme_arguments_clamp():
     assert cdf(p, 40.0) == 1.0
 
 
-def test_cdf_reports_quadrature_failure():
-    # a near-degenerate dispersion pushes the cutoff far beyond what the
-    # integrator can resolve against a fast phase
-    with pytest.raises(QuadratureError):
-        cdf(StableParams(1.5, 0.0, 1e-9), 100.0)
+def _first_tail_term(alpha, beta, dispersion, x):
+    """P(X > x) ~ C_alpha (1 + beta)/2 dispersion x^-alpha, alpha != 1
+    (Samorodnitsky & Taqqu 1994, Prop. 1.2.15; dispersion = sigma^alpha)."""
+    c_alpha = (1 - alpha) / (math.gamma(2 - alpha) * math.cos(math.pi * alpha / 2))
+    return c_alpha * (1 + beta) / 2 * dispersion * x ** -alpha
+
+
+def test_cdf_reports_quadrature_failure(monkeypatch):
+    # dispersion 1e-9 puts x = 100 at z = 1e8, where the Fourier inversion did
+    # not converge; the tail series now answers there
+    sf = 1.0 - cdf(StableParams(1.5, 0.0, 1e-9), 100.0)
+    assert sf == pytest.approx(_first_tail_term(1.5, 0.0, 1e-9, 100.0), rel=2e-3)
+    # a tolerance below the kernel's own error estimate makes it refuse
+    monkeypatch.setattr(stable, "_MAX_ABSERR", 1e-30)
+    with pytest.raises(QuadratureError, match="x=0.5"):
+        cdf(StableParams(1.5, 0.0), 0.5)
 
 
 @pytest.mark.parametrize("alpha,beta", [(2.0, 0.0), (1.5, 0.0), (1.5, 1.0),
@@ -263,9 +283,157 @@ def test_cdf_rejects_non_finite_element():
             cdf(StableParams(1.5, 0.0), bad)
 
 
-def test_cdf_array_reports_quadrature_failure():
+def test_cdf_array_reports_quadrature_failure(monkeypatch):
+    out = cdf(StableParams(1.5, 0.0, 1e-9), np.array([0.0, 100.0]))
+    assert out[0] == 0.5
+    assert 1.0 - out[1] == pytest.approx(_first_tail_term(1.5, 0.0, 1e-9, 100.0), rel=2e-3)
+    monkeypatch.setattr(stable, "_MAX_ABSERR", 1e-30)
+    with pytest.raises(QuadratureError, match="x=-0.5"):
+        cdf(StableParams(1.5, 0.0), np.array([-0.5, 0.5]))
+
+
+def test_cdf_array_equals_scalar_loop_across_blocks():
+    # more points than two blocks of the kernel, bulk and tail points mixed,
+    # so each block holds points of every branch
+    n = 2 * stable._CHUNK + 1
+    rng = np.random.default_rng(7)
+    for law in (StableParams(1.5, 1.0, 1.3, -0.2), StableParams(1.0, 0.5),
+                StableParams(0.8, -0.7)):
+        bulk = rng.uniform(-8.0, 8.0, n // 2)
+        tail = rng.choice([-1.0, 1.0], n - n // 2) * 10.0 ** rng.uniform(1.0, 10.0, n - n // 2)
+        xs = rng.permutation(np.concatenate([bulk, tail]))
+        np.testing.assert_array_equal(cdf(law, xs), [cdf(law, x) for x in xs.tolist()])
+
+
+def test_cdf_scalar_call_no_slower_than_the_inversion():
+    law = StableParams(1.5, 1.0)
+    cdf(law, 0.5)   # builds the tables of this law once
+    def cpu_seconds(fn):   # process time, so other processes' load does not count
+        return timeit.Timer(lambda: fn(law, 0.5), timer=time.process_time).timeit(number=20)
+
+    new, old = [], []
+    for _ in range(25):   # interleaved, so both see the same state of the machine
+        new.append(cpu_seconds(cdf))
+        old.append(cpu_seconds(inversion_cdf))
+    assert min(new) <= min(old), (min(new) / 20, min(old) / 20)
+
+
+# ---- oracles for the CDF kernel -------------------------------------------
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 1.2, 1.5, 1.9])
+def test_cdf_matches_reference_inversion(alpha):
+    xs = np.linspace(-8.0, 8.0, 33)
+    for beta in (-1.0, -0.5, 0.0, 0.5, 1.0):
+        law = StableParams(alpha, beta)
+        np.testing.assert_allclose(cdf(law, xs), inversion_cdf(law, xs), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("alpha,beta,dispersion,location", [
+    (1.5, 1.0, 1.3, -0.2), (1.2, 0.5, 0.7, 0.4), (0.8, -0.5, 1.0, 0.0), (1.9, 0.0, 2.0, 1.0)])
+def test_cdf_matches_levy_stable(alpha, beta, dispersion, location):
+    # scipy's S1 law with scale dispersion**(1/alpha); a bulk oracle only,
+    # its survival function is 0.0 far in the tail
+    xs = np.linspace(-6.0, 6.0, 25)
+    levy_stable.parameterization = "S1"
+    ref = levy_stable.cdf(xs, alpha, beta, loc=location, scale=dispersion ** (1.0 / alpha))
+    got = cdf(StableParams(alpha, beta, dispersion, location), xs)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+
+
+def test_cdf_levy_closed_form():
+    # S1(1/2, 1) with dispersion d and location mu is the Levy law of scale
+    # d**2, P(X <= x) = erfc(d / sqrt(2 (x - mu))) on x > mu, 0 below
+    d, mu = 1.7, 0.3
+    xs = np.array([-2.0, 0.3, 0.31, 0.5, 1.0, 3.0, 40.0, 1e4, 1e9])
+    gap = np.maximum(xs - mu, 1e-300)
+    expected = np.where(xs > mu, special.erfc(d / np.sqrt(2.0 * gap)), 0.0)
+    got = cdf(StableParams(0.5, 1.0, d, mu), xs)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_cdf_tail_first_term():
+    # at x = 3000 the second term of the series is about 1e-5 of the first
+    sf = 1.0 - cdf(StableParams(1.5, 1.0), 3000.0)
+    assert sf == pytest.approx(_first_tail_term(1.5, 1.0, 1.0, 3000.0), rel=1e-4)
+
+
+def _mp_inversion_sf(alpha, beta, x):
+    """P(X > x) by Gil-Pelaez inversion of the S1 characteristic function in
+    20-digit arithmetic: the start up to four periods by quad, the rest by
+    quadosc."""
+    with mpmath.workdps(20):
+        a, b, x = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(x)
+        skew = mpmath.tan(mpmath.pi * a / 2)
+
+        def integrand(t):
+            return mpmath.im(mpmath.exp(-t ** a * (1 - 1j * b * skew) - 1j * t * x)) / t
+
+        period = 2 * mpmath.pi / x
+        head = mpmath.quad(integrand, [0, period / 4, period, 2 * period, 4 * period])
+        rest = mpmath.quadosc(integrand, [4 * period, mpmath.inf], omega=x)
+        return float(mpmath.mpf(1) / 2 + (head + rest) / mpmath.pi)
+
+
+@pytest.mark.parametrize("alpha,beta,x", [(1.2, 0.5, 60.0), (1.5, 1.0, 200.0)])
+def test_cdf_far_tail_matches_mpmath_inversion(alpha, beta, x):
+    # x = 60 is still in the integral's range, x = 200 in the tail series'
+    sf = 1.0 - cdf(StableParams(alpha, beta), x)
+    assert sf == pytest.approx(_mp_inversion_sf(alpha, beta, x), rel=1e-11)
+
+
+def _convergent_series_sf(alpha, beta, z, terms=80):
+    """For alpha < 1 Bergstrom's series of P(X > z) converges for every z > 0."""
+    with mpmath.workdps(30):
+        a, b, z = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+        theta0 = mpmath.atan(b * mpmath.tan(mpmath.pi * a / 2)) / a
+        c = 1 / mpmath.cos(a * theta0)
+        al = a * (mpmath.pi / 2 + theta0)
+        total = sum((-1) ** (k + 1) * mpmath.gamma(a * k) / mpmath.factorial(k) * c ** k
+                    * mpmath.sin(k * al) * z ** (-a * k) for k in range(1, terms))
+        return float(total / mpmath.pi)
+
+
+@pytest.mark.parametrize("alpha,beta,z", [(0.5, 1.0, 50.0), (0.5, 1.0, 2.0), (0.8, -0.5, 3.0),
+                                          (0.3, 0.9, 0.5)])
+def test_cdf_matches_convergent_series_below_alpha_one(alpha, beta, z):
+    sf = 1.0 - cdf(StableParams(alpha, beta), z)
+    assert sf == pytest.approx(_convergent_series_sf(alpha, beta, z), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha,beta,x", [(1.5, 1.0, 3000.0), (1.2, 0.5, 1351.07),
+                                          (1.001, 1.0, 0.3), (0.5, 1.0, 50.0)])
+def test_cdf_answers_where_the_inversion_did_not_converge(alpha, beta, x):
+    law = StableParams(alpha, beta)
     with pytest.raises(QuadratureError):
-        cdf(StableParams(1.5, 0.0, 1e-9), np.array([0.0, 100.0]))
+        inversion_cdf(law, x)
+    assert 0.0 < cdf(law, x) < 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_cdf_answers_on_totally_skewed_samples(alpha):
+    law = StableParams(alpha, 1.0)
+    xs = np.sort(sample(law, stream(11, 0), 20_000))
+    f = cdf(law, xs)
+    assert np.all(np.diff(f) >= 0.0) and 0.0 <= f[0] and f[-1] <= 1.0
+    _, p_value = ks_one_sample(xs, lambda sorted_xs: f)
+    assert p_value > 0.01
+
+
+_ALPHAS = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.floats(0.05, 2.0))
+_BETAS = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
+_POINTS = st.lists(st.one_of(st.floats(-20.0, 20.0), st.floats(-1e12, 1e12)),
+                   min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=_ALPHAS, beta=_BETAS, xs=_POINTS)
+def test_cdf_properties(alpha, beta, xs):
+    xs = np.sort(np.array(xs))
+    f = cdf(StableParams(alpha, beta), xs)
+    assert np.all((0.0 <= f) & (f <= 1.0))
+    assert np.all(np.diff(f) >= -1e-10)
+    mirrored = cdf(StableParams(alpha, -beta), -xs)
+    np.testing.assert_allclose(f, 1.0 - mirrored, rtol=0, atol=1e-15)
 
 
 def test_limit_constant_exact_and_quadrature():
