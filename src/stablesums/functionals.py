@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .paths import DoaSpec, SamplePath
+from .paths import DoaSpec, SamplePath, _partial_sums
 from .rng import _as_samples, _check_count
 from .stable import StableParams
 
@@ -97,6 +97,36 @@ class FunctionalConfig:
         _check_count(self.grid, "grid", 1)
 
 
+def _functional_kernel(fn: FunctionSpec, mu: float, a_n: float, n: int, cuts: np.ndarray):
+    """The function taking n draws x to (1/a_n) * sum_{k <= c} of
+    f(S_k/k) - f(mu) at each cut c in ``cuts`` (counts in 0..n).
+
+    k, f(mu) and the working buffer are built here once; each call does only
+    the array arithmetic, in place, and returns a fresh array.  A partial-sum
+    average outside f's domain raises :class:`DomainError` naming the
+    offending k.
+    """
+    k = np.arange(1, n + 1, dtype=float)
+    center = float(np.asarray(fn.f(float(mu))))
+    terms = np.empty(n + 1)
+    averages = terms[1:]
+
+    def values(x: np.ndarray) -> np.ndarray:
+        _partial_sums(x, terms)
+        np.divide(averages, k, out=averages)
+        ok = np.asarray(fn.domain_check(averages), dtype=bool)
+        if not ok.all():
+            i = int(np.argmin(ok)) + 1
+            raise DomainError(
+                f"partial-sum average at k={i} ({averages[i - 1]!r}) is outside "
+                f"the domain of {fn.name}"
+            )
+        np.cumsum(fn.f(averages) - center, out=averages)
+        return terms[cuts] / a_n
+
+    return values
+
+
 def functional_statistic(x, fn: FunctionSpec, mu: float, a_n: float, grid: int) -> SamplePath:
     """Step path of the centered, rescaled f-sums of the sequence ``x``.
 
@@ -109,19 +139,31 @@ def functional_statistic(x, fn: FunctionSpec, mu: float, a_n: float, grid: int) 
     if not (a_n > 0.0 and math.isfinite(a_n)):
         raise ValueError(f"a_n must be positive and finite, got {a_n}")
     n, m = x.size, _check_count(grid, "grid", 1)
-    averages = np.cumsum(x) / np.arange(1, n + 1)
-    ok = np.asarray(fn.domain_check(averages), dtype=bool)
-    if not ok.all():
-        k = int(np.argmin(ok)) + 1
-        raise DomainError(
-            f"partial-sum average at k={k} ({averages[k - 1]!r}) is outside "
-            f"the domain of {fn.name}"
-        )
-    center = float(np.asarray(fn.f(float(mu))))
-    terms = np.concatenate(([0.0], np.cumsum(fn.f(averages) - center)))
     j = np.arange(m + 1)
-    values = terms[n * j // m] / a_n
+    values = _functional_kernel(fn, mu, a_n, n, n * j // m)(x)
     return SamplePath(times=j / m, values=values)
+
+
+def _log_product_kernel(mu: float, exponent: float, n: int):
+    """The function taking n draws x to exponent * sum_k log(S_k / (k*mu)).
+
+    log(k*mu) and the working buffer are built here once; each call works in
+    place.  A partial sum that is not positive raises :class:`DomainError`.
+    """
+    log_kmu = np.log(np.arange(1, n + 1) * mu)
+    sums = np.empty(n + 1)
+    logs = sums[1:]
+
+    def statistic(x: np.ndarray) -> float:
+        _partial_sums(x, sums)
+        if not logs.min() > 0.0:
+            k = int(np.argmax(logs <= 0.0)) + 1
+            raise DomainError(f"partial sum at k={k} is not positive ({logs[k - 1]!r})")
+        np.log(logs, out=logs)
+        np.subtract(logs, log_kmu, out=logs)
+        return float(exponent * logs.sum())
+
+    return statistic
 
 
 def log_product_statistic(x, mu: float, exponent: float) -> float:
@@ -131,18 +173,33 @@ def log_product_statistic(x, mu: float, exponent: float) -> float:
         raise ValueError(f"mu must be positive and finite, got {mu}")
     if not math.isfinite(exponent):
         raise ValueError(f"exponent must be finite, got {exponent}")
-    sums = np.cumsum(x)
-    if np.any(sums <= 0.0):
-        k = int(np.argmax(sums <= 0.0)) + 1
-        raise DomainError(f"partial sum at k={k} is not positive ({sums[k - 1]!r})")
-    n = x.size
-    logs = np.log(sums) - np.log(np.arange(1, n + 1) * mu)
-    return float(exponent * logs.sum())
+    return _log_product_kernel(mu, exponent, x.size)(x)
 
 
 def product_statistic(x, mu: float, exponent: float) -> float:
     """prod_k (S_k / (k*mu)) ** exponent, computed in log space throughout."""
     return math.exp(log_product_statistic(x, mu, exponent))
+
+
+def _riemann_kernel(times: np.ndarray, t: float, eps: float):
+    """The function taking path values on the grid ``times`` to the
+    right-endpoint Riemann sum of path(u)/u over the grid cells in (eps, t].
+
+    ``times`` increases from 0 and eps > 0, so those cells are one run of
+    indices lo..hi-1 with lo >= 1; their right ends and widths are built here
+    once.  Each call overwrites one working buffer.
+    """
+    lo, hi = np.searchsorted(times, [eps, t], side="right")
+    ends = times[lo:hi]
+    widths = ends - times[lo - 1 : hi - 1]
+    terms = np.empty(ends.size)
+
+    def integral(values: np.ndarray) -> float:
+        np.divide(values[lo:hi], ends, out=terms)
+        np.multiply(terms, widths, out=terms)
+        return float(np.sum(terms))
+
+    return integral
 
 
 def integral_riemann(path: SamplePath, t: float, eps: Optional[float] = None) -> float:
@@ -157,14 +214,7 @@ def integral_riemann(path: SamplePath, t: float, eps: Optional[float] = None) ->
         eps = float(path.times[1] - path.times[0])
     if not (0.0 < eps < t <= 1.0):
         raise ValueError(f"need 0 < eps < t <= 1, got eps={eps}, t={t}")
-    times = path.times
-    inside = (times > eps) & (times <= t)
-    inside[0] = False
-    if not inside.any():
-        return 0.0
-    idx = np.nonzero(inside)[0]
-    widths = times[idx] - times[idx - 1]
-    return float(np.sum(path.values[idx] / times[idx] * widths))
+    return _riemann_kernel(path.times, t, eps)(path.values)
 
 
 def limit_law(alpha: float, beta: float, t: float, f_prime: float) -> StableParams:

@@ -232,6 +232,25 @@ class SamplePath:
     __call__ = at
 
 
+def _partial_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """S_0 = 0, S_1, ..., S_n of the draws ``x`` into ``out`` (length n + 1).
+
+    One O(1) check guards the whole array: an inf or nan draw, or an
+    overflow, leaves every later partial sum non-finite, so S_n is finite
+    exactly when every S_k is.
+    """
+    out[0] = 0.0
+    np.cumsum(x, out=out[1:])
+    if not math.isfinite(out[-1]):
+        raise ValueError("partial sums must be finite: a draw is inf or nan, or the sum overflows")
+    return out
+
+
+def _increment_law(alpha: float, beta: float, grid: int) -> StableParams:
+    """Law of one increment of stable Levy motion over a cell of width 1/grid."""
+    return StableParams(alpha, beta, dispersion=1.0 / grid)
+
+
 def partial_sum_process(x, mu: float, a_n: float, grid: int = DEFAULT_GRID) -> SamplePath:
     """Rescaled partial-sum step path of the sequence ``x``.
 
@@ -243,7 +262,7 @@ def partial_sum_process(x, mu: float, a_n: float, grid: int = DEFAULT_GRID) -> S
     if not (a_n > 0.0 and math.isfinite(a_n)):
         raise ValueError(f"a_n must be positive and finite, got {a_n}")
     n, m = x.size, _check_count(grid, "grid", 1)
-    sums = np.concatenate(([0.0], np.cumsum(x)))
+    sums = _partial_sums(x, np.empty(n + 1))
     j = np.arange(m + 1)
     k = n * j // m
     values = (sums[k] - k * mu) / a_n
@@ -260,7 +279,6 @@ def simulate_levy_path(alpha: float, beta: float, seed, grid: int = DEFAULT_GRID
     m = _check_count(grid, "grid", 1)
     if not (1.0 < alpha <= 2.0):
         raise ValueError(f"alpha must be in (1, 2], got {alpha}")
-    rng = as_generator(seed)
-    increments = sample(StableParams(alpha, beta, dispersion=1.0 / m), rng, m)
-    values = np.concatenate(([0.0], np.cumsum(increments)))
+    increments = sample(_increment_law(alpha, beta, m), seed, m)
+    values = _partial_sums(increments, np.empty(m + 1))
     return SamplePath(times=np.arange(m + 1) / m, values=values)

@@ -10,6 +10,14 @@ was rejected, so a test with no power cannot certify anything.
 Replicate r of every campaign draws from the sub-stream (seed, label, r) with
 fixed labels per role, which keeps reports byte-identical across reruns
 and chunkings.
+
+The replicated campaigns build what every replicate shares once per
+campaign: k and log(k*mu), the cut indices, the Riemann cells, the increment
+law and the working buffers.  A replicate then makes one draw call and does
+only array arithmetic, in place, through the private kernels of
+:mod:`.functionals` and :mod:`.paths` that also serve the public statistics.
+So each formula is written once, and a campaign's per-replicate values are
+bit for bit those of the public functions on the same draws.
 """
 
 from __future__ import annotations
@@ -26,15 +34,21 @@ from scipy.special import kolmogorov
 
 from .functionals import (
     FunctionalConfig,
-    functional_statistic,
-    integral_riemann,
+    _functional_kernel,
+    _log_product_kernel,
+    _riemann_kernel,
     limit_law,
-    log_product_statistic,
 )
 from .norming import norming_for
-from .paths import DoaSpec, sample_doa, simulate_levy_path
+from .paths import DoaSpec, _increment_law, _partial_sums, sample_doa
 from .rng import _as_samples, _check_count, stream
 from .stable import StableParams, cdf, char_fn, sample
+
+# The campaigns call the kernels behind these public functions, not the
+# functions.  The names stay bound here because the benchmark's tracer
+# (bench/spans.py) wraps each of them in this module.
+from .functionals import functional_statistic, integral_riemann, log_product_statistic  # noqa: F401
+from .paths import simulate_levy_path  # noqa: F401
 
 __all__ = [
     "Ecdf",
@@ -354,6 +368,11 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     direct draws of the predicted law (dispersion gamma(alpha+1) * t).  The
     control compares against draws with half that dispersion, e.g. N(0,1)
     instead of N(0,2) at alpha = 2.
+
+    Replicate r is integral_riemann(simulate_levy_path(alpha, beta, s, grid),
+    t, eps) on its stream s, bit for bit, computed without building the path
+    object: one ``sample`` call of ``grid`` increments, then their partial
+    sums and the Riemann sum, in buffers built once.
     """
     reps = _check_count(reps, "reps", 2)
     threshold = _check_threshold(threshold)
@@ -362,10 +381,13 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     eps_used = 1.0 / grid if eps is None else float(eps)
     if not 0.0 < eps_used < t:
         raise ValueError(f"need 0 < eps < t, got eps={eps_used!r}, t={t!r}")
+    increment_law = _increment_law(alpha, beta, grid)
+    integral = _riemann_kernel(np.arange(grid + 1) / grid, t, eps_used)
+    path = np.empty(grid + 1)
     integrals = np.empty(reps)
     for r in range(reps):
-        path = simulate_levy_path(alpha, beta, stream(seed, _SIM, r), grid)
-        integrals[r] = integral_riemann(path, t, eps)
+        _partial_sums(sample(increment_law, stream(seed, _SIM, r), grid), path)
+        integrals[r] = integral(path)
     direct = sample(law, stream(seed, _NULL), reps)
     stat, p = ks_two_sample(integrals, direct)
 
@@ -404,12 +426,14 @@ def verify_fclt(config: FunctionalConfig, times: Sequence[float], reps: int,
                 seed, threshold: float = 0.04, out_dir=None) -> VerificationReport:
     """Marginals of the functional statistic against their limit laws.
 
-    For each requested time t (which must sit on the path grid), the simulated
-    statistic values across replicates are KS-tested one-sample against the
-    numerically inverted CDF of limit_law(alpha, beta, t, f'(mu)).  The
-    reported statistic is the worst marginal; the control is the best marginal
-    against half-dispersion nulls, so "fail" means even the easiest marginal
-    rejected the wrong law.
+    Each requested time t must lie within 1e-9 of a grid time j/grid, and is
+    read at that grid time, j = round(t * grid).  Replicate r's value at t is
+    functional_statistic(x, fn, mu, a_n, grid).at(j/grid) on its draws x, bit
+    for bit, gathered at the cuts n*j//grid alone.  The values across
+    replicates are KS-tested one-sample against the CDF of
+    limit_law(alpha, beta, t, f'(mu)).  The reported statistic is the worst
+    marginal; the control is the best marginal against half-dispersion nulls,
+    so "fail" means even the easiest marginal rejected the wrong law.
     """
     reps = _check_count(reps, "reps", 2)
     threshold = _check_threshold(threshold)
@@ -419,23 +443,23 @@ def verify_fclt(config: FunctionalConfig, times: Sequence[float], reps: int,
     if len(set(times)) != len(times):
         raise ValueError(f"times must be distinct, got {times}")
     m, n = config.grid, config.n
+    cuts = []
     for t in times:
         if not 0.0 < t <= 1.0:
             raise ValueError(f"times must lie in (0, 1], got {t}")
-        if abs(t * m - round(t * m)) > 1e-9:
+        j = round(t * m)
+        if abs(t * m - j) > 1e-9:
             raise ValueError(f"time {t} is not on the grid with {m} cells")
-        if n * round(t * m) // m < 1:
+        cuts.append(n * j // m)
+        if cuts[-1] < 1:
             raise ValueError(f"time {t} cuts an empty partial sum at n={n}")
 
     spec, fn = config.spec, config.fn
     seq = norming_for(spec)
-    a_n, mu = float(seq.a(n)), spec.known_mu
-    t_arr = np.array(times)
+    statistic = _functional_kernel(fn, spec.known_mu, float(seq.a(n)), n, np.array(cuts))
     stats = np.empty((reps, len(times)))
     for r in range(reps):
-        x = sample_doa(spec, stream(seed, _SIM, r), n)
-        path = functional_statistic(x, fn, mu, a_n, m)
-        stats[r] = path.at(t_arr)
+        stats[r] = statistic(sample_doa(spec, stream(seed, _SIM, r), n))
 
     laws = [limit_law(spec.known_alpha, spec.known_beta, t, fn.f_prime_at_mu)
             for t in times]
@@ -474,7 +498,8 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     """Log products of partial-sum ratios against their stable limit.
 
     Each replicate draws n variates, forms log of (prod S_k/(k*mu)) to the
-    exponent mu/a_n, and the sample of logs is KS-tested against the law with
+    exponent mu/a_n (log_product_statistic, bit for bit, with log(k*mu) built
+    once), and the sample of logs is KS-tested against the law with
     dispersion gamma(alpha+1) (skewness beta = 1 for positive heavy-tailed
     inputs, inert at alpha = 2).  Requires a positivity guarantee.
     """
@@ -486,10 +511,10 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     seq = norming_for(spec)
     a_n, mu = float(seq.a(n)), spec.known_mu
     exponent = mu / a_n
+    statistic = _log_product_kernel(mu, exponent, n)
     logs = np.empty(reps)
     for r in range(reps):
-        x = sample_doa(spec, stream(seed, _SIM, r), n)
-        logs[r] = log_product_statistic(x, mu, exponent)
+        logs[r] = statistic(sample_doa(spec, stream(seed, _SIM, r), n))
 
     law = limit_law(spec.known_alpha, spec.known_beta, 1.0, 1.0)
     [(stat, p, control_stat)] = _marginal_fits(logs[:, None], [law])
@@ -520,7 +545,8 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     """Boundedness of sum_{k<=n} E|S_k - k*mu| / k relative to a_n.
 
     Estimates the sum per replicate (so Monte Carlo error is quantified by
-    honest replicate-to-replicate spread), divides by a_n from the registry,
+    honest replicate-to-replicate spread; one draw call and one in-place pass
+    over the partial sums each), divides by a_n from the registry,
     and checks two things across the requested n's: every ratio within
     ``band`` (> 1) of the largest-n ratio, and growth over the top step at
     most 1 + trend_tol (trend_tol > 0).  Statistic = max(spread/band,
@@ -539,12 +565,18 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     n_arr = np.array(ns)
     a_vals = seq.a(n_arr)
     mu, nmax = spec.known_mu, ns[-1]
-    k = np.arange(1, nmax + 1)
+    k = np.arange(1, nmax + 1, dtype=float)
+    k_mu = k * mu
+    sums = np.empty(nmax + 1)
+    deviations = sums[1:]
     q = np.empty((reps, len(ns)))
     for r in range(reps):
-        x = sample_doa(spec, stream(seed, _SIM, r), nmax)
-        deviations = np.abs(np.cumsum(x) - k * mu)
-        q[r] = np.cumsum(deviations / k)[n_arr - 1]
+        _partial_sums(sample_doa(spec, stream(seed, _SIM, r), nmax), sums)
+        deviations -= k_mu
+        np.abs(deviations, out=deviations)
+        deviations /= k
+        np.cumsum(deviations, out=deviations)
+        q[r] = sums[n_arr]
 
     def _band_stat(ratios: np.ndarray) -> float:
         if np.all(ratios == 0.0):

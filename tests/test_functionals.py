@@ -17,8 +17,10 @@ from stablesums import (
     integral_riemann,
     limit_law,
     log_product_statistic,
+    pareto,
     product_statistic,
     qi_log,
+    sample,
     sample_doa,
     simulate_levy_path,
 )
@@ -186,3 +188,58 @@ def test_function_spec_is_frozen():
                       domain_check=math.isfinite, name="sin")
     with pytest.raises(AttributeError):
         fn.name = "other"
+
+
+# Each statistic as one plain numpy expression, as first written.  The
+# in-place kernels behind the public functions must reproduce these bit for
+# bit: campaign reports are pinned to that arithmetic.
+def _reference_functional(x, fn, mu, a_n, m):
+    n = x.size
+    averages = np.cumsum(x) / np.arange(1, n + 1)
+    center = float(np.asarray(fn.f(float(mu))))
+    terms = np.concatenate(([0.0], np.cumsum(fn.f(averages) - center)))
+    return terms[n * np.arange(m + 1) // m] / a_n
+
+
+def _reference_log_product(x, mu, exponent):
+    logs = np.log(np.cumsum(x)) - np.log(np.arange(1, x.size + 1) * mu)
+    return float(exponent * logs.sum())
+
+
+def _reference_riemann(times, values, t, eps):
+    idx = np.nonzero((times > eps) & (times <= t))[0]
+    return float(np.sum(values[idx] / times[idx] * (times[idx] - times[idx - 1])))
+
+
+REFERENCE_DRAWS = {"exponential": exponential(1.0), "pareto 1.5": pareto(1.5)}
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_DRAWS))
+@pytest.mark.parametrize("n, m", [(1000, 64), (300, 4096), (4097, 4096)])
+def test_kernels_match_reference_expressions(family, n, m):
+    spec = REFERENCE_DRAWS[family]
+    mu = spec.known_mu
+    for r in range(3):
+        x = sample_doa(spec, stream(4310, 0, r), n)
+        for fn in (qi_log(mu), identity_fn()):
+            got = functional_statistic(x, fn, mu, 7.25, m).values
+            np.testing.assert_array_equal(got, _reference_functional(x, fn, mu, 7.25, m))
+        assert log_product_statistic(x, mu, 0.03) == _reference_log_product(x, mu, 0.03)
+
+
+@pytest.mark.parametrize("law", [(1.5, 1.0), (2.0, 0.0), (1.2, -0.5)], ids=str)
+def test_levy_path_and_riemann_match_reference_expressions(law):
+    m = 256
+    for r in range(3):
+        path = simulate_levy_path(*law, stream(4311, 0, r), m)
+        draws = sample(StableParams(*law, dispersion=1.0 / m), stream(4311, 0, r), m)
+        np.testing.assert_array_equal(path.values, np.concatenate(([0.0], np.cumsum(draws))))
+        for t, eps in ((1.0, 1.0 / m), (0.5, 0.1), (0.3, 0.29)):
+            want = _reference_riemann(path.times, path.values, t, eps)
+            assert integral_riemann(path, t, eps) == want
+    # a grid that is not uniform
+    times = np.concatenate(([0.0], np.sort(stream(4312, 0).random(50)), [1.0]))
+    values = stream(4312, 1).standard_normal(times.size)
+    path = SamplePath(times=times, values=values)
+    for t, eps in ((1.0, 0.01), (0.7, 0.2)):
+        assert integral_riemann(path, t, eps) == _reference_riemann(times, values, t, eps)

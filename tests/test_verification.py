@@ -9,6 +9,7 @@ import pytest
 from scipy.special import erf
 
 from stablesums import (
+    DomainError,
     FunctionalConfig,
     StableParams,
     VerificationReport,
@@ -17,11 +18,17 @@ from stablesums import (
     ecdf,
     empirical_char_fn,
     exponential,
+    functional_statistic,
+    integral_riemann,
     ks_one_sample,
     ks_two_sample,
+    log_product_statistic,
+    norming_for,
     pareto,
     qi_log,
     sample,
+    sample_doa,
+    simulate_levy_path,
     two_sided_pareto,
     verify_fclt,
     verify_lemma,
@@ -305,9 +312,9 @@ def test_lemma_validates_band_and_trend_tol():
 def test_remark_checks_eps_before_simulating(monkeypatch):
     import stablesums.verification as verification
 
-    def no_paths(*args, **kwargs):
-        pytest.fail("simulated a path before checking eps")
-    monkeypatch.setattr(verification, "simulate_levy_path", no_paths)
+    def no_draws(*args, **kwargs):
+        pytest.fail("drew path increments before checking eps")
+    monkeypatch.setattr(verification, "sample", no_draws)
     with pytest.raises(ValueError, match="eps"):
         verify_remark(1.5, 0.0, 5, 16, 1, t=0.5, eps=0.6)
     with pytest.raises(ValueError, match="eps"):
@@ -354,3 +361,149 @@ def test_reports_hold_plain_json_types(small_campaigns):
         parsed = json.loads(rep.to_json())
         assert isinstance(parsed["statistic"], float)
         assert isinstance(parsed["passed"], bool)
+
+
+def _csv_column(path, name):
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        col = header.index(name)
+        return [float(line.split(",")[col]) for line in fh]
+
+
+def test_fclt_reads_a_near_grid_time_at_its_grid_time(tmp_path):
+    # 0.25 - 1e-12 passes the on-grid check, so it must be read at grid time
+    # 2/8 like 0.25 itself, not from the cell before it.
+    cfg = FunctionalConfig(spec=exponential(1.0), fn=qi_log(1.0), n=100, grid=8)
+    on, near = tmp_path / "on", tmp_path / "near"
+    a = verify_fclt(cfg, [0.25], 50, 3, threshold=1.0, out_dir=str(on))
+    b = verify_fclt(cfg, [0.25 - 1e-12], 50, 3, threshold=1.0, out_dir=str(near))
+    assert _csv_column(on / "statistics.csv", "value") == \
+        _csv_column(near / "statistics.csv", "value")
+    assert b.statistic == pytest.approx(a.statistic, abs=1e-9)
+
+
+# The replicated campaigns call the kernels behind the public statistics
+# directly; each must give, bit for bit, what a loop over the public
+# functions gives on the same streams.
+REPS, N, GRID, SEED = 7, 300, 64, 4520
+FAMILIES = {"exponential": exponential(1.0), "pareto 1.5": pareto(1.5)}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fclt_replicates_match_functional_statistic(tmp_path, family):
+    spec = FAMILIES[family]
+    cfg = FunctionalConfig(spec=spec, fn=qi_log(spec.known_mu), n=N, grid=GRID)
+    times = [1 / 64, 0.25, 0.5, 1.0]
+    verify_fclt(cfg, times, REPS, SEED, threshold=1.0, out_dir=str(tmp_path))
+    a_n = float(norming_for(spec).a(N))
+    want = [functional_statistic(sample_doa(spec, stream(SEED, 0, r), N), cfg.fn,
+                                 spec.known_mu, a_n, GRID).at(t)
+            for r in range(REPS) for t in times]
+    assert _csv_column(tmp_path / "statistics.csv", "value") == want
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_product_replicates_match_log_product_statistic(tmp_path, family):
+    spec = FAMILIES[family]
+    rep = verify_product(spec, N, REPS, SEED, threshold=1.0, out_dir=str(tmp_path))
+    mu = spec.known_mu
+    exponent = mu / float(norming_for(spec).a(N))
+    assert rep.config["exponent"] == exponent
+    want = [log_product_statistic(sample_doa(spec, stream(SEED, 0, r), N), mu, exponent)
+            for r in range(REPS)]
+    assert _csv_column(tmp_path / "statistics.csv", "value") == want
+
+
+@pytest.mark.parametrize("law", [(1.5, 1.0), (2.0, 0.0), (1.2, -0.5)], ids=str)
+@pytest.mark.parametrize("t, eps", [(1.0, None), (0.5, 0.1), (0.75, 1 / 64)])
+def test_remark_replicates_match_integral_of_simulated_path(tmp_path, law, t, eps):
+    verify_remark(*law, REPS, GRID, SEED, t=t, eps=eps, threshold=1.0, out_dir=str(tmp_path))
+    want = [integral_riemann(simulate_levy_path(*law, stream(SEED, 0, r), GRID), t, eps)
+            for r in range(REPS)]
+    assert _csv_column(tmp_path / "statistics.csv", "value") == want
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_lemma_ratios_match_the_formula(family):
+    spec = FAMILIES[family]
+    ns = [10, 100, N]
+    rep = verify_lemma(spec, ns, REPS, SEED)
+    k = np.arange(1, N + 1)
+    q = np.empty((REPS, len(ns)))
+    for r in range(REPS):
+        x = sample_doa(spec, stream(SEED, 0, r), N)
+        deviations = np.abs(np.cumsum(x) - k * spec.known_mu)
+        q[r] = np.cumsum(deviations / k)[np.array(ns) - 1]
+    a_vals = norming_for(spec).a(np.array(ns))
+    assert rep.details["ratios"] == (q.mean(axis=0) / a_vals).tolist()
+    assert rep.details["ratio_stderr"] == \
+        (q.std(axis=0, ddof=1) / math.sqrt(REPS) / a_vals).tolist()
+
+
+def test_fclt_domain_error_names_the_offending_replicate():
+    spec = pareto(1.5, shift=-1.5)  # draws from -0.5 up: averages can be <= 0
+    cfg = FunctionalConfig(spec=spec, fn=qi_log(spec.known_mu), n=N, grid=GRID)
+    a_n = float(norming_for(spec).a(N))
+    for r in range(REPS):
+        try:
+            functional_statistic(sample_doa(spec, stream(SEED, 0, r), N), cfg.fn,
+                                 spec.known_mu, a_n, GRID)
+        except DomainError as exc:
+            want = str(exc)
+            break
+    else:
+        pytest.fail("no replicate leaves the domain; pick another seed")
+    with pytest.raises(DomainError) as raised:
+        verify_fclt(cfg, [0.5, 1.0], REPS, SEED)
+    assert str(raised.value) == want
+
+
+def _small_campaigns(out_dir):
+    spec = exponential(1.0)
+    cfg = FunctionalConfig(spec=spec, fn=qi_log(1.0), n=N, grid=GRID)
+    return {
+        "fclt": lambda: verify_fclt(cfg, [0.5, 1.0], REPS, SEED, out_dir=out_dir),
+        "product": lambda: verify_product(spec, N, REPS, SEED, out_dir=out_dir),
+        "remark": lambda: verify_remark(1.5, 1.0, REPS, GRID, SEED, out_dir=out_dir),
+        "lemma": lambda: verify_lemma(spec, [10, N], REPS, SEED, out_dir=out_dir),
+    }
+
+
+@pytest.mark.parametrize("campaign", ["fclt", "product", "remark", "lemma"])
+def test_campaigns_refuse_non_finite_draws(tmp_path, monkeypatch, campaign):
+    import stablesums.verification as verification
+
+    def poisoned(draw):
+        def wrapper(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            out[out.size // 2] = math.inf
+            return out
+        return wrapper
+    monkeypatch.setattr(verification, "sample_doa", poisoned(verification.sample_doa))
+    monkeypatch.setattr(verification, "sample", poisoned(verification.sample))
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match="finite"):
+        _small_campaigns(str(out_dir))[campaign]()
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("campaign", ["fclt", "product", "remark", "lemma"])
+def test_campaigns_draw_once_per_replicate(monkeypatch, campaign):
+    # The benchmark counts variates at these two bindings, one call per replicate.
+    import stablesums.verification as verification
+    calls = {"sample_doa": [], "sample": []}
+
+    def counting(name, draw):
+        def wrapper(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            calls[name].append(out.size)
+            return out
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(verification, name, counting(name, getattr(verification, name)))
+    _small_campaigns(None)[campaign]()
+    if campaign == "remark":
+        # then one draw of REPS each for the null and the control
+        assert calls == {"sample_doa": [], "sample": [GRID] * REPS + [REPS, REPS]}
+    else:
+        assert calls == {"sample_doa": [N] * REPS, "sample": []}
