@@ -13,7 +13,6 @@ from .functionals import (
     FunctionSpec,
     FunctionalConfig,
     functional_statistic,
-    identity_fn,
     integral_riemann,
     limit_law,
     log_product_statistic,
@@ -81,7 +80,6 @@ __all__ = [
     "exact_stable",
     "exponential",
     "functional_statistic",
-    "identity_fn",
     "integral_riemann",
     "karamata_partial_sum",
     "ks_one_sample",

@@ -18,9 +18,17 @@ verification ever depends on hidden state; ``sample``/``paths`` default to
 seed 0.  Results are byte-identical for a given seed, because every replicate
 draws from its own counter-based stream.
 
+``--family`` picks the input of ``verify-fclt``, ``verify-lemma`` and
+``verify-product``.  Each family reads only its own options (``_SPECS``); an
+option of another family, flag or config key, is a configuration error.
+``exact-stable`` is offered by ``verify-lemma`` alone: the log transform of
+the other two needs positive draws.
+
 The library checks its own inputs before it draws or writes, and this module
-adds only the checks the library cannot make.  ``--out-dir`` is created by the
-first write, so a configuration error leaves nothing behind.
+adds only the checks the library cannot make.  A real number outside its
+range is refused in one form, ``<name> must be in <interval>, got <value>``,
+for example ``alpha must be in (1, 2], got 2.5``.  ``--out-dir`` is created by
+the first write, so a configuration error leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from .paths import (
     simulate_levy_path,
     two_sided_pareto,
 )
-from .rng import stream
+from .rng import _check_count, _check_real, stream
 from .stable import QuadratureError, StableParams, cdf, sample
 from .verification import (
     VerificationReport,
@@ -64,8 +72,6 @@ __all__ = ["CampaignConfig", "ConfigError", "run", "emit_plotdata", "main"]
 
 _VERIFY = ("verify-sampler", "verify-remark", "verify-fclt", "verify-lemma",
            "verify-product")
-_FAMILIES = ("exponential", "pareto", "two-sided-pareto", "exact-stable",
-             "degenerate")
 _OVERLAY_MAX_ROWS = 2048
 # verify-sampler frequency grids hold at most this many points, about 1000
 # times the default 101; a larger grid is a mistyped --t-step, not a test.
@@ -98,18 +104,34 @@ _COMMON = {
 _ALPHA_BETA = {"alpha": (float, None, None), "beta": (float, None, None)}
 _LAW = {**_ALPHA_BETA, "dispersion": (float, 1.0, None),
         "location": (float, 0.0, None)}
-_FAMILY = {
-    "family": (_FAMILIES, "exponential", None),
+# Each input family, declared once: its spec builder and the options it
+# reads, in the builder's argument order.  A run with --family reads only
+# the options of its family; an option of another family is refused.
+_SPECS = {
+    "exponential": (exponential, ("rate",)),
+    "pareto": (pareto, ("tail_index", "x_min", "shift")),
+    "two-sided-pareto": (two_sided_pareto, ("tail_index", "asymmetry")),
+    "exact-stable": (lambda *law: exact_stable(StableParams(*law)),
+                     ("alpha", "beta", "dispersion", "location")),
+    "degenerate": (degenerate, ("value",)),
+}
+_FAMILY_OPTIONS = {key for _, keys in _SPECS.values() for key in keys}
+_INPUTS = {
     "rate": (float, 1.0, "exponential rate"),
     "tail_index": (float, None, None),
     "x_min": (float, 1.0, None),
     "shift": (float, 0.0, None),
     "asymmetry": (float, 0.0, None),
     "value": (float, None, "degenerate point"),
-    **_LAW,
+}
+_FAMILY = {
+    "family": (tuple(_SPECS), "exponential", None), **_INPUTS, **_LAW,
     "alpha": (float, None, "exact-stable index"),
     "beta": (float, None, "exact-stable skewness"),
 }
+# The log transform of verify-fclt and verify-product needs positive draws,
+# which exact-stable inputs never are.
+_POSITIVE = tuple(family for family in _SPECS if family != "exact-stable")
 _OPTIONS = {
     "sample": ("draw iid stable variates to CSV", {
         **_COMMON, **_LAW, "n": (int, None, None)}),
@@ -125,7 +147,8 @@ _OPTIONS = {
         "grid": (int, 2**12, None), "t": (float, 1.0, None),
         "eps": (float, None, None), "threshold": (float, 0.04, None)}),
     "verify-fclt": ("functional statistic marginals vs limit laws", {
-        **_COMMON, **_FAMILY, "n": (int, 10**4, None),
+        **_COMMON, "family": (_POSITIVE, "exponential", None), **_INPUTS,
+        "n": (int, 10**4, None),
         "grid": (int, 2**12, None),
         "times": (str, "0.25,0.5,0.75,1.0", "comma-separated times in (0,1]"),
         "reps": (int, 5000, None), "threshold": (float, 0.04, None)}),
@@ -135,7 +158,7 @@ _OPTIONS = {
         "reps": (int, 400, None), "band": (float, 2.0, None),
         "trend_tol": (float, 0.25, None)}),
     "verify-product": ("log product statistic vs its stable law", {
-        **_COMMON, **_FAMILY, "family": (_FAMILIES, "pareto", None),
+        **_COMMON, "family": (_POSITIVE, "pareto", None), **_INPUTS,
         "n": (int, 10**4, None), "reps": (int, 5000, None),
         "threshold": (float, 0.07, None)}),
 }
@@ -179,11 +202,11 @@ def _resolve(ns: argparse.Namespace) -> CampaignConfig:
     """Merge flag > config file > default.
 
     A config file may set exactly the options of its subcommand, and each
-    value is parsed from its text by the option's own flag type."""
+    value is parsed from its text by the option's own flag type.  A run with
+    --family keeps only the options its family reads."""
     campaign = ns.campaign
     options = _OPTIONS[campaign][1]
-    merged = {key: default for key, (_, default, _) in options.items()
-              if default is not None}
+    given = {}
     if ns.config:
         for key, raw in _load_config_file(ns.config).items():
             key = key.replace("-", "_")
@@ -192,13 +215,27 @@ def _resolve(ns: argparse.Namespace) -> CampaignConfig:
             if key not in options or key == "config":
                 raise ConfigError(f"unknown config key {key!r}")
             kind = options[key][0]
+            if isinstance(kind, tuple) and str(raw) not in kind:
+                raise ConfigError(f"config key {key!r}: {raw!r} is not one of "
+                                  f"{', '.join(kind)}")
             try:
-                merged[key] = str(raw) if isinstance(kind, tuple) else kind(str(raw))
+                given[key] = str(raw) if isinstance(kind, tuple) else kind(str(raw))
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: cannot coerce {raw!r}") from exc
     for key, val in vars(ns).items():
         if val is not None and key not in ("campaign", "config"):
-            merged[key] = val
+            given[key] = val
+    merged = {key: default for key, (_, default, _) in options.items()
+              if default is not None}
+    merged.update(given)
+    if "family" in options:
+        family = merged["family"]
+        for key in options:
+            if key in _FAMILY_OPTIONS and key not in _SPECS[family][1]:
+                if key in given:
+                    raise ConfigError(f"--{key.replace('_', '-')} does not apply to "
+                                      f"--family {family}")
+                merged.pop(key, None)
     seed = merged.pop("seed", None)
     if seed is None and campaign not in _VERIFY:
         seed = 0  # documented fixed default; never wall clock
@@ -212,43 +249,22 @@ def _require(params: dict, key: str):
     return params[key]
 
 
-def _positive_int(params: dict, key: str) -> int:
-    v = _require(params, key)
-    if v < 1:
-        raise ConfigError(f"--{key} must be at least 1, got {v!r}")
-    return v
-
-
 def _stable_params(params: dict) -> StableParams:
-    return StableParams(_require(params, "alpha"), _require(params, "beta"),
-                        params["dispersion"], params["location"])
+    return StableParams(*(_require(params, key) for key in _LAW))
 
 
 def _build_spec(params: dict) -> DoaSpec:
-    family = params["family"]
-    if family == "exponential":
-        return exponential(params["rate"])
-    if family == "pareto":
-        return pareto(_require(params, "tail_index"), params["x_min"],
-                      params["shift"])
-    if family == "two-sided-pareto":
-        return two_sided_pareto(_require(params, "tail_index"),
-                                params["asymmetry"])
-    if family == "exact-stable":
-        return exact_stable(_stable_params(params))
-    if family == "degenerate":
-        return degenerate(_require(params, "value"))
-    raise ConfigError(f"family must be one of {', '.join(_FAMILIES)}, got {family!r}")
+    build, keys = _SPECS[params["family"]]
+    return build(*(_require(params, key) for key in keys))
 
 
 def _t_grid(params: dict) -> np.ndarray:
     """t-min + t-step*k for k = 0, 1, ... up to the last point not above t-max,
     give or take 8 ulps of max|t| of rounding."""
     t_min, t_max, t_step = params["t_min"], params["t_max"], params["t_step"]
-    if not all(math.isfinite(v) for v in (t_min, t_max, t_step)):
-        raise ConfigError("--t-min, --t-max and --t-step must be finite")
-    if not t_step > 0:
-        raise ConfigError("--t-step must be positive")
+    _check_real(t_min, "t_min")
+    _check_real(t_max, "t_max")
+    _check_real(t_step, "t_step", 0.0)
     if not t_min < t_max:
         raise ConfigError("need --t-min < --t-max")
     slack = 8 * math.ulp(max(abs(t_min), abs(t_max)))
@@ -277,7 +293,7 @@ def _execute(config: CampaignConfig) -> VerificationReport:
     c, p, out, seed = config.campaign, config.params, config.out_dir, config.seed
     if c == "sample":
         params = _stable_params(p)
-        n = _positive_int(p, "n")
+        n = _check_count(_require(p, "n"), "n", 1)
         draws = sample(params, stream(seed, 0), n)
         return _trivial_report(config, "sample", n, 1, {"mean": float(draws.mean())}, [
             _write_csv(out, "samples.csv", "value", draws),
@@ -285,7 +301,7 @@ def _execute(config: CampaignConfig) -> VerificationReport:
         ])
     if c == "paths":
         law = StableParams(_require(p, "alpha"), _require(p, "beta"), 1.0, 0.0)
-        reps = _positive_int(p, "reps")
+        reps = _check_count(_require(p, "reps"), "reps", 1)
         names = []
         for r in range(reps):
             path = simulate_levy_path(law.alpha, law.beta, stream(seed, 0, r), p["grid"])

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .paths import DoaSpec, SamplePath, _partial_sums
-from .rng import _as_samples, _check_count
+from .rng import _as_samples, _check_count, _check_real
 from .stable import StableParams
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "FunctionSpec",
     "FunctionalConfig",
     "qi_log",
-    "identity_fn",
     "functional_statistic",
     "product_statistic",
     "log_product_statistic",
@@ -52,8 +51,7 @@ class FunctionSpec:
     name: str = "f"
 
     def __post_init__(self):
-        if not math.isfinite(self.f_prime_at_mu):
-            raise ValueError(f"f_prime_at_mu must be finite, got {self.f_prime_at_mu}")
+        _check_real(self.f_prime_at_mu, "f_prime_at_mu")
 
 
 def qi_log(mu: float) -> FunctionSpec:
@@ -62,23 +60,12 @@ def qi_log(mu: float) -> FunctionSpec:
     The normalization makes the log of the product statistic literally this
     functional statistic, whatever mu is.
     """
-    if not (mu > 0.0 and math.isfinite(mu)):
-        raise ValueError(f"qi_log needs mu > 0, got {mu}")
+    _check_real(mu, "mu", 0.0)
     return FunctionSpec(
         f=lambda x: mu * np.log(x / mu),
         f_prime_at_mu=1.0,
         domain_check=lambda x: np.asarray(x) > 0.0,
         name=f"qi_log(mu={mu!r})",
-    )
-
-
-def identity_fn() -> FunctionSpec:
-    """f(x) = x everywhere; the raw invariance-principle statistic."""
-    return FunctionSpec(
-        f=lambda x: np.asarray(x, dtype=float),
-        f_prime_at_mu=1.0,
-        domain_check=lambda x: np.isfinite(np.asarray(x, dtype=float)),
-        name="identity",
     )
 
 
@@ -136,8 +123,8 @@ def functional_statistic(x, fn: FunctionSpec, mu: float, a_n: float, grid: int) 
     :class:`DomainError` naming the offending k.
     """
     x = _as_samples(x, "x")
-    if not (a_n > 0.0 and math.isfinite(a_n)):
-        raise ValueError(f"a_n must be positive and finite, got {a_n}")
+    _check_real(mu, "mu")
+    _check_real(a_n, "a_n", 0.0)
     n, m = x.size, _check_count(grid, "grid", 1)
     j = np.arange(m + 1)
     values = _functional_kernel(fn, mu, a_n, n, n * j // m)(x)
@@ -169,10 +156,8 @@ def _log_product_kernel(mu: float, exponent: float, n: int):
 def log_product_statistic(x, mu: float, exponent: float) -> float:
     """exponent * sum_k log(S_k / (k*mu)), the product statistic in log space."""
     x = _as_samples(x, "x")
-    if not (mu > 0.0 and math.isfinite(mu)):
-        raise ValueError(f"mu must be positive and finite, got {mu}")
-    if not math.isfinite(exponent):
-        raise ValueError(f"exponent must be finite, got {exponent}")
+    _check_real(mu, "mu", 0.0)
+    _check_real(exponent, "exponent")
     return _log_product_kernel(mu, exponent, x.size)(x)
 
 
@@ -210,10 +195,12 @@ def integral_riemann(path: SamplePath, t: float, eps: Optional[float] = None) ->
     path(u)/u times its cell width; the singular left end is simply cut away,
     which is harmless for paths vanishing at 0 faster than x**g, g > 0.
     """
+    _check_real(t, "t", 0.0, 1.0, "(]")
     if eps is None:
         eps = float(path.times[1] - path.times[0])
-    if not (0.0 < eps < t <= 1.0):
-        raise ValueError(f"need 0 < eps < t <= 1, got eps={eps}, t={t}")
+    _check_real(eps, "eps")
+    if not 0.0 < eps < t:
+        raise ValueError(f"need 0 < eps < t, got eps={eps!r}, t={t!r}")
     return _riemann_kernel(path.times, t, eps)(path.values)
 
 
@@ -221,14 +208,10 @@ def limit_law(alpha: float, beta: float, t: float, f_prime: float) -> StablePara
     """Law of f'(mu) * integral of L(x)/x over (0, t]: stable with index alpha,
     dispersion |f'|**alpha * gamma(alpha+1) * t, and beta flipped with the
     sign of f'.  Degenerate f' = 0 is rejected."""
-    if not (1.0 < alpha <= 2.0):
-        raise ValueError(f"alpha must be in (1, 2], got {alpha}")
-    if not (-1.0 <= beta <= 1.0):
-        raise ValueError(f"beta must be in [-1, 1], got {beta}")
-    if not (0.0 < t <= 1.0):
-        raise ValueError(f"t must be in (0, 1], got {t}")
-    if not math.isfinite(f_prime):
-        raise ValueError(f"f_prime must be finite, got {f_prime}")
+    _check_real(alpha, "alpha", 1.0, 2.0, "(]")
+    _check_real(beta, "beta", -1.0, 1.0, "[]")
+    _check_real(t, "t", 0.0, 1.0, "(]")
+    _check_real(f_prime, "f_prime")
     if f_prime == 0.0:
         raise ValueError("f_prime = 0 makes the limit law degenerate at 0")
     return StableParams(

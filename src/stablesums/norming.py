@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .rng import _check_count, stream
+from .rng import _check_count, _check_real, stream
 from .paths import (
     Degenerate,
     DoaSpec,
@@ -47,10 +47,11 @@ __all__ = [
 def tail_dispersion(alpha: float, c_plus: float, c_minus: float) -> float:
     """Dispersion of the stable limit attached to power tails (see module
     docstring); alpha in (1, 2), tail constants nonnegative, not both zero."""
-    if not (1.0 < alpha < 2.0):
-        raise ValueError(f"alpha must be in (1, 2), got {alpha}")
-    if c_plus < 0.0 or c_minus < 0.0 or c_plus + c_minus == 0.0:
-        raise ValueError("tail constants must be nonnegative and not both zero")
+    _check_real(alpha, "alpha", 1.0, 2.0)
+    _check_real(c_plus, "c_plus", 0.0, ends="[)")
+    _check_real(c_minus, "c_minus", 0.0, ends="[)")
+    if c_plus + c_minus == 0.0:
+        raise ValueError("tail constants must not both be zero")
     return (
         (c_plus + c_minus)
         * math.gamma(2.0 - alpha)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _as_samples, _check_count, as_generator
+from .rng import _as_samples, _check_count, _check_real, as_generator
 from .stable import StableParams, sample
 
 __all__ = [
@@ -84,18 +84,14 @@ class DoaSpec:
     positivity: bool
 
     def __post_init__(self):
-        if not (1.0 < self.known_alpha <= 2.0):
-            raise ValueError(f"known_alpha must be in (1, 2], got {self.known_alpha}")
-        if not (-1.0 <= self.known_beta <= 1.0):
-            raise ValueError(f"known_beta must be in [-1, 1], got {self.known_beta}")
-        if not math.isfinite(self.known_mu):
-            raise ValueError(f"known_mu must be finite, got {self.known_mu}")
+        _check_real(self.known_alpha, "known_alpha", 1.0, 2.0, "(]")
+        _check_real(self.known_beta, "known_beta", -1.0, 1.0, "[]")
+        _check_real(self.known_mu, "known_mu")
 
 
 def exponential(rate: float = 1.0) -> DoaSpec:
     """Exponential(rate): finite variance, so the attracting index is 2."""
-    if not (rate > 0.0 and math.isfinite(rate)):
-        raise ValueError(f"rate must be positive and finite, got {rate}")
+    _check_real(rate, "rate", 0.0)
     return DoaSpec(
         family=Exponential(rate),
         known_mu=1.0 / rate,
@@ -110,14 +106,11 @@ def pareto(tail_index: float, x_min: float = 1.0, shift: float = 0.0) -> DoaSpec
     law of the same index; index > 2 has finite variance (index exactly 2 is
     rejected, its norming needs a slowly varying factor this registry does not
     carry)."""
-    if not (tail_index > 1.0 and math.isfinite(tail_index)):
-        raise ValueError(f"tail_index must be > 1, got {tail_index}")
+    _check_real(tail_index, "tail_index", 1.0)
     if tail_index == 2.0:
         raise ValueError("tail_index 2 has no registered norming formula")
-    if not (x_min > 0.0 and math.isfinite(x_min)):
-        raise ValueError(f"x_min must be positive, got {x_min}")
-    if not math.isfinite(shift):
-        raise ValueError(f"shift must be finite, got {shift}")
+    _check_real(x_min, "x_min", 0.0)
+    _check_real(shift, "shift")
     mean = tail_index * x_min / (tail_index - 1.0) + shift
     heavy = tail_index < 2.0
     return DoaSpec(
@@ -132,10 +125,8 @@ def pareto(tail_index: float, x_min: float = 1.0, shift: float = 0.0) -> DoaSpec
 def two_sided_pareto(tail_index: float, asymmetry: float = 0.0) -> DoaSpec:
     """Pareto tails on both sides of the origin; asymmetry in [-1, 1] is the
     tail-mass imbalance and lands directly in the limit's beta."""
-    if not (1.0 < tail_index < 2.0):
-        raise ValueError(f"tail_index must be in (1, 2), got {tail_index}")
-    if not (-1.0 <= asymmetry <= 1.0):
-        raise ValueError(f"asymmetry must be in [-1, 1], got {asymmetry}")
+    _check_real(tail_index, "tail_index", 1.0, 2.0)
+    _check_real(asymmetry, "asymmetry", -1.0, 1.0, "[]")
     mean = asymmetry * tail_index / (tail_index - 1.0)
     return DoaSpec(
         family=TwoSidedPareto(tail_index, asymmetry),
@@ -149,8 +140,7 @@ def two_sided_pareto(tail_index: float, asymmetry: float = 0.0) -> DoaSpec:
 def exact_stable(params: StableParams) -> DoaSpec:
     """Stable inputs are their own attractor; requires alpha > 1 so the mean
     exists (and equals the location parameter)."""
-    if not params.alpha > 1.0:
-        raise ValueError(f"exact stable inputs need alpha > 1, got {params.alpha}")
+    _check_real(params.alpha, "alpha", 1.0, 2.0, "(]")
     return DoaSpec(
         family=ExactStable(params),
         known_mu=params.location,
@@ -162,8 +152,7 @@ def exact_stable(params: StableParams) -> DoaSpec:
 
 def degenerate(value: float) -> DoaSpec:
     """Point mass at ``value``: every centered partial sum is exactly zero."""
-    if not math.isfinite(value):
-        raise ValueError(f"value must be finite, got {value}")
+    _check_real(value, "value")
     return DoaSpec(
         family=Degenerate(value),
         known_mu=value,
@@ -259,8 +248,8 @@ def partial_sum_process(x, mu: float, a_n: float, grid: int = DEFAULT_GRID) -> S
     t = 1 the fully centered sum.
     """
     x = _as_samples(x, "x")
-    if not (a_n > 0.0 and math.isfinite(a_n)):
-        raise ValueError(f"a_n must be positive and finite, got {a_n}")
+    _check_real(mu, "mu")
+    _check_real(a_n, "a_n", 0.0)
     n, m = x.size, _check_count(grid, "grid", 1)
     sums = _partial_sums(x, np.empty(n + 1))
     j = np.arange(m + 1)
@@ -277,8 +266,7 @@ def simulate_levy_path(alpha: float, beta: float, seed, grid: int = DEFAULT_GRID
     dispersion t, and grid refinement changes nothing in law.
     """
     m = _check_count(grid, "grid", 1)
-    if not (1.0 < alpha <= 2.0):
-        raise ValueError(f"alpha must be in (1, 2], got {alpha}")
+    _check_real(alpha, "alpha", 1.0, 2.0, "(]")
     increments = sample(_increment_law(alpha, beta, m), seed, m)
     values = _partial_sums(increments, np.empty(m + 1))
     return SamplePath(times=np.arange(m + 1) / m, values=values)

@@ -6,11 +6,13 @@ ready ``numpy.random.Generator``.  Integer seeds are expanded into Philox
 replicate from ``(seed, label, replicate)``.  Replicate r therefore sees the
 same bits no matter how replicates are chunked or ordered.
 
-The input checks the simulation entry points share (seeds, counts, sample
-arrays) live here too, so each is written once.
+The input checks the simulation entry points share (seeds, counts, real
+parameters, sample arrays) live here too, so each is written once.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,6 +38,23 @@ def _check_count(value, name: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _check_real(value, name: str, low: float = -math.inf, high: float = math.inf,
+                ends: str = "()") -> None:
+    """Refuse with a ``ValueError`` anything but a finite real number in the
+    interval from ``low`` to ``high``, whose brackets ``ends`` gives as in
+    "(]".  Bools, NaN and +-inf are refused whatever the interval; the value
+    itself is left as it is."""
+    ok = (isinstance(value, (int, float, np.integer, np.floating))
+          and not isinstance(value, bool)
+          and (isinstance(value, (int, np.integer)) or math.isfinite(value))
+          and (low < value or (ends[0] == "[" and low == value))
+          and (value < high or (ends[1] == "]" and value == high)))
+    if not ok:
+        shown = value.item() if isinstance(value, np.generic) else value
+        raise ValueError(f"{name} must be in {ends[0]}{low:g}, {high:g}{ends[1]}, "
+                         f"got {shown!r}")
 
 
 def _as_samples(x, name: str) -> np.ndarray:

@@ -59,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc, expit
 
-from .rng import _check_count, as_generator
+from .rng import _check_count, _check_real, as_generator
 
 __all__ = [
     "StableParams",
@@ -102,14 +102,10 @@ class StableParams:
     location: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
-            raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not (-1.0 <= self.beta <= 1.0):
-            raise ValueError(f"beta must be in [-1, 1], got {self.beta}")
-        if not (self.dispersion > 0.0 and math.isfinite(self.dispersion)):
-            raise ValueError(f"dispersion must be positive and finite, got {self.dispersion}")
-        if not math.isfinite(self.location):
-            raise ValueError(f"location must be finite, got {self.location}")
+        _check_real(self.alpha, "alpha", 0.0, 2.0, "(]")
+        _check_real(self.beta, "beta", -1.0, 1.0, "[]")
+        _check_real(self.dispersion, "dispersion", 0.0)
+        _check_real(self.location, "location")
 
 
 def char_fn(params: StableParams, t):
@@ -146,10 +142,8 @@ def scale_shift(params: StableParams, c: float, d: float) -> StableParams:
     by ``-(2/pi)*beta*dispersion*c*log(c)``, which keeps
     ``char_fn(result, t) == char_fn(params, c*t) * exp(i*d*t)`` an identity.
     """
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError(f"scale factor must be positive and finite, got {c}")
-    if not math.isfinite(d):
-        raise ValueError(f"shift must be finite, got {d}")
+    _check_real(c, "c", 0.0)
+    _check_real(d, "d")
     a = params.alpha
     new_disp = params.dispersion * c**a
     new_loc = c * params.location + d
@@ -564,6 +558,5 @@ def limit_constant(alpha: float) -> float:
 
     alpha = 2 gives sqrt(2); alpha = 1.5 gives 1.20906...
     """
-    if not (1.0 < alpha <= 2.0):
-        raise ValueError(f"alpha must be in (1, 2], got {alpha}")
+    _check_real(alpha, "alpha", 1.0, 2.0, "(]")
     return math.gamma(alpha + 1.0) ** (1.0 / alpha)

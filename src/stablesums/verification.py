@@ -41,7 +41,7 @@ from .functionals import (
 )
 from .norming import norming_for
 from .paths import DoaSpec, _increment_law, _partial_sums, sample_doa
-from .rng import _as_samples, _check_count, stream
+from .rng import _as_samples, _check_count, _check_real, stream
 from .stable import StableParams, cdf, char_fn, sample
 
 # The campaigns call the kernels behind these public functions, not the
@@ -228,13 +228,6 @@ def _report(test_name, seed, n, reps, statistic, threshold, config, details,
         details=_plain(details), negative_control=control, artifacts=[])
 
 
-def _check_threshold(threshold) -> float:
-    threshold = float(threshold)
-    if not (threshold > 0.0 and math.isfinite(threshold)):
-        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
-    return threshold
-
-
 def _half_dispersion(law: StableParams) -> StableParams:
     """The negative control's null: ``law`` at half its dispersion."""
     return replace(law, dispersion=law.dispersion / 2.0)
@@ -305,7 +298,7 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     doubled dispersion.
     """
     n = _check_count(n, "n", 1)
-    threshold = _check_threshold(threshold)
+    _check_real(threshold, "threshold", 0.0)
     grid = np.arange(-50, 51) / 10.0 if t_grid is None else np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("t_grid must be a nonempty finite 1-d array")
@@ -375,10 +368,11 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     sums and the Riemann sum, in buffers built once.
     """
     reps = _check_count(reps, "reps", 2)
-    threshold = _check_threshold(threshold)
+    _check_real(threshold, "threshold", 0.0)
     law = limit_law(alpha, beta, t, 1.0)
     grid = _check_count(grid, "grid", 1)
-    eps_used = 1.0 / grid if eps is None else float(eps)
+    eps_used = 1.0 / grid if eps is None else eps
+    _check_real(eps_used, "eps")
     if not 0.0 < eps_used < t:
         raise ValueError(f"need 0 < eps < t, got eps={eps_used!r}, t={t!r}")
     increment_law = _increment_law(alpha, beta, grid)
@@ -426,8 +420,10 @@ def verify_fclt(config: FunctionalConfig, times: Sequence[float], reps: int,
                 seed, threshold: float = 0.04, out_dir=None) -> VerificationReport:
     """Marginals of the functional statistic against their limit laws.
 
-    Each requested time t must lie within 1e-9 of a grid time j/grid, and is
-    read at that grid time, j = round(t * grid).  Replicate r's value at t is
+    Each requested time t must lie within 1e-9 of a grid time j/grid,
+    j = round(t * grid), and is replaced by it: the times must be distinct
+    grid times, and the read, the law and the report keys all use j/grid.
+    Replicate r's value at t is
     functional_statistic(x, fn, mu, a_n, grid).at(j/grid) on its draws x, bit
     for bit, gathered at the cuts n*j//grid alone.  The values across
     replicates are KS-tested one-sample against the CDF of
@@ -436,23 +432,24 @@ def verify_fclt(config: FunctionalConfig, times: Sequence[float], reps: int,
     so "fail" means even the easiest marginal rejected the wrong law.
     """
     reps = _check_count(reps, "reps", 2)
-    threshold = _check_threshold(threshold)
-    times = [float(t) for t in times]
+    _check_real(threshold, "threshold", 0.0)
+    times = list(times)
     if not times:
         raise ValueError("need at least one time")
-    if len(set(times)) != len(times):
-        raise ValueError(f"times must be distinct, got {times}")
     m, n = config.grid, config.n
-    cuts = []
+    steps = []
     for t in times:
-        if not 0.0 < t <= 1.0:
-            raise ValueError(f"times must lie in (0, 1], got {t}")
+        _check_real(t, "time", 0.0, 1.0, "(]")
         j = round(t * m)
         if abs(t * m - j) > 1e-9:
             raise ValueError(f"time {t} is not on the grid with {m} cells")
-        cuts.append(n * j // m)
-        if cuts[-1] < 1:
+        if n * j // m < 1:
             raise ValueError(f"time {t} cuts an empty partial sum at n={n}")
+        steps.append(j)
+    if len(set(steps)) != len(steps):
+        raise ValueError(f"times must be distinct grid times with {m} cells, got {times}")
+    times = [j / m for j in steps]
+    cuts = [n * j // m for j in steps]
 
     spec, fn = config.spec, config.fn
     seq = norming_for(spec)
@@ -507,7 +504,7 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
         raise ValueError("verify_product needs a spec with positivity=True")
     reps = _check_count(reps, "reps", 2)
     n = _check_count(n, "n", 1)
-    threshold = _check_threshold(threshold)
+    _check_real(threshold, "threshold", 0.0)
     seq = norming_for(spec)
     a_n, mu = float(seq.a(n)), spec.known_mu
     exponent = mu / a_n
@@ -557,10 +554,8 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     ns = [int(v) for v in ns]
     if len(ns) < 2 or sorted(set(ns)) != ns or ns[0] < 2:
         raise ValueError("ns must be >= 2 distinct increasing integers, each >= 2")
-    if not 1.0 < band < math.inf:
-        raise ValueError(f"band must exceed 1 and be finite, got {band!r}")
-    if not 0.0 < trend_tol < math.inf:
-        raise ValueError(f"trend_tol must be positive and finite, got {trend_tol!r}")
+    _check_real(band, "band", 1.0)
+    _check_real(trend_tol, "trend_tol", 0.0)
     seq = norming_for(spec)
     n_arr = np.array(ns)
     a_vals = seq.a(n_arr)

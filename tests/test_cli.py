@@ -155,8 +155,8 @@ _MANDATORY = {
     "verify-lemma": ["--seed", "1"],
     "verify-product": ["--tail-index", "1.5", "--seed", "1"],
 }
-_FAMILY_DEFAULTS = {"rate": 1.0, "x_min": 1.0, "shift": 0.0, "asymmetry": 0.0,
-                    "dispersion": 1.0, "location": 0.0}
+# the defaults of the options each default family reads; no other family's
+_FAMILY_DEFAULTS = {"exponential": {"rate": 1.0}, "pareto": {"x_min": 1.0, "shift": 0.0}}
 _PINNED_PARAMS = {
     "sample": {"dispersion": 1.0, "location": 0.0,
                "alpha": 1.5, "beta": 0.0, "n": 7},
@@ -166,13 +166,13 @@ _PINNED_PARAMS = {
                        "threshold": 0.005, "alpha": 1.5, "beta": 0.0},
     "verify-remark": {"reps": 5000, "grid": 4096, "t": 1.0, "threshold": 0.04,
                       "alpha": 1.5, "beta": 0.0},
-    "verify-fclt": {**_FAMILY_DEFAULTS, "family": "exponential", "n": 10000,
+    "verify-fclt": {**_FAMILY_DEFAULTS["exponential"], "family": "exponential", "n": 10000,
                     "grid": 4096, "times": "0.25,0.5,0.75,1.0", "reps": 5000,
                     "threshold": 0.04},
-    "verify-lemma": {**_FAMILY_DEFAULTS, "family": "exponential",
+    "verify-lemma": {**_FAMILY_DEFAULTS["exponential"], "family": "exponential",
                      "ns": "100,1000,10000", "reps": 400, "band": 2.0,
                      "trend_tol": 0.25},
-    "verify-product": {**_FAMILY_DEFAULTS, "family": "pareto", "n": 10000,
+    "verify-product": {**_FAMILY_DEFAULTS["pareto"], "family": "pareto", "n": 10000,
                        "reps": 5000, "threshold": 0.07, "tail_index": 1.5},
 }
 
@@ -230,6 +230,15 @@ _PRODUCT = ("verify-product", "--tail-index", "1.5", "--n", "100")
      "--reps", "5", "--seed", "1"),
     _LEMMA + ("--reps", "5", "--band", "inf", "--seed", "1"),
     _LEMMA + ("--reps", "5", "--trend-tol", "inf", "--seed", "1"),
+    # an option of another family, one case per family; each runs without it
+    _LEMMA + ("--tail-index", "1.5", "--reps", "5", "--seed", "1"),
+    _PRODUCT + ("--rate", "2", "--reps", "5", "--seed", "1"),
+    _LEMMA + ("--family", "two-sided-pareto", "--tail-index", "1.5", "--shift", "1",
+              "--reps", "5", "--seed", "1"),
+    _LEMMA + ("--family", "exact-stable", "--alpha", "1.5", "--beta", "0",
+              "--asymmetry", "0.5", "--reps", "5", "--seed", "1"),
+    _FCLT + ("--family", "degenerate", "--value", "1", "--x-min", "2",
+             "--reps", "5", "--seed", "1"),
 ])
 def test_bad_params_exit_two(tmp_path, capsys, args):
     out = tmp_path / "o"
@@ -237,6 +246,30 @@ def test_bad_params_exit_two(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {args[0]}: ") and err.count("\n") == 1
     assert not out.exists()  # config errors never touch the filesystem
+
+
+def test_family_options_from_a_config_file(tmp_path, capsys):
+    # a config key is held to the family exactly as its flag is, and the
+    # report records only the options the run read
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "o"
+    for campaign, text, err in [
+        ("verify-lemma", "family = exponential\ntail_index = 1.5\n",
+         "--tail-index does not apply to --family exponential"),
+        ("verify-fclt", "family = exact-stable\n",
+         "config key 'family': 'exact-stable' is not one of exponential, pareto, "
+         "two-sided-pareto, degenerate"),
+    ]:
+        cfg.write_text(text)
+        assert _run(campaign, "--config", str(cfg), "--seed", "1",
+                    "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {campaign}: {err}\n"
+        assert not out.exists()
+    cfg.write_text("family = pareto\ntail_index = 1.5\nshift = 0.5\n")
+    config = _resolve(build_parser().parse_args(["verify-lemma", "--config", str(cfg)]))
+    assert config.params == {"family": "pareto", "tail_index": 1.5, "x_min": 1.0,
+                             "shift": 0.5, "ns": "100,1000,10000", "reps": 400,
+                             "band": 2.0, "trend_tol": 0.25}
 
 
 @pytest.mark.parametrize("grid_args", [

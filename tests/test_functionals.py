@@ -13,7 +13,6 @@ from stablesums import (
     StableParams,
     exponential,
     functional_statistic,
-    identity_fn,
     integral_riemann,
     limit_law,
     log_product_statistic,
@@ -27,6 +26,14 @@ from stablesums import (
 from stablesums.rng import stream
 
 X3 = np.array([2.0, 0.0, 4.0])  # partial sums 2, 2, 6; averages 2, 1, 2
+# f(x) = x everywhere, the raw invariance-principle statistic: a transform
+# other than the log, defined on the whole line
+IDENTITY = FunctionSpec(
+    f=lambda x: np.asarray(x, dtype=float),
+    f_prime_at_mu=1.0,
+    domain_check=lambda x: np.isfinite(np.asarray(x, dtype=float)),
+    name="identity",
+)
 
 
 def test_qi_log_spec():
@@ -40,14 +47,14 @@ def test_qi_log_spec():
 
 
 def test_identity_spec():
-    fn = identity_fn()
+    fn = IDENTITY
     assert fn.f(-3.5) == -3.5
     assert fn.f_prime_at_mu == 1.0
     assert fn.domain_check(-3.5)
 
 
 def test_functional_statistic_hand_example():
-    path = functional_statistic(X3, identity_fn(), 2.0, math.sqrt(3.0), grid=3)
+    path = functional_statistic(X3, IDENTITY, 2.0, math.sqrt(3.0), grid=3)
     # running averages 2, 1, 2 against f(mu) = 2 give increments 0, -1, 0
     np.testing.assert_allclose(
         path.values, [0.0, 0.0, -1 / math.sqrt(3.0), -1 / math.sqrt(3.0)],
@@ -221,7 +228,7 @@ def test_kernels_match_reference_expressions(family, n, m):
     mu = spec.known_mu
     for r in range(3):
         x = sample_doa(spec, stream(4310, 0, r), n)
-        for fn in (qi_log(mu), identity_fn()):
+        for fn in (qi_log(mu), IDENTITY):
             got = functional_statistic(x, fn, mu, 7.25, m).values
             np.testing.assert_array_equal(got, _reference_functional(x, fn, mu, 7.25, m))
         assert log_product_statistic(x, mu, 0.03) == _reference_log_product(x, mu, 0.03)

@@ -335,6 +335,17 @@ def test_fclt_requires_grid_aligned_times():
         verify_fclt(cfg, [0.0], 10, 1)
 
 
+def test_fclt_reads_each_time_at_its_grid_time():
+    # two times within 1e-9 of the same grid time 2/8 are one marginal, and a
+    # time that close to a grid time is reported as that grid time
+    cfg = FunctionalConfig(spec=exponential(1.0), fn=qi_log(1.0), n=100, grid=8)
+    with pytest.raises(ValueError, match="distinct"):
+        verify_fclt(cfg, [0.25, 0.25 - 1e-12], 50, 3)
+    snapped = verify_fclt(cfg, [0.25 - 1e-12, 1.0], 50, 3)
+    assert snapped.config["times"] == [0.25, 1.0]
+    assert snapped.to_json() == verify_fclt(cfg, [0.25, 1.0], 50, 3).to_json()
+
+
 def test_campaign_reports_are_deterministic():
     a = verify_remark(1.5, 1.0, 60, 64, 4508, threshold=0.5)
     b = verify_remark(1.5, 1.0, 60, 64, 4508, threshold=0.5)
