@@ -21,7 +21,7 @@ for spec in (exponential(1.0), pareto(1.5), pareto(3.0)):
     print(f"{type(spec.family).__name__:<12} mu={spec.known_mu:<5} "
           f"alpha={spec.known_alpha:<4} beta={spec.known_beta}")
 
-# The norming registry turns those constants into the centering b_n and the
+# Each spec turns those constants into the centering b_n and the
 # scaling a_n.  For Pareto(1.5) the scaling grows like n**(2/3), visibly
 # faster than the square root of the finite-variance world.
 spec = pareto(1.5)

@@ -10,7 +10,6 @@ from stablesums import (
     exponential,
     karamata_partial_sum,
     mean_abs_deviation,
-    norming_for,
     pareto,
     verify_lemma,
 )
@@ -26,10 +25,10 @@ for k in (100, 10_000):
 
 # Karamata's asymptotics say the running sum of a(k)/k grows like a(n)
 # divided by the regular-variation index; the package sums it directly.
-seq = norming_for(pareto(1.5))
+a = pareto(1.5).a
 n = 10**5
-got = karamata_partial_sum(seq, n)
-want = seq.a(n) / (1 / 1.5)
+got = karamata_partial_sum(a, n)
+want = a(n) / (1 / 1.5)
 print(f"sum of a(k)/k up to n={n}: {got:12.1f}; Karamata predicts "
       f"{want:12.1f} (ratio {got / want:.4f})")
 

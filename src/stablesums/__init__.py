@@ -22,9 +22,7 @@ from .functionals import (
 from .norming import (
     karamata_partial_sum,
     mean_abs_deviation,
-    norming_for,
     norming_sequence,
-    tail_dispersion,
 )
 from .paths import (
     DoaSpec,
@@ -36,6 +34,7 @@ from .paths import (
     partial_sum_process,
     sample_doa,
     simulate_levy_path,
+    tail_dispersion,
     two_sided_pareto,
 )
 from .rng import stream
@@ -88,7 +87,6 @@ __all__ = [
     "limit_law",
     "log_product_statistic",
     "mean_abs_deviation",
-    "norming_for",
     "norming_sequence",
     "pareto",
     "partial_sum_process",

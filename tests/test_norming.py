@@ -13,7 +13,6 @@ from stablesums import (
     karamata_partial_sum,
     ks_two_sample,
     mean_abs_deviation,
-    norming_for,
     norming_sequence,
     pareto,
     sample,
@@ -68,16 +67,14 @@ def test_norming_scales_as_pure_power():
     # the registry laws are exactly regularly varying: no slow factor
     for spec in (exponential(1.0), pareto(1.5), pareto(3.0),
                  exact_stable(StableParams(1.7, 0.0, 1.0))):
-        seq = norming_for(spec)
         alpha = spec.known_alpha
         for lam in (2, 10):
-            ratio = seq.a(lam * 1000) / (lam ** (1 / alpha) * seq.a(1000))
+            ratio = spec.a(lam * 1000) / (lam ** (1 / alpha) * spec.a(1000))
             assert ratio == pytest.approx(1.0, rel=1e-12)
 
 
 def test_norming_accepts_arrays():
-    seq = norming_for(exponential(1.0))
-    np.testing.assert_allclose(seq.a(np.array([1, 4, 9])), [1.0, 2.0, 3.0])
+    np.testing.assert_allclose(exponential(1.0).a(np.array([1, 4, 9])), [1.0, 2.0, 3.0])
 
 
 def test_karamata_power_sums():
@@ -89,7 +86,7 @@ def test_karamata_power_sums():
 
 
 def test_karamata_accepts_norming_seq():
-    got = karamata_partial_sum(norming_for(exponential(1.0)), 10**4)
+    got = karamata_partial_sum(exponential(1.0).a, 10**4)
     assert got / (2 * math.sqrt(1e4)) == pytest.approx(1.0, abs=0.02)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stablesums import (
+    DoaSpec,
     SamplePath,
     StableParams,
     cdf,
@@ -14,6 +15,7 @@ from stablesums import (
     exponential,
     ks_one_sample,
     ks_two_sample,
+    norming_sequence,
     pareto,
     partial_sum_process,
     sample,
@@ -96,6 +98,59 @@ def test_sample_doa_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+# name: (spec, first five draws of sample_doa(spec, stream(3, 1), 1000),
+#        (a_n, b_n) at n = 1, 100, 10**4), bit for bit
+PINNED = {
+    "exponential": (
+        exponential(2.0),
+        [0.3031810677147255, 0.021995522368973522, 0.07790428090321655,
+         1.6356620356754272, 0.473590288893707],
+        [(0.5, 0.5), (5.0, 50.0), (50.0, 5000.0)]),
+    "pareto heavy": (
+        pareto(1.5, 2.0, 0.5),
+        [3.150696197997292, 2.5295507471957577, 3.0333703013664683,
+         13.076178340823416, 7.197733631895373],
+        [(3.6905402972880568, 6.5), (79.5102804143797, 650.0),
+         (1712.9970633890223, 65000.0)]),
+    "pareto light": (
+        pareto(3.0),
+        [1.1512376379352118, 1.0073605976004216, 1.1254710794521707,
+         2.5076062630348703, 1.8299909332965796],
+        [(0.8660254037844386, 1.5), (8.660254037844386, 150.0),
+         (86.60254037844386, 15000.0)]),
+    "two-sided pareto": (
+        two_sided_pareto(1.7, -0.4),
+        [-1.2821481189904242, 1.013025825184723, 1.2319412895072528,
+         -5.06495179339506, -2.904993632175809],
+        [(2.195723088089918, -0.9714285714285715),
+         (32.964626298607804, -97.14285714285715),
+         (494.90147136548427, -9714.285714285716)]),
+    "exact stable": (
+        exact_stable(StableParams(1.5, 0.5, 2.0, 1.0)),
+        [-0.4738564951006454, -2.539248339008829, -0.2886342808601514,
+         4.091167516597364, 3.4037498296157684],
+        [(1.5874010519681994, 1.0), (34.19951893353393, 100.0),
+         (736.806299728077, 10000.0)]),
+    "degenerate": (
+        degenerate(3.0),
+        [3.0] * 5,
+        [(1.0, 3.0), (10.0, 300.0), (100.0, 30000.0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_family_draws_and_norming_are_pinned(name):
+    spec, draws, norming = PINNED[name]
+    assert sample_doa(spec, stream(3, 1), 1000)[:5].tolist() == draws
+    assert [norming_sequence(spec, n) for n in (1, 100, 10**4)] == norming
+
+
+def test_doa_spec_refuses_an_unknown_family():
+    with pytest.raises(TypeError):
+        DoaSpec(family="bogus", known_mu=0.0, known_alpha=2.0, known_beta=0.0,
+                positivity=False)
+
+
 def test_sample_path_evaluation():
     path = SamplePath(times=np.array([0.0, 0.25, 1.0]),
                       values=np.array([1.0, -2.0, 5.0]))
@@ -111,6 +166,10 @@ def test_sample_path_evaluation():
         path.at(-0.01)
     with pytest.raises(ValueError):
         path.at(1.01)
+    with pytest.raises(ValueError):
+        path.at(float("nan"))
+    with pytest.raises(ValueError):
+        path.at([0.5, float("nan")])
 
 
 def test_sample_path_validation():

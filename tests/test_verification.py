@@ -23,7 +23,6 @@ from stablesums import (
     ks_one_sample,
     ks_two_sample,
     log_product_statistic,
-    norming_for,
     pareto,
     qi_log,
     sample,
@@ -48,6 +47,8 @@ def test_ecdf_hand_example():
     assert F(3.0) == 0.75
     assert F(4.0) == 1.0
     np.testing.assert_array_equal(F(np.array([1.0, 3.0])), [0.25, 0.75])
+    with pytest.raises(ValueError):
+        F(float("nan"))
 
 
 def test_ks_two_sample_hand_example():
@@ -300,6 +301,10 @@ def test_lemma_validates_horizons():
         verify_lemma(exponential(1.0), [100, 100], 10, 1)
     with pytest.raises(ValueError):
         verify_lemma(exponential(1.0), [500, 100], 10, 1)
+    with pytest.raises(ValueError):
+        verify_lemma(exponential(1.0), [2.9, 10.7], 5, 1)
+    with pytest.raises(ValueError):
+        verify_lemma(exponential(1.0), ["3", "10"], 5, 1)
 
 
 def test_lemma_validates_band_and_trend_tol():
@@ -406,7 +411,7 @@ def test_fclt_replicates_match_functional_statistic(tmp_path, family):
     cfg = FunctionalConfig(spec=spec, fn=qi_log(spec.known_mu), n=N, grid=GRID)
     times = [1 / 64, 0.25, 0.5, 1.0]
     verify_fclt(cfg, times, REPS, SEED, threshold=1.0, out_dir=str(tmp_path))
-    a_n = float(norming_for(spec).a(N))
+    a_n = float(spec.a(N))
     want = [functional_statistic(sample_doa(spec, stream(SEED, 0, r), N), cfg.fn,
                                  spec.known_mu, a_n, GRID).at(t)
             for r in range(REPS) for t in times]
@@ -418,7 +423,7 @@ def test_product_replicates_match_log_product_statistic(tmp_path, family):
     spec = FAMILIES[family]
     rep = verify_product(spec, N, REPS, SEED, threshold=1.0, out_dir=str(tmp_path))
     mu = spec.known_mu
-    exponent = mu / float(norming_for(spec).a(N))
+    exponent = mu / float(spec.a(N))
     assert rep.config["exponent"] == exponent
     want = [log_product_statistic(sample_doa(spec, stream(SEED, 0, r), N), mu, exponent)
             for r in range(REPS)]
@@ -445,7 +450,7 @@ def test_lemma_ratios_match_the_formula(family):
         x = sample_doa(spec, stream(SEED, 0, r), N)
         deviations = np.abs(np.cumsum(x) - k * spec.known_mu)
         q[r] = np.cumsum(deviations / k)[np.array(ns) - 1]
-    a_vals = norming_for(spec).a(np.array(ns))
+    a_vals = spec.a(np.array(ns))
     assert rep.details["ratios"] == (q.mean(axis=0) / a_vals).tolist()
     assert rep.details["ratio_stderr"] == \
         (q.std(axis=0, ddof=1) / math.sqrt(REPS) / a_vals).tolist()
@@ -454,7 +459,7 @@ def test_lemma_ratios_match_the_formula(family):
 def test_fclt_domain_error_names_the_offending_replicate():
     spec = pareto(1.5, shift=-1.5)  # draws from -0.5 up: averages can be <= 0
     cfg = FunctionalConfig(spec=spec, fn=qi_log(spec.known_mu), n=N, grid=GRID)
-    a_n = float(norming_for(spec).a(N))
+    a_n = float(spec.a(N))
     for r in range(REPS):
         try:
             functional_statistic(sample_doa(spec, stream(SEED, 0, r), N), cfg.fn,
