@@ -9,14 +9,14 @@ import math
 import numpy as np
 
 from stablesums import (
+    Exponential,
+    Pareto,
     cdf,
-    exponential,
     functional_statistic,
     ks_one_sample,
     limit_law,
     log_product_statistic,
     norming_sequence,
-    pareto,
     qi_log,
     sample_doa,
     verify_product,
@@ -27,7 +27,7 @@ from stablesums.rng import stream
 # result to a vanishing exponent.  Its log is exactly a path functional of
 # the rescaled sums with f(x) = mu log(x / mu), evaluated at t = 1: the two
 # routes agree to machine precision, not just in distribution.
-spec = exponential(1.0)
+spec = Exponential(1.0)
 n = 1000
 x = sample_doa(spec, stream(31, 0), n)
 a_n, _ = norming_sequence(spec, n)
@@ -53,7 +53,7 @@ print(f"exponential logs vs N(0, 2): KS {stat:.4f}, p {p:.3f}")
 # With Pareto(1.5) summands the same construction leaves the Gaussian world:
 # the limit is the fully skewed 1.5-stable law.  The packaged campaign runs
 # the comparison with its control in one call.
-report = verify_product(pareto(1.5), n=10**4, reps=2000, seed=32,
+report = verify_product(Pareto(1.5), n=10**4, reps=2000, seed=32,
                         threshold=0.07)
 print(f"heavy-tail campaign: statistic {report.statistic:.4f}, "
       f"passed={report.passed}, control rejected="

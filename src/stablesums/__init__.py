@@ -11,7 +11,6 @@ variance equal to the dispersion.
 from .functionals import (
     DomainError,
     FunctionSpec,
-    FunctionalConfig,
     functional_statistic,
     integral_riemann,
     limit_law,
@@ -25,17 +24,17 @@ from .norming import (
     norming_sequence,
 )
 from .paths import (
+    Degenerate,
     DoaSpec,
+    ExactStable,
+    Exponential,
+    Pareto,
     SamplePath,
-    degenerate,
-    exact_stable,
-    exponential,
-    pareto,
+    TwoSidedPareto,
     partial_sum_process,
     sample_doa,
     simulate_levy_path,
     tail_dispersion,
-    two_sided_pareto,
 )
 from .rng import stream
 from .stable import (
@@ -63,21 +62,22 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Degenerate",
     "DomainError",
     "DoaSpec",
+    "ExactStable",
+    "Exponential",
     "FunctionSpec",
-    "FunctionalConfig",
+    "Pareto",
     "QuadratureError",
     "SamplePath",
     "StableParams",
+    "TwoSidedPareto",
     "VerificationReport",
     "cdf",
     "char_fn",
-    "degenerate",
     "ecdf",
     "empirical_char_fn",
-    "exact_stable",
-    "exponential",
     "functional_statistic",
     "integral_riemann",
     "karamata_partial_sum",
@@ -88,7 +88,6 @@ __all__ = [
     "log_product_statistic",
     "mean_abs_deviation",
     "norming_sequence",
-    "pareto",
     "partial_sum_process",
     "product_statistic",
     "qi_log",
@@ -98,7 +97,6 @@ __all__ = [
     "simulate_levy_path",
     "stream",
     "tail_dispersion",
-    "two_sided_pareto",
     "verify_fclt",
     "verify_lemma",
     "verify_product",

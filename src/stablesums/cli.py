@@ -43,15 +43,15 @@ from typing import Optional
 
 import numpy as np
 
-from .functionals import FunctionalConfig, qi_log
 from .paths import (
+    DEFAULT_GRID,
+    Degenerate,
     DoaSpec,
-    degenerate,
-    exact_stable,
-    exponential,
-    pareto,
+    ExactStable,
+    Exponential,
+    Pareto,
+    TwoSidedPareto,
     simulate_levy_path,
-    two_sided_pareto,
 )
 from .rng import _check_count, _check_real, stream
 from .stable import QuadratureError, StableParams, cdf, sample
@@ -104,16 +104,16 @@ _COMMON = {
 _ALPHA_BETA = {"alpha": (float, None, None), "beta": (float, None, None)}
 _LAW = {**_ALPHA_BETA, "dispersion": (float, 1.0, None),
         "location": (float, 0.0, None)}
-# Each input family, declared once: its spec builder and the options it
-# reads, in the builder's argument order.  A run with --family reads only
-# the options of its family; an option of another family is refused.
+# Each input family, declared once: its class and the options it reads, in
+# the class's argument order.  A run with --family reads only the options of
+# its family; an option of another family is refused.
 _SPECS = {
-    "exponential": (exponential, ("rate",)),
-    "pareto": (pareto, ("tail_index", "x_min", "shift")),
-    "two-sided-pareto": (two_sided_pareto, ("tail_index", "asymmetry")),
-    "exact-stable": (lambda *law: exact_stable(StableParams(*law)),
+    "exponential": (Exponential, ("rate",)),
+    "pareto": (Pareto, ("tail_index", "x_min", "shift")),
+    "two-sided-pareto": (TwoSidedPareto, ("tail_index", "asymmetry")),
+    "exact-stable": (lambda *law: ExactStable(StableParams(*law)),
                      ("alpha", "beta", "dispersion", "location")),
-    "degenerate": (degenerate, ("value",)),
+    "degenerate": (Degenerate, ("value",)),
 }
 _FAMILY_OPTIONS = {key for _, keys in _SPECS.values() for key in keys}
 _INPUTS = {
@@ -136,7 +136,7 @@ _OPTIONS = {
     "sample": ("draw iid stable variates to CSV", {
         **_COMMON, **_LAW, "n": (int, None, None)}),
     "paths": ("simulate stable Levy paths to CSV", {
-        **_COMMON, **_ALPHA_BETA, "grid": (int, 2**12, None),
+        **_COMMON, **_ALPHA_BETA, "grid": (int, DEFAULT_GRID, None),
         "reps": (int, 1, None)}),
     "verify-sampler": ("char-fn fidelity of the sampler", {
         **_COMMON, **_LAW, "n": (int, 10**6, None),
@@ -144,12 +144,12 @@ _OPTIONS = {
         "t_step": (float, 0.1, None), "threshold": (float, 5e-3, None)}),
     "verify-remark": ("truncated path integral vs its stable law", {
         **_COMMON, **_ALPHA_BETA, "reps": (int, 5000, None),
-        "grid": (int, 2**12, None), "t": (float, 1.0, None),
+        "grid": (int, DEFAULT_GRID, None), "t": (float, 1.0, None),
         "eps": (float, None, None), "threshold": (float, 0.04, None)}),
     "verify-fclt": ("functional statistic marginals vs limit laws", {
         **_COMMON, "family": (_POSITIVE, "exponential", None), **_INPUTS,
         "n": (int, 10**4, None),
-        "grid": (int, 2**12, None),
+        "grid": (int, DEFAULT_GRID, None),
         "times": (str, "0.25,0.5,0.75,1.0", "comma-separated times in (0,1]"),
         "reps": (int, 5000, None), "threshold": (float, 0.04, None)}),
     "verify-lemma": ("boundedness of the mean-deviation sums", {
@@ -317,14 +317,9 @@ def _execute(config: CampaignConfig) -> VerificationReport:
                              p["grid"], seed, t=p["t"], eps=p.get("eps"),
                              threshold=p["threshold"], out_dir=out)
     if c == "verify-fclt":
-        spec = _build_spec(p)
-        if not spec.positivity:
-            raise ConfigError("the log transform needs a positive family")
-        fc = FunctionalConfig(spec=spec, fn=qi_log(spec.known_mu),
-                              n=p["n"], grid=p["grid"])
-        times = _parse_number_list(p["times"], float, "times")
-        return verify_fclt(fc, times, p["reps"], seed,
-                           threshold=p["threshold"], out_dir=out)
+        return verify_fclt(_build_spec(p), p["n"], p["grid"],
+                           _parse_number_list(p["times"], float, "times"), p["reps"],
+                           seed, threshold=p["threshold"], out_dir=out)
     if c == "verify-lemma":
         ns = _parse_number_list(p["ns"], int, "ns")
         return verify_lemma(_build_spec(p), ns, p["reps"], seed,
@@ -350,8 +345,6 @@ def run(config: CampaignConfig) -> int:
         "params": {k: v for k, v in sorted(config.params.items())},
     }
     _write(config.out_dir, "report.json", report.to_json())
-    if config.campaign in ("sample", "paths"):
-        return 0
     return 0 if report.campaign_passed else 1
 
 

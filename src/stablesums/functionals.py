@@ -19,14 +19,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .paths import DoaSpec, SamplePath, _partial_sums
+from .paths import SamplePath, _partial_sums
 from .rng import _as_samples, _check_count, _check_real
 from .stable import StableParams
 
 __all__ = [
     "DomainError",
     "FunctionSpec",
-    "FunctionalConfig",
     "qi_log",
     "functional_statistic",
     "product_statistic",
@@ -67,21 +66,6 @@ def qi_log(mu: float) -> FunctionSpec:
         domain_check=lambda x: np.asarray(x) > 0.0,
         name=f"qi_log(mu={mu!r})",
     )
-
-
-@dataclass(frozen=True)
-class FunctionalConfig:
-    """One functional-CLT experiment: input family, transform, horizon n and
-    path grid."""
-
-    spec: DoaSpec
-    fn: FunctionSpec
-    n: int
-    grid: int
-
-    def __post_init__(self):
-        _check_count(self.n, "n", 1)
-        _check_count(self.grid, "grid", 1)
 
 
 def _functional_kernel(fn: FunctionSpec, mu: float, a_n: float, n: int, cuts: np.ndarray):

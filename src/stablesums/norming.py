@@ -1,6 +1,7 @@
 """Norming pairs at one n, Karamata sums, and mean-deviation estimates.
 
-The sequences themselves are ``DoaSpec.a`` and ``DoaSpec.b`` (see ``paths``).
+Every input family in ``paths`` gives its own sequences as ``spec.a(n)`` and
+``spec.b(n)``; this module evaluates them and the sums built on them.
 """
 
 from __future__ import annotations

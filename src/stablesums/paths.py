@@ -1,14 +1,17 @@
 """Input families, rescaled partial-sum processes, and stable Levy paths.
 
-A :class:`DoaSpec` bundles one iid input family with the constants its limit
-statements need: the mean ``known_mu``, the stable index ``known_alpha`` of
-the law its centered partial sums are attracted to, the skewness
-``known_beta``, and a ``positivity`` flag (whether every draw is > 0, which
-the product statistics require).  Its ``a(n)`` and ``b(n)`` are the
-sequences such that (S_n - b_n) / a_n converges to the unit-dispersion stable
-law S(known_alpha, known_beta, 1, 0): b_n = n * known_mu, and a_n is
-n**(1/known_alpha) times the family's ``scale`` (sigma * sqrt(n) in the
-finite-variance cases).
+Each iid input family (:class:`Exponential`, :class:`Pareto`,
+:class:`TwoSidedPareto`, :class:`ExactStable`, :class:`Degenerate`) is a
+:class:`DoaSpec`: it holds only its own parameters and derives from them the
+constants its limit statements need, so none can disagree with the input.
+These are the mean ``known_mu``, the stable index ``known_alpha`` of the law
+its centered partial sums are attracted to, the skewness ``known_beta``, a
+``positivity`` flag (whether every draw is > 0, which the log transform and
+the product statistics require) and the norming constant ``scale``.  Its
+``a(n)`` and ``b(n)`` are the sequences such that (S_n - b_n) / a_n
+converges to the unit-dispersion stable law S(known_alpha, known_beta, 1, 0):
+b_n = n * known_mu, and a_n = scale * n**(1/known_alpha) (sigma * sqrt(n) in
+the finite-variance cases).
 
 The heavy-tail constant comes from the jump-measure limit: if
 P(X > x) ~ c_plus * x**-alpha and P(X < -x) ~ c_minus * x**-alpha with
@@ -39,11 +42,6 @@ __all__ = [
     "ExactStable",
     "Degenerate",
     "DoaSpec",
-    "exponential",
-    "pareto",
-    "exact_stable",
-    "two_sided_pareto",
-    "degenerate",
     "tail_dispersion",
     "SamplePath",
     "sample_doa",
@@ -70,17 +68,42 @@ def tail_dispersion(alpha: float, c_plus: float, c_minus: float) -> float:
     )
 
 
-# Each family checks its parameters, draws with ``draw(rng, n)``, and gives in
-# ``scale`` the constant of its norming a_n = scale * n**(1/alpha).
 @dataclass(frozen=True)
-class Exponential:
+class DoaSpec:
+    """Base of the input families (see the module docstring); it refuses a
+    family whose mean is not finite."""
+
+    def __post_init__(self):
+        _check_real(self.known_mu, "known_mu")
+
+    def a(self, n):
+        """Scaling a_n = scale * n**(1/known_alpha) at a scalar or an integer array n."""
+        return self.scale * np.asarray(n, dtype=float) ** (1.0 / self.known_alpha)
+
+    def b(self, n):
+        """Centering b_n = n * known_mu at a scalar or an integer array n."""
+        return np.asarray(n, dtype=float) * self.known_mu
+
+
+@dataclass(frozen=True)
+class Exponential(DoaSpec):
+    """Exponential(rate): finite variance, so the attracting index is 2."""
+
     rate: float = 1.0
+    known_alpha = 2.0
+    known_beta = 0.0
+    positivity = True
 
     def __post_init__(self):
         _check_real(self.rate, "rate", 0.0)
+        super().__post_init__()
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.standard_exponential(n) / self.rate
+
+    @property
+    def known_mu(self) -> float:
+        return 1.0 / self.rate
 
     @property
     def scale(self) -> float:
@@ -88,8 +111,14 @@ class Exponential:
 
 
 @dataclass(frozen=True)
-class Pareto:
-    # Survival (x_min/x)**tail_index on [x_min, inf), then shifted.
+class Pareto(DoaSpec):
+    """Survival (x_min/x)**tail_index on [x_min, inf), then shifted.
+
+    A tail index in (1, 2) is attracted to a fully right-skewed stable law of
+    the same index; an index > 2 has finite variance.  Index 2 is refused:
+    its norming needs a slowly varying factor this package does not carry.
+    """
+
     tail_index: float
     x_min: float = 1.0
     shift: float = 0.0
@@ -100,11 +129,28 @@ class Pareto:
             raise ValueError("tail_index 2 has no registered norming formula")
         _check_real(self.x_min, "x_min", 0.0)
         _check_real(self.shift, "shift")
+        super().__post_init__()
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # Inverse CDF; 1 - U lies in (0, 1] so the magnitude never overflows.
         u = rng.random(n)
         return self.x_min * (1.0 - u) ** (-1.0 / self.tail_index) + self.shift
+
+    @property
+    def known_mu(self) -> float:
+        return self.tail_index * self.x_min / (self.tail_index - 1.0) + self.shift
+
+    @property
+    def known_alpha(self) -> float:
+        return self.tail_index if self.tail_index < 2.0 else 2.0
+
+    @property
+    def known_beta(self) -> float:
+        return 1.0 if self.tail_index < 2.0 else 0.0
+
+    @property
+    def positivity(self) -> bool:
+        return self.x_min + self.shift > 0.0
 
     @property
     def scale(self) -> float:
@@ -117,19 +163,38 @@ class Pareto:
 
 
 @dataclass(frozen=True)
-class TwoSidedPareto:
-    # Two Pareto tails from |x| >= 1; right tail carries mass (1+asymmetry)/2.
+class TwoSidedPareto(DoaSpec):
+    """Two Pareto tails from |x| >= 1; the right tail carries mass
+    (1+asymmetry)/2, and asymmetry in [-1, 1] is the limit's beta."""
+
     tail_index: float
     asymmetry: float = 0.0
 
     def __post_init__(self):
         _check_real(self.tail_index, "tail_index", 1.0, 2.0)
         _check_real(self.asymmetry, "asymmetry", -1.0, 1.0, "[]")
+        super().__post_init__()
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         magnitude = (1.0 - rng.random(n)) ** (-1.0 / self.tail_index)
         right = rng.random(n) < (1.0 + self.asymmetry) / 2.0
         return np.where(right, magnitude, -magnitude)
+
+    @property
+    def known_mu(self) -> float:
+        return self.asymmetry * self.tail_index / (self.tail_index - 1.0)
+
+    @property
+    def known_alpha(self) -> float:
+        return self.tail_index
+
+    @property
+    def known_beta(self) -> float:
+        return self.asymmetry
+
+    @property
+    def positivity(self) -> bool:
+        return self.asymmetry == 1.0
 
     @property
     def scale(self) -> float:
@@ -140,14 +205,31 @@ class TwoSidedPareto:
 
 
 @dataclass(frozen=True)
-class ExactStable:
+class ExactStable(DoaSpec):
+    """Stable inputs are their own attractor; alpha > 1 so the mean exists
+    (and equals the location parameter)."""
+
     params: StableParams
+    positivity = False
 
     def __post_init__(self):
         _check_real(self.params.alpha, "alpha", 1.0, 2.0, "(]")
+        super().__post_init__()
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return sample(self.params, rng, n)
+
+    @property
+    def known_mu(self) -> float:
+        return self.params.location
+
+    @property
+    def known_alpha(self) -> float:
+        return self.params.alpha
+
+    @property
+    def known_beta(self) -> float:
+        return self.params.beta
 
     @property
     def scale(self) -> float:
@@ -156,15 +238,28 @@ class ExactStable:
 
 
 @dataclass(frozen=True)
-class Degenerate:
-    # Point mass; the trivial end of every diagnostic.
+class Degenerate(DoaSpec):
+    """Point mass at ``value``: every centered partial sum is exactly zero,
+    the trivial end of every diagnostic."""
+
     value: float
+    known_alpha = 2.0
+    known_beta = 0.0
 
     def __post_init__(self):
         _check_real(self.value, "value")
+        super().__post_init__()
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.value)
+
+    @property
+    def known_mu(self) -> float:
+        return self.value
+
+    @property
+    def positivity(self) -> bool:
+        return self.value > 0.0
 
     @property
     def scale(self) -> float:
@@ -172,104 +267,10 @@ class Degenerate:
         return 1.0
 
 
-_FAMILIES = (Exponential, Pareto, TwoSidedPareto, ExactStable, Degenerate)
-
-
-@dataclass(frozen=True)
-class DoaSpec:
-    """One iid input family plus its declared limit constants."""
-
-    family: Exponential | Pareto | TwoSidedPareto | ExactStable | Degenerate
-    known_mu: float
-    known_alpha: float
-    known_beta: float
-    positivity: bool
-
-    def __post_init__(self):
-        if not isinstance(self.family, _FAMILIES):
-            raise TypeError(f"unknown family {type(self.family).__name__}")
-        _check_real(self.known_alpha, "known_alpha", 1.0, 2.0, "(]")
-        _check_real(self.known_beta, "known_beta", -1.0, 1.0, "[]")
-        _check_real(self.known_mu, "known_mu")
-
-    def a(self, n):
-        """Scaling a_n = scale * n**(1/known_alpha) at a scalar or an integer array n."""
-        return self.family.scale * np.asarray(n, dtype=float) ** (1.0 / self.known_alpha)
-
-    def b(self, n):
-        """Centering b_n = n * known_mu at a scalar or an integer array n."""
-        return np.asarray(n, dtype=float) * self.known_mu
-
-
-def exponential(rate: float = 1.0) -> DoaSpec:
-    """Exponential(rate): finite variance, so the attracting index is 2."""
-    return DoaSpec(
-        family=Exponential(rate),
-        known_mu=1.0 / rate,
-        known_alpha=2.0,
-        known_beta=0.0,
-        positivity=True,
-    )
-
-
-def pareto(tail_index: float, x_min: float = 1.0, shift: float = 0.0) -> DoaSpec:
-    """Pareto tail: index in (1,2) is attracted to a fully right-skewed stable
-    law of the same index; index > 2 has finite variance (index exactly 2 is
-    rejected, its norming needs a slowly varying factor this package does not
-    carry)."""
-    family = Pareto(tail_index, x_min, shift)
-    mean = tail_index * x_min / (tail_index - 1.0) + shift
-    heavy = tail_index < 2.0
-    return DoaSpec(
-        family=family,
-        known_mu=mean,
-        known_alpha=tail_index if heavy else 2.0,
-        known_beta=1.0 if heavy else 0.0,
-        positivity=x_min + shift > 0.0,
-    )
-
-
-def two_sided_pareto(tail_index: float, asymmetry: float = 0.0) -> DoaSpec:
-    """Pareto tails on both sides of the origin; asymmetry in [-1, 1] is the
-    tail-mass imbalance and lands directly in the limit's beta."""
-    family = TwoSidedPareto(tail_index, asymmetry)
-    mean = asymmetry * tail_index / (tail_index - 1.0)
-    return DoaSpec(
-        family=family,
-        known_mu=mean,
-        known_alpha=tail_index,
-        known_beta=asymmetry,
-        positivity=asymmetry == 1.0,
-    )
-
-
-def exact_stable(params: StableParams) -> DoaSpec:
-    """Stable inputs are their own attractor; requires alpha > 1 so the mean
-    exists (and equals the location parameter)."""
-    return DoaSpec(
-        family=ExactStable(params),
-        known_mu=params.location,
-        known_alpha=params.alpha,
-        known_beta=params.beta,
-        positivity=False,
-    )
-
-
-def degenerate(value: float) -> DoaSpec:
-    """Point mass at ``value``: every centered partial sum is exactly zero."""
-    return DoaSpec(
-        family=Degenerate(value),
-        known_mu=value,
-        known_alpha=2.0,
-        known_beta=0.0,
-        positivity=value > 0.0,
-    )
-
-
 def sample_doa(spec: DoaSpec, seed, n: int) -> np.ndarray:
     """Draw ``n`` iid variates from the spec's family."""
     n = _check_count(n, "n", 0)
-    return spec.family.draw(as_generator(seed), n)
+    return spec.draw(as_generator(seed), n)
 
 
 @dataclass(frozen=True, eq=False)

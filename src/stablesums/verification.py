@@ -33,11 +33,11 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .functionals import (
-    FunctionalConfig,
     _functional_kernel,
     _log_product_kernel,
     _riemann_kernel,
     limit_law,
+    qi_log,
 )
 from .paths import DoaSpec, _increment_law, _partial_sums, sample_doa
 from .rng import _as_samples, _check_count, _check_real, stream
@@ -247,7 +247,8 @@ def _marginal_fits(stats: np.ndarray, laws) -> list:
 
 
 def _spec_dict(spec: DoaSpec) -> dict:
-    return {**asdict(spec), "family": repr(spec.family)}
+    return {"family": repr(spec), "known_mu": spec.known_mu, "known_alpha": spec.known_alpha,
+            "known_beta": spec.known_beta, "positivity": spec.positivity}
 
 
 def _write(out_dir, name: str, text: str) -> str:
@@ -294,13 +295,14 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     """Characteristic-function fidelity of the exact sampler.
 
     Draws n variates and compares their empirical characteristic function with
-    the analytic one on a grid of frequencies (default -5..5, step 0.1), in
-    sup norm.  The control re-tests the same draws against the law with
+    the analytic one on a grid of frequencies, in sup norm.  The default grid
+    is -5 + 0.1*k for k = 0..100, the same floats as the command line's
+    default.  The control re-tests the same draws against the law with
     doubled dispersion.
     """
     n = _check_count(n, "n", 1)
     _check_real(threshold, "threshold", 0.0)
-    grid = np.arange(-50, 51) / 10.0 if t_grid is None else np.asarray(t_grid, dtype=float)
+    grid = -5.0 + 0.1 * np.arange(101) if t_grid is None else np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("t_grid must be a nonempty finite 1-d array")
 
@@ -417,10 +419,13 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     return report
 
 
-def verify_fclt(config: FunctionalConfig, times: Sequence[float], reps: int,
+def verify_fclt(spec: DoaSpec, n: int, grid: int, times: Sequence[float], reps: int,
                 seed, threshold: float = 0.04, out_dir=None) -> VerificationReport:
     """Marginals of the functional statistic against their limit laws.
 
+    The transform is qi_log(spec.known_mu), f(x) = mu * log(x / mu), so the
+    spec must guarantee positive draws, as for :func:`verify_product`; the
+    limit constants mu, alpha, beta and f'(mu) all come from ``spec``.
     Each requested time t must lie within 1e-9 of a grid time j/grid,
     j = round(t * grid), and is replaced by it: the times must be distinct
     grid times, and the read, the law and the report keys all use j/grid.
@@ -432,12 +437,15 @@ def verify_fclt(config: FunctionalConfig, times: Sequence[float], reps: int,
     marginal; the control is the best marginal against half-dispersion nulls,
     so "fail" means even the easiest marginal rejected the wrong law.
     """
+    if not spec.positivity:
+        raise ValueError("verify_fclt needs a spec with positivity=True")
+    n = _check_count(n, "n", 1)
+    m = _check_count(grid, "grid", 1)
     reps = _check_count(reps, "reps", 2)
     _check_real(threshold, "threshold", 0.0)
     times = list(times)
     if not times:
         raise ValueError("need at least one time")
-    m, n = config.grid, config.n
     steps = []
     for t in times:
         _check_real(t, "time", 0.0, 1.0, "(]")
@@ -452,7 +460,7 @@ def verify_fclt(config: FunctionalConfig, times: Sequence[float], reps: int,
     times = [j / m for j in steps]
     cuts = [n * j // m for j in steps]
 
-    spec, fn = config.spec, config.fn
+    fn = qi_log(spec.known_mu)
     statistic = _functional_kernel(fn, spec.known_mu, float(spec.a(n)), n, np.array(cuts))
     stats = np.empty((reps, len(times)))
     for r in range(reps):

@@ -16,15 +16,15 @@ import pytest
 from scipy import integrate
 
 from stablesums import (
-    FunctionalConfig,
+    ExactStable,
+    Exponential,
+    Pareto,
     SamplePath,
     StableParams,
     cdf,
     char_fn,
     ecdf,
     empirical_char_fn,
-    exact_stable,
-    exponential,
     functional_statistic,
     integral_riemann,
     karamata_partial_sum,
@@ -34,7 +34,6 @@ from stablesums import (
     log_product_statistic,
     mean_abs_deviation,
     norming_sequence,
-    pareto,
     partial_sum_process,
     product_statistic,
     qi_log,
@@ -78,9 +77,7 @@ def remark_reports():
 @pytest.fixture(scope="module")
 def fclt_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("fclt")
-    cfg = FunctionalConfig(spec=exponential(1.0), fn=qi_log(1.0),
-                           n=10**4, grid=2**12)
-    rep = verify_fclt(cfg, [0.25, 0.5, 0.75, 1.0], 5000, 41,
+    rep = verify_fclt(Exponential(1.0), 10**4, 2**12, [0.25, 0.5, 0.75, 1.0], 5000, 41,
                       threshold=0.04, out_dir=str(out))
     (out / "report.json").write_text(rep.to_json())
     return rep, str(out)
@@ -88,15 +85,15 @@ def fclt_report(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def product_report():
-    return verify_product(pareto(1.5), 10**4, 5000, 404, threshold=0.07)
+    return verify_product(Pareto(1.5), 10**4, 5000, 404, threshold=0.07)
 
 
 @pytest.fixture(scope="module")
 def lemma_reports():
     return {
-        "exponential": verify_lemma(exponential(1.0), [100, 1000, 10000],
+        "exponential": verify_lemma(Exponential(1.0), [100, 1000, 10000],
                                     400, 606),
-        "pareto": verify_lemma(pareto(1.5), [100, 1000, 10000], 400, 606),
+        "pareto": verify_lemma(Pareto(1.5), [100, 1000, 10000], 400, 606),
     }
 
 
@@ -165,7 +162,7 @@ def test_criterion_7_exact_identities():
         checks.append(abs(q - math.gamma(alpha + 1)) < 1e-8)
 
     # log-space bridge between the product and the path functional
-    x = sample_doa(exponential(1.0), stream(4301, 0), 400)
+    x = sample_doa(Exponential(1.0), stream(4301, 0), 400)
     lhs = log_product_statistic(x, 1.0, 1.0 / 20.0)
     rhs = functional_statistic(x, qi_log(1.0), 1.0, 20.0, grid=400).at(1.0)
     checks.append(abs(lhs - rhs) < 1e-12)
@@ -185,9 +182,9 @@ def test_criterion_7_exact_identities():
     # sampling moments at Monte Carlo precision
     g = sample(StableParams(2.0, 0.0, 1.0, 5.0), stream(7001, 0), 10**6)
     checks.append(abs(g.mean() - 5.0) < 5e-3)
-    e = sample_doa(exponential(1.0), stream(7002, 0), 10**6)
+    e = sample_doa(Exponential(1.0), stream(7002, 0), 10**6)
     checks.append(abs(e.mean() - 1.0) < 3e-3)
-    v = sample_doa(exact_stable(StableParams(2.0, 0.0, 1.0, 2.0)),
+    v = sample_doa(ExactStable(StableParams(2.0, 0.0, 1.0, 2.0)),
                    stream(7003, 0), 10**6)
     checks.append(abs(v.var() - 1.0) < 5e-3)
     s = sample(StableParams(1.5, 0.0), stream(7004, 0), 10**6)
@@ -198,11 +195,11 @@ def test_criterion_7_exact_identities():
     checks.append(not np.any(path.values))
     checks.append(product_statistic(np.full(20, 1.5), 1.5, 0.3) == 1.0)
     checks.append(mean_abs_deviation(
-        exact_stable(StableParams(2.0, 0.0, 1.0, 0.0)), 1, 2, 1).estimate >= 0)
+        ExactStable(StableParams(2.0, 0.0, 1.0, 0.0)), 1, 2, 1).estimate >= 0)
     checks.append(karamata_partial_sum(lambda k: k, 1000) == 1000.0)
     checks.append(tail_dispersion(1.5, 1.0, 0.0) == math.sqrt(2 * math.pi))
-    checks.append(norming_sequence(exponential(1.0), 100) == (10.0, 100.0))
-    a8, _ = norming_sequence(exact_stable(StableParams(1.5, 1.0, 1.0)), 8)
+    checks.append(norming_sequence(Exponential(1.0), 100) == (10.0, 100.0))
+    a8, _ = norming_sequence(ExactStable(StableParams(1.5, 1.0, 1.0)), 8)
     checks.append(abs(a8 - 4.0) < 1e-12)
 
     m = 16
@@ -241,7 +238,7 @@ def test_criterion_9_deterministic_reports(remark_reports, lemma_reports,
                                            tmp_path):
     again = verify_remark(2.0, 0.0, 5000, 2**12, 202, threshold=0.04)
     ok = again.to_json() == remark_reports[(2.0, 0.0)].to_json()
-    lemma_again = verify_lemma(exponential(1.0), [100, 1000, 10000], 400, 606)
+    lemma_again = verify_lemma(Exponential(1.0), [100, 1000, 10000], 400, 606)
     ok = ok and lemma_again.to_json() == lemma_reports["exponential"].to_json()
     # CLI end to end: same command, same seed, byte-identical file
     args = ["verify-lemma", "--family", "exponential", "--ns", "100,1000",

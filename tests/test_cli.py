@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from stablesums import stable
+from stablesums import StableParams, stable, verify_sampler
 from stablesums.cli import _resolve, build_parser, emit_plotdata, main
 from stablesums.paths import simulate_levy_path
 from stablesums.rng import stream
@@ -239,6 +239,9 @@ _PRODUCT = ("verify-product", "--tail-index", "1.5", "--n", "100")
               "--asymmetry", "0.5", "--reps", "5", "--seed", "1"),
     _FCLT + ("--family", "degenerate", "--value", "1", "--x-min", "2",
              "--reps", "5", "--seed", "1"),
+    # draws from 0 up: verify_fclt refuses a family without positivity
+    ("verify-fclt", "--family", "pareto", "--tail-index", "1.5", "--shift", "-2",
+     "--seed", "1"),
 ])
 def test_bad_params_exit_two(tmp_path, capsys, args):
     out = tmp_path / "o"
@@ -301,6 +304,68 @@ def test_verify_sampler_grid_stops_at_t_max(tmp_path):
     with open(tmp_path / "charfn_fit.csv") as fh:
         ts = [float(line.split(",")[0]) for line in fh.read().splitlines()[1:]]
     assert ts == [0.0, 3.0]
+
+
+def test_library_default_frequency_grid_is_the_cli_default(tmp_path):
+    # verify_sampler without t_grid and `verify-sampler` without --t-* test
+    # the same frequencies, to the bit
+    lib, cli = tmp_path / "lib", tmp_path / "cli"
+    verify_sampler(StableParams(1.5, 0.0), 100, 1, out_dir=str(lib))
+    assert _run("verify-sampler", "--alpha", "1.5", "--beta", "0", "--n", "100",
+                "--seed", "1", "--out-dir", str(cli)) in (0, 1)
+    assert (lib / "charfn_fit.csv").read_bytes() == (cli / "charfn_fit.csv").read_bytes()
+
+
+# config.spec of report.json for one input of each family, key order
+# included: report bytes must not move when the spec's code does
+_FAMILY_ARGS = {
+    "exponential": ("--rate", "2.0"),
+    "pareto": ("--tail-index", "1.5", "--x-min", "2.0", "--shift", "0.5"),
+    "two-sided-pareto": ("--tail-index", "1.7", "--asymmetry", "-0.4"),
+    "exact-stable": ("--alpha", "1.5", "--beta", "0.5", "--dispersion", "2.0",
+                     "--location", "1.0"),
+    "degenerate": ("--value", "3.0"),
+}
+_PINNED_SPECS = {
+    "exponential": {"family": "Exponential(rate=2.0)", "known_mu": 0.5,
+                    "known_alpha": 2.0, "known_beta": 0.0, "positivity": True},
+    "pareto": {"family": "Pareto(tail_index=1.5, x_min=2.0, shift=0.5)",
+               "known_mu": 6.5, "known_alpha": 1.5, "known_beta": 1.0,
+               "positivity": True},
+    "two-sided-pareto": {"family": "TwoSidedPareto(tail_index=1.7, asymmetry=-0.4)",
+                         "known_mu": -0.9714285714285715, "known_alpha": 1.7,
+                         "known_beta": -0.4, "positivity": False},
+    "exact-stable": {"family": "ExactStable(params=StableParams(alpha=1.5, beta=0.5, "
+                               "dispersion=2.0, location=1.0))",
+                     "known_mu": 1.0, "known_alpha": 1.5, "known_beta": 0.5,
+                     "positivity": False},
+    "degenerate": {"family": "Degenerate(value=3.0)", "known_mu": 3.0,
+                   "known_alpha": 2.0, "known_beta": 0.0, "positivity": True},
+}
+
+
+def _report_config(tmp_path, *args):
+    assert _run(*args, "--seed", "1", "--out-dir", str(tmp_path)) in (0, 1)
+    return json.loads((tmp_path / "report.json").read_text())["config"]
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_ARGS))
+def test_lemma_report_pins_the_family_spec(tmp_path, family):
+    config = _report_config(tmp_path, "verify-lemma", "--family", family,
+                            *_FAMILY_ARGS[family], "--ns", "10,100", "--reps", "5")
+    assert list(config["spec"].items()) == list(_PINNED_SPECS[family].items())
+
+
+@pytest.mark.parametrize("campaign", ["verify-fclt", "verify-product"])
+def test_positive_campaign_reports_pin_the_spec_and_transform(tmp_path, campaign):
+    grid = ("--grid", "8", "--times", "1") if campaign == "verify-fclt" else ()
+    config = _report_config(tmp_path, campaign, "--family", "pareto",
+                            *_FAMILY_ARGS["pareto"], "--n", "100", "--reps", "5", *grid)
+    assert list(config["spec"].items()) == list(_PINNED_SPECS["pareto"].items())
+    if campaign == "verify-fclt":
+        assert (config["fn"], config["f_prime_at_mu"]) == ("qi_log(mu=6.5)", 1.0)
+    else:
+        assert "fn" not in config
 
 
 def test_help_prints_usage(capsys):

@@ -7,21 +7,21 @@ import pytest
 
 from stablesums import (
     DomainError,
+    Exponential,
     FunctionSpec,
-    FunctionalConfig,
+    Pareto,
     SamplePath,
     StableParams,
-    exponential,
     functional_statistic,
     integral_riemann,
     limit_law,
     log_product_statistic,
-    pareto,
     product_statistic,
     qi_log,
     sample,
     sample_doa,
     simulate_levy_path,
+    verify_fclt,
 )
 from stablesums.rng import stream
 
@@ -74,16 +74,17 @@ def test_functional_statistic_domain_error_names_index():
 
 
 def test_functional_config_validation():
-    FunctionalConfig(spec=exponential(1.0), fn=qi_log(1.0), n=100, grid=8)
-    with pytest.raises(ValueError):
-        FunctionalConfig(spec=exponential(1.0), fn=qi_log(1.0), n=0, grid=8)
-    with pytest.raises(ValueError):
-        FunctionalConfig(spec=exponential(1.0), fn=qi_log(1.0), n=10, grid=0)
+    # verify_fclt takes the horizon n and the path grid as plain counts
+    verify_fclt(Exponential(1.0), 100, 8, [1.0], 10, 1)
+    with pytest.raises(ValueError, match="n must be"):
+        verify_fclt(Exponential(1.0), 0, 8, [1.0], 10, 1)
+    with pytest.raises(ValueError, match="grid must be"):
+        verify_fclt(Exponential(1.0), 10, 0, [1.0], 10, 1)
 
 
 def test_log_product_bridge_is_exact():
     # the log of the product statistic IS the qi_log functional at t = 1
-    spec = exponential(1.0)
+    spec = Exponential(1.0)
     n = 400
     x = sample_doa(spec, stream(4301, 0), n)
     a_n = math.sqrt(n)
@@ -93,7 +94,7 @@ def test_log_product_bridge_is_exact():
 
 
 def test_product_statistic_exp_of_log():
-    x = sample_doa(exponential(1.0), stream(4302, 0), 50)
+    x = sample_doa(Exponential(1.0), stream(4302, 0), 50)
     lo = log_product_statistic(x, 1.0, 0.02)
     assert product_statistic(x, 1.0, 0.02) == pytest.approx(math.exp(lo),
                                                             rel=1e-15)
@@ -218,7 +219,7 @@ def _reference_riemann(times, values, t, eps):
     return float(np.sum(values[idx] / times[idx] * (times[idx] - times[idx - 1])))
 
 
-REFERENCE_DRAWS = {"exponential": exponential(1.0), "pareto 1.5": pareto(1.5)}
+REFERENCE_DRAWS = {"exponential": Exponential(1.0), "pareto 1.5": Pareto(1.5)}
 
 
 @pytest.mark.parametrize("family", sorted(REFERENCE_DRAWS))

@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 
 from stablesums import (
+    Degenerate,
+    ExactStable,
+    Exponential,
+    Pareto,
     StableParams,
-    degenerate,
-    exact_stable,
-    exponential,
+    TwoSidedPareto,
     karamata_partial_sum,
     ks_two_sample,
     mean_abs_deviation,
     norming_sequence,
-    pareto,
     sample,
     sample_doa,
     tail_dispersion,
-    two_sided_pareto,
 )
 from stablesums.rng import stream
 
@@ -36,37 +36,37 @@ def test_tail_dispersion_closed_form():
 
 
 def test_norming_registry_values():
-    assert norming_sequence(exponential(1.0), 100) == (10.0, 100.0)
-    assert norming_sequence(exponential(2.0), 100) == (5.0, 50.0)
+    assert norming_sequence(Exponential(1.0), 100) == (10.0, 100.0)
+    assert norming_sequence(Exponential(2.0), 100) == (5.0, 50.0)
 
-    a, b = norming_sequence(pareto(1.5), 8)
+    a, b = norming_sequence(Pareto(1.5), 8)
     assert a == pytest.approx((8 * math.sqrt(2 * math.pi)) ** (2 / 3), rel=1e-14)
     assert b == 24.0
 
     # light tail falls back to the variance scaling
-    a, b = norming_sequence(pareto(3.0), 16)
+    a, b = norming_sequence(Pareto(3.0), 16)
     assert a == pytest.approx(math.sqrt(12.0), rel=1e-14)
 
-    assert norming_sequence(degenerate(2.0), 9) == (3.0, 18.0)
+    assert norming_sequence(Degenerate(2.0), 9) == (3.0, 18.0)
 
-    a, b = norming_sequence(exact_stable(StableParams(1.5, 1.0, 2.0)), 8)
+    a, b = norming_sequence(ExactStable(StableParams(1.5, 1.0, 2.0)), 8)
     assert a == pytest.approx(16.0 ** (2 / 3), rel=1e-14)
     assert b == 0.0
 
     # unit dispersion: a_8 = 8**(2/3) = 4 up to float powering
-    a, _ = norming_sequence(exact_stable(StableParams(1.5, 1.0, 1.0)), 8)
+    a, _ = norming_sequence(ExactStable(StableParams(1.5, 1.0, 1.0)), 8)
     assert a == pytest.approx(4.0, rel=1e-12)
 
     # symmetric two-sided tails carry the same total tail mass as pareto
-    a_sym, _ = norming_sequence(two_sided_pareto(1.5, 0.0), 8)
-    a_one, _ = norming_sequence(pareto(1.5), 8)
+    a_sym, _ = norming_sequence(TwoSidedPareto(1.5, 0.0), 8)
+    a_one, _ = norming_sequence(Pareto(1.5), 8)
     assert a_sym == a_one
 
 
 def test_norming_scales_as_pure_power():
     # the registry laws are exactly regularly varying: no slow factor
-    for spec in (exponential(1.0), pareto(1.5), pareto(3.0),
-                 exact_stable(StableParams(1.7, 0.0, 1.0))):
+    for spec in (Exponential(1.0), Pareto(1.5), Pareto(3.0),
+                 ExactStable(StableParams(1.7, 0.0, 1.0))):
         alpha = spec.known_alpha
         for lam in (2, 10):
             ratio = spec.a(lam * 1000) / (lam ** (1 / alpha) * spec.a(1000))
@@ -74,7 +74,7 @@ def test_norming_scales_as_pure_power():
 
 
 def test_norming_accepts_arrays():
-    np.testing.assert_allclose(exponential(1.0).a(np.array([1, 4, 9])), [1.0, 2.0, 3.0])
+    np.testing.assert_allclose(Exponential(1.0).a(np.array([1, 4, 9])), [1.0, 2.0, 3.0])
 
 
 def test_karamata_power_sums():
@@ -86,7 +86,7 @@ def test_karamata_power_sums():
 
 
 def test_karamata_accepts_norming_seq():
-    got = karamata_partial_sum(exponential(1.0).a, 10**4)
+    got = karamata_partial_sum(Exponential(1.0).a, 10**4)
     assert got / (2 * math.sqrt(1e4)) == pytest.approx(1.0, abs=0.02)
 
 
@@ -99,33 +99,33 @@ def test_karamata_tiny_horizons():
 
 def test_mean_abs_deviation_single_draw():
     # E|X - 1| = 2/e for a unit exponential
-    got = mean_abs_deviation(exponential(1.0), 1, 4000, 7)
+    got = mean_abs_deviation(Exponential(1.0), 1, 4000, 7)
     assert abs(got.estimate - 2 / math.e) < 3 * got.stderr
     assert got.stderr < 0.02
 
 
 def test_mean_abs_deviation_gaussian_regime():
     # E|S_k - k| approaches sqrt(2 k / pi) for finite-variance summands
-    got = mean_abs_deviation(exponential(1.0), 10**4, 300, 8)
+    got = mean_abs_deviation(Exponential(1.0), 10**4, 300, 8)
     assert abs(got.estimate - math.sqrt(2e4 / math.pi)) < 2.5 * got.stderr
 
 
 def test_mean_abs_deviation_degenerate():
-    got = mean_abs_deviation(degenerate(3.0), 5, 10, 1)
+    got = mean_abs_deviation(Degenerate(3.0), 5, 10, 1)
     assert got == (0.0, 0.0)
 
 
 def test_mean_abs_deviation_validation():
     with pytest.raises(ValueError):
-        mean_abs_deviation(exponential(1.0), 0, 10, 1)
+        mean_abs_deviation(Exponential(1.0), 0, 10, 1)
     with pytest.raises(ValueError):
-        mean_abs_deviation(exponential(1.0), 5, 1, 1)
+        mean_abs_deviation(Exponential(1.0), 5, 1, 1)
 
 
 def test_pareto_norming_calibrates_the_limit():
     # end to end: centered, scaled heavy-tail sums against direct draws from
     # the fully skewed unit-dispersion law the constant was derived for
-    spec = pareto(1.5)
+    spec = Pareto(1.5)
     n, reps = 50_000, 1500
     a_n, b_n = norming_sequence(spec, n)
     vals = np.empty(reps)

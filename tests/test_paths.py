@@ -6,93 +6,93 @@ import numpy as np
 import pytest
 
 from stablesums import (
+    Degenerate,
     DoaSpec,
+    ExactStable,
+    Exponential,
+    Pareto,
     SamplePath,
     StableParams,
+    TwoSidedPareto,
     cdf,
-    degenerate,
-    exact_stable,
-    exponential,
     ks_one_sample,
     ks_two_sample,
     norming_sequence,
-    pareto,
     partial_sum_process,
     sample,
     sample_doa,
     simulate_levy_path,
-    two_sided_pareto,
 )
 from stablesums.rng import stream
 from stablesums.verification import _write_csv
 
 
 def test_exponential_spec():
-    spec = exponential(2.0)
+    spec = Exponential(2.0)
     assert spec.known_mu == 0.5
     assert spec.known_alpha == 2.0
     assert spec.known_beta == 0.0
     assert spec.positivity
     with pytest.raises(ValueError):
-        exponential(0.0)
+        Exponential(0.0)
 
 
 def test_pareto_spec_heavy_and_light():
-    heavy = pareto(1.5)
+    heavy = Pareto(1.5)
     assert heavy.known_alpha == 1.5 and heavy.known_beta == 1.0
     assert heavy.known_mu == 3.0
-    light = pareto(3.0)
+    light = Pareto(3.0)
     assert light.known_alpha == 2.0 and light.known_beta == 0.0
     assert light.known_mu == 1.5
-    shifted = pareto(1.5, x_min=2.0, shift=-1.0)
+    shifted = Pareto(1.5, x_min=2.0, shift=-1.0)
     assert shifted.known_mu == 5.0
     assert shifted.positivity  # support starts at x_min + shift = 1
 
 
 def test_pareto_rejects_unnormable_indices():
     with pytest.raises(ValueError):
-        pareto(2.0)
+        Pareto(2.0)
     with pytest.raises(ValueError):
-        pareto(1.0)
+        Pareto(1.0)
     with pytest.raises(ValueError):
-        pareto(0.7)
+        Pareto(0.7)
 
 
 def test_two_sided_pareto_spec():
-    spec = two_sided_pareto(1.5, 0.4)
+    spec = TwoSidedPareto(1.5, 0.4)
     assert spec.known_alpha == 1.5
     assert spec.known_beta == 0.4
     assert spec.known_mu == pytest.approx(0.4 * 1.5 / 0.5)
     assert not spec.positivity
-    assert two_sided_pareto(1.5, 1.0).positivity
+    assert TwoSidedPareto(1.5, 1.0).positivity
     with pytest.raises(ValueError):
-        two_sided_pareto(1.5, 1.5)
+        TwoSidedPareto(1.5, 1.5)
 
 
 def test_exact_stable_and_degenerate_specs():
     law = StableParams(1.7, -0.2, 2.0, 0.9)
-    spec = exact_stable(law)
+    spec = ExactStable(law)
     assert spec.known_alpha == 1.7 and spec.known_beta == -0.2
     assert spec.known_mu == 0.9
     with pytest.raises(ValueError):
-        exact_stable(StableParams(0.9, 0.0))
-    point = degenerate(4.0)
+        ExactStable(StableParams(0.9, 0.0))
+    point = Degenerate(4.0)
     assert point.known_mu == 4.0 and point.known_alpha == 2.0
 
 
 def test_sample_doa_marginals():
     # Pareto median has the closed form x_min * 2**(1/tail)
-    x = sample_doa(pareto(1.5), stream(4004, 0), 200_000)
+    x = sample_doa(Pareto(1.5), stream(4004, 0), 200_000)
     assert float(np.median(x)) == pytest.approx(2 ** (1 / 1.5), rel=0.01)
     assert float(x.min()) >= 1.0
-    e = sample_doa(exponential(2.0), stream(4005, 0), 200_000)
+    e = sample_doa(Exponential(2.0), stream(4005, 0), 200_000)
     assert float(e.mean()) == pytest.approx(0.5, rel=0.02)
-    d = sample_doa(degenerate(-1.5), stream(1, 0), 7)
+    d = sample_doa(Degenerate(-1.5), stream(1, 0), 7)
     np.testing.assert_array_equal(d, np.full(7, -1.5))
 
 
 def test_sample_doa_deterministic():
-    spec = two_sided_pareto(1.8, -0.3)
+    spec = TwoSidedPareto(1.8, -0.3)
     a = sample_doa(spec, stream(6, 0), 100)
     b = sample_doa(spec, stream(6, 0), 100)
     np.testing.assert_array_equal(a, b)
@@ -102,37 +102,37 @@ def test_sample_doa_deterministic():
 #        (a_n, b_n) at n = 1, 100, 10**4), bit for bit
 PINNED = {
     "exponential": (
-        exponential(2.0),
+        Exponential(2.0),
         [0.3031810677147255, 0.021995522368973522, 0.07790428090321655,
          1.6356620356754272, 0.473590288893707],
         [(0.5, 0.5), (5.0, 50.0), (50.0, 5000.0)]),
     "pareto heavy": (
-        pareto(1.5, 2.0, 0.5),
+        Pareto(1.5, 2.0, 0.5),
         [3.150696197997292, 2.5295507471957577, 3.0333703013664683,
          13.076178340823416, 7.197733631895373],
         [(3.6905402972880568, 6.5), (79.5102804143797, 650.0),
          (1712.9970633890223, 65000.0)]),
     "pareto light": (
-        pareto(3.0),
+        Pareto(3.0),
         [1.1512376379352118, 1.0073605976004216, 1.1254710794521707,
          2.5076062630348703, 1.8299909332965796],
         [(0.8660254037844386, 1.5), (8.660254037844386, 150.0),
          (86.60254037844386, 15000.0)]),
     "two-sided pareto": (
-        two_sided_pareto(1.7, -0.4),
+        TwoSidedPareto(1.7, -0.4),
         [-1.2821481189904242, 1.013025825184723, 1.2319412895072528,
          -5.06495179339506, -2.904993632175809],
         [(2.195723088089918, -0.9714285714285715),
          (32.964626298607804, -97.14285714285715),
          (494.90147136548427, -9714.285714285716)]),
     "exact stable": (
-        exact_stable(StableParams(1.5, 0.5, 2.0, 1.0)),
+        ExactStable(StableParams(1.5, 0.5, 2.0, 1.0)),
         [-0.4738564951006454, -2.539248339008829, -0.2886342808601514,
          4.091167516597364, 3.4037498296157684],
         [(1.5874010519681994, 1.0), (34.19951893353393, 100.0),
          (736.806299728077, 10000.0)]),
     "degenerate": (
-        degenerate(3.0),
+        Degenerate(3.0),
         [3.0] * 5,
         [(1.0, 3.0), (10.0, 300.0), (100.0, 30000.0)]),
 }
@@ -288,7 +288,7 @@ def test_levy_grid_refinement_invariant():
 
 def test_partial_sums_invariance_principle():
     # rescaled exponential sums at t = 1/2 against the N(0, 1/2) marginal
-    spec = exponential(1.0)
+    spec = Exponential(1.0)
     reps, n = 1500, 4000
     vals = np.empty(reps)
     a_n = math.sqrt(n)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from stablesums import (
+    Exponential,
+    Pareto,
     StableParams,
-    exponential,
     limit_law,
-    pareto,
     tail_dispersion,
     verify_lemma,
 )
@@ -25,12 +25,12 @@ CALLERS = {
                               "(-inf, inf)"),
     "limit_law.alpha": (lambda v: limit_law(v, 0.0, 1.0, 1.0), "alpha", "(1, 2]"),
     "limit_law.t": (lambda v: limit_law(1.5, 0.0, v, 1.0), "t", "(0, 1]"),
-    "pareto.tail_index": (lambda v: pareto(v), "tail_index", "(1, inf)"),
-    "pareto.x_min": (lambda v: pareto(1.5, v), "x_min", "(0, inf)"),
+    "pareto.tail_index": (lambda v: Pareto(v), "tail_index", "(1, inf)"),
+    "pareto.x_min": (lambda v: Pareto(1.5, v), "x_min", "(0, inf)"),
     "tail_dispersion.alpha": (lambda v: tail_dispersion(v, 1.0, 0.0), "alpha", "(1, 2)"),
     "tail_dispersion.c_plus": (lambda v: tail_dispersion(1.5, v, 1.0), "c_plus",
                                "[0, inf)"),
-    "verify_lemma.band": (lambda v: verify_lemma(exponential(1.0), [2, 4], 2, 1, band=v),
+    "verify_lemma.band": (lambda v: verify_lemma(Exponential(1.0), [2, 4], 2, 1, band=v),
                           "band", "(1, inf)"),
 }
 
