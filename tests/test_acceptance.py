@@ -104,6 +104,26 @@ def test_criterion_1_sampler_char_fn_fidelity(sampler_reports):
              "four (alpha, beta) cases at n=1e6", ok, str(stats))
 
 
+# statistic, control statistic and worst_t of each sampler report at seed 101
+SAMPLER_PINS = {
+    (2.0, 0.0): (0.0025202665405884834, 0.25077678180995755, 2.6000000000000005),
+    (1.5, 0.0): (0.002164817639573777, 0.24931497681133233, 1.7000000000000002),
+    (1.5, 1.0): (0.002830573130183814, 0.34625691786540835, 1.0),
+    (1.2, 0.5): (0.0021699007022070753, 0.4391314650105121, 0.6000000000000005),
+}
+
+
+@pytest.mark.parametrize("law", SAMPLER_CASES, ids=str)
+def test_sampler_reports_are_pinned(sampler_reports, law):
+    # admits a re-associated ECF sum (moves of order 1e-16), not a change
+    # in the draws (moves of order 1e-4)
+    stat, control, worst_t = SAMPLER_PINS[law]
+    rep = sampler_reports[law]
+    assert abs(rep.statistic - stat) <= 1e-12
+    assert abs(rep.negative_control["statistic"] - control) <= 1e-12
+    assert rep.details["worst_t"] == worst_t
+
+
 def test_criterion_2_cdf_inversion_accuracy():
     xs = np.arange(-1000, 1001) / 100.0  # [-10, 10] step 0.01
     gauss = StableParams(2.0, 0.0)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,9 +149,16 @@ def test_empirical_char_fn_is_plain_mean():
 
 CRITERION_1_LAWS = [(2.0, 0.0), (1.5, 0.0), (1.5, 1.0), (1.2, 0.5)]
 ARITHMETIC_GRIDS = {
-    "library-default": np.arange(-50, 51) / 10.0,
-    "cli-default": -5.0 + 0.1 * np.arange(101),
+    "library-default": np.arange(-50, 51) / 10.0,  # exactly symmetric
+    "cli-default": -5.0 + 0.1 * np.arange(101),  # 2 ulps off symmetric at its ends
     "asymmetric": np.array([0.5, 1.5, 2.5, 3.5]),
+    "even-count": -0.25 + 0.1 * np.arange(6),  # mirrored, no zero
+    "partly-mirrored": -2.0 + 0.1 * np.arange(71),
+    "off-mirror": -0.27 + 0.1 * np.arange(11),  # mirrors fall off the grid
+    "all-negative": -5.0 + 0.1 * np.arange(41),
+    "decreasing": 5.0 - 0.1 * np.arange(101),
+    "constant": np.array([2.5] * 3),
+    "constant-zero": np.array([0.0] * 3),
 }
 
 
@@ -177,6 +185,35 @@ def test_ecf_short_grids_match_outer_product(criterion_1_draws, t):
     got = empirical_char_fn(x, t)
     assert np.ndim(got) == np.ndim(t)
     np.testing.assert_allclose(np.atleast_1d(got), direct, rtol=0, atol=1e-12)
+
+
+def test_ecf_is_conjugate_symmetric_on_a_symmetric_grid(criterion_1_draws):
+    t = ARITHMETIC_GRIDS["library-default"]
+    got = empirical_char_fn(criterion_1_draws, t)
+    np.testing.assert_array_equal(got[::-1], got.conj())
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2)], ids=str)
+def test_ecf_keeps_the_shape_of_a_multidimensional_t(criterion_1_draws, shape):
+    x = criterion_1_draws
+    t = np.arange(math.prod(shape)).reshape(shape) / 10.0
+    got = empirical_char_fn(x, t)
+    assert got.shape == shape
+    direct = np.exp(1j * np.outer(t.ravel(), x)).mean(axis=1).reshape(shape)
+    np.testing.assert_allclose(got, direct, rtol=0, atol=1e-12)
+
+
+def test_ecf_memory_stays_of_order_one_chunk():
+    # the outer product of the default grid with one chunk takes 53 MB
+    x = sample(StableParams(1.0, 0.0), stream(4413, 0), 2**14)
+    t = -5.0 + 0.1 * np.arange(101)
+    tracemalloc.start()
+    try:
+        empirical_char_fn(x, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_ecf_non_arithmetic_grid_is_exact_outer_product(criterion_1_draws):
