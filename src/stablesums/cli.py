@@ -302,11 +302,12 @@ def _execute(config: CampaignConfig) -> VerificationReport:
     if c == "paths":
         law = StableParams(_require(p, "alpha"), _require(p, "beta"), 1.0, 0.0)
         reps = _check_count(_require(p, "reps"), "reps", 1)
-        names = []
+        names, t_text = [], None
         for r in range(reps):
             path = simulate_levy_path(law.alpha, law.beta, stream(seed, 0, r), p["grid"])
-            names.append(_write_csv(out, f"path_{r:04d}.csv", "t,value",
-                                    path.times, path.values))
+            if t_text is None:   # every path has the same grid: format it once
+                t_text = np.array([repr(t) for t in path.times.tolist()])
+            names.append(_write_csv(out, f"path_{r:04d}.csv", "t,value", t_text, path.values))
         names.append(_write(out, "limit_laws.json", _json({repr(1.0): asdict(law)})))
         return _trivial_report(config, "paths", p["grid"], reps, {}, names)
     if c == "verify-sampler":
@@ -356,6 +357,29 @@ def _overlay_columns(values: np.ndarray, law: StableParams):
     return xs, emp(xs), cdf(law, xs)
 
 
+def _read_columns(path: str, *names: str) -> list:
+    """The columns ``names`` of a CSV artifact, as float arrays.  A file
+    without rows, a missing column, a short row or a cell that is not a
+    number is refused with a ``ValueError``."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        for name in names:
+            if name not in header:
+                raise ValueError(f"{path} has no column {name!r}")
+        body = fh.tell()
+        if not fh.readline().strip():   # np.loadtxt only warns on a file without rows
+            raise ValueError(f"{path} holds no rows")
+        fh.seek(body)
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if table.shape[1] != len(header):
+        raise ValueError(f"{path} has {table.shape[1]} cells per row under "
+                         f"{len(header)} column names")
+    return [table[:, header.index(name)] for name in names]
+
+
 def _read_object(path: str) -> dict:
     with open(path) as fh:
         data = json.load(fh)
@@ -392,13 +416,12 @@ def emit_plotdata(report_path: str, out_dir: Optional[str] = None) -> list:
             raise FileNotFoundError(f"report artifact {name} missing at {path}")
         return path
 
-    data = np.genfromtxt(_artifact(source), delimiter=",", names=True)
     laws = _read_object(_artifact("limit_laws.json"))
-    values = np.atleast_1d(data["value"])
     if source == "samples.csv":
+        (values,) = _read_columns(_artifact(source), "value")
         marginals = [("overlay.csv", "sampled", values)]
     else:
-        ts = np.atleast_1d(data["t"])
+        ts, values = _read_columns(_artifact(source), "t", "value")
         marginals = [(f"overlay_t{t!r}.csv", repr(t), values[ts == t])
                      for t in sorted(set(ts.tolist()))]
     written = []

@@ -48,16 +48,19 @@ included) and |z| up to 1e6.  Each value carries an error estimate, its gap
 to the embedded rule of twice the step, which stays below 1e-8 on that grid;
 where it exceeds ``_MAX_ABSERR`` (5e-8), ``cdf`` raises
 :class:`QuadratureError` rather than return the value.
+
+The node tables of the quadrature are built, and ``scipy.special`` is
+imported, at the first ``cdf`` call that needs them, so importing this module
+or drawing from a law costs neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
-from scipy.special import erfc, expit
 
 from .rng import _check_count, _check_real, as_generator
 
@@ -205,9 +208,11 @@ def _rule(t_lo: float, t_hi: float, position, speed):
     return position(t), weight, coarse
 
 
+@cache
 def _nodes():
     """The panels of every CDF point as rows of nodes, and the matrices that
-    map the integrand on those rows to the sums the kernel needs.
+    map the integrand on those rows to the sums the kernel needs; built once,
+    at the first call.
 
     Two outer panels run from a split point to +-inf in s, with offsets
     tau = exp(t - exp(-t)) in units of a scale lambda: they pack nodes doubly
@@ -219,7 +224,10 @@ def _nodes():
     with the tanh-sinh positions expit(pi sinh t), packed against both ends.
 
     Columns of the outer matrix: the full-step and the half-step sum of each
-    outer panel, then their end terms; of the middle matrix, its two sums."""
+    outer panel, then their end terms; of the middle matrix, its two sums.
+    Returned with the slice of the nodes of the first outer panel."""
+    from scipy.special import expit
+
     def offset(t):
         return np.exp(t - np.exp(-t))
 
@@ -246,12 +254,11 @@ def _nodes():
     middle_sums = np.stack([middle[1], middle[2]], axis=1)
     for arr in (pos, block, sums, middle[0], middle_sums):
         arr.flags.writeable = False
-    return pos, block, sums, middle[0], middle_sums
+    small = slice(0, int(np.count_nonzero(block == 0)))
+    return pos, block, sums, middle[0], middle_sums, small
 
 
 _STEP = 1.0 / 32
-_POSITIONS, _BLOCK, _SUMS, _MIDDLE, _MIDDLE_SUMS = _nodes()
-_SMALL = slice(0, int(np.count_nonzero(_BLOCK == 0)))
 # s grid on which each law tabulates log V to place the split points
 _TABLE_S = np.linspace(-40.0, 40.0, 321)
 _TABLE_S.flags.writeable = False
@@ -311,6 +318,8 @@ class _Integral:
 
     def log_v(self, s, slope: bool = False):
         """log V at s, with u and w, or with d log V / ds when ``slope``."""
+        from scipy.special import expit
+
         a, length = self.alpha, self.length
         u = length * expit(s)
         w = length * expit(-s)
@@ -383,6 +392,9 @@ class _Integral:
         the others integrate exp(-h).  The estimate is the difference from the
         half-step rule plus the end terms of the outer panels; it is infinite
         where the Newton steps missed h = 1 by more than lambda."""
+        from scipy.special import expit
+
+        positions, block, outer_sums, middle_nodes, middle_sums, small = _nodes()
         target = np.arcsinh(-shift)
         root = np.interp(target, self.key, self.key_s)
         k_root = np.interp(root, _TABLE_S, self.table_k)
@@ -419,13 +431,13 @@ class _Integral:
                 origin[:, 0], scale[:, 0], origin[:, 1], scale[:, 1] = lo, -lam_lo, hi, lam_hi
             else:
                 origin[:, 0], scale[:, 0], origin[:, 1], scale[:, 1] = hi, lam_hi, lo, -lam_lo
-            lv, u, w = self.log_v(origin[:, _BLOCK] + scale[:, _BLOCK] * _POSITIONS)
+            lv, u, w = self.log_v(origin[:, block] + scale[:, block] * positions)
             h = np.exp(shift[:, None] + lv)
             f = np.exp(-h)
-            f[:, _SMALL] = np.expm1(-h[:, _SMALL])
+            f[:, small] = np.expm1(-h[:, small])
             # dtheta/ds = u w / L; the 1/L is applied to the sums
             f *= u * w
-            sums = np.einsum("ij,jk->ik", f, _SUMS)
+            sums = np.einsum("ij,jk->ik", f, outer_sums)
             size = np.abs(scale) / self.length
             fine = size * sums[:, 0:4:2]
             total = self.length * expit(lo if self.rising else -hi) + fine.sum(axis=1)
@@ -434,15 +446,15 @@ class _Integral:
                    + (size * np.abs(sums[:, 5:8:2])).sum(axis=1))
             missed = steep
             if steep.any():
-                y_root = shift + np.where(first == self.rising, lv[:, 0], lv[:, _SMALL.stop])
+                y_root = shift + np.where(first == self.rising, lv[:, 0], lv[:, small.stop])
                 missed = steep & ~(np.abs(y_root) <= 1.0)
             # the middle panel, [lo, hi], where there are two split points
             two = ~one
             if two.any():
                 span = (hi - lo)[two]
-                lv, u, w = self.log_v(lo[two][:, None] + span[:, None] * _MIDDLE)
+                lv, u, w = self.log_v(lo[two][:, None] + span[:, None] * middle_nodes)
                 f = np.exp(-np.exp(shift[two][:, None] + lv)) * (u * w)
-                sums = np.einsum("ij,jk->ik", f, _MIDDLE_SUMS) * (span / self.length)[:, None]
+                sums = np.einsum("ij,jk->ik", f, middle_sums) * (span / self.length)[:, None]
                 total[two] += sums[:, 0]
                 err[two] += np.abs(sums[:, 0] - sums[:, 1])
         err = np.where(missed | ~np.isfinite(total), np.inf, err)
@@ -529,6 +541,8 @@ def cdf(params: StableParams, x):
         raise ValueError("x must be finite")
     a, b, d, mu = params.alpha, params.beta, params.dispersion, params.location
     if a == 2.0:
+        from scipy.special import erfc
+
         out = 0.5 * erfc((mu - xs.ravel()) / math.sqrt(2.0 * d))
     else:
         # the scale d**(1/alpha) can overflow or underflow for small alpha;

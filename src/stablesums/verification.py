@@ -30,7 +30,6 @@ from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from .functionals import (
     _functional_kernel,
@@ -90,6 +89,15 @@ def ecdf(samples) -> Ecdf:
     return Ecdf(samples)
 
 
+def _ks_pvalue(stat: float, en: float) -> float:
+    """Asymptotic p-value of the KS statistic ``stat`` at effective sample
+    size ``en**2``, with Stephens' correction en + 0.12 + 0.11/en.
+    ``scipy.special`` is imported here, at the first p-value."""
+    from scipy.special import kolmogorov
+
+    return float(kolmogorov((en + 0.12 + 0.11 / en) * stat))
+
+
 def ks_two_sample(a, b) -> tuple[float, float]:
     """Two-sample KS statistic and its asymptotic p-value.
 
@@ -104,7 +112,7 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     fb = np.searchsorted(b, pooled, side="right") / b.size
     stat = float(np.abs(fa - fb).max())
     en = math.sqrt(a.size * b.size / (a.size + b.size))
-    return stat, float(kolmogorov((en + 0.12 + 0.11 / en) * stat))
+    return stat, _ks_pvalue(stat, en)
 
 
 def ks_one_sample(samples, cdf_fn) -> tuple[float, float]:
@@ -122,8 +130,7 @@ def ks_one_sample(samples, cdf_fn) -> tuple[float, float]:
     n = xs.size
     grid = np.arange(1, n + 1) / n
     stat = float(max((grid - f).max(), (f - (grid - 1.0 / n)).max()))
-    sq = math.sqrt(n)
-    return stat, float(kolmogorov((sq + 0.12 + 0.11 / sq) * stat))
+    return stat, _ks_pvalue(stat, math.sqrt(n))
 
 
 # How far, relative to max|t|, a grid may stray from the progression it is
@@ -134,10 +141,14 @@ _GRID_ULPS = 8 * np.finfo(float).eps
 def _common_step(t: np.ndarray):
     """The step dt when t is t[0] + dt*k, k = 0..t.size-1, to within a few
     ulps of max|t|; otherwise None.  Grids of one or two points also give
-    None, because stepping through them saves no exponentials."""
+    None, because stepping through them saves no exponentials, and so do
+    grids whose span t[-1] - t[0] overflows."""
     if t.size < 3:
         return None
-    dt = (t[-1] - t[0]) / (t.size - 1)
+    span = float(t[-1]) - float(t[0])   # Python floats overflow to inf without a warning
+    if not math.isfinite(span):
+        return None
+    dt = span / (t.size - 1)
     drift = np.abs(t[0] + dt * np.arange(t.size) - t).max()
     return dt if drift <= _GRID_ULPS * np.abs(t).max() else None
 
@@ -165,8 +176,12 @@ def _ecf_sums(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     exponential per draw and 50 multiplies.  Any other arithmetic grid,
     dt = 0 included, starts from exp(i*t_0*x).  A grid that is not
     arithmetic takes the full outer product.  Every exponential is taken by
-    :func:`_cis`.
+    :func:`_cis`.  Raises ``ValueError`` where some t*x overflows, that is
+    where max|t| * max|x| is not finite.
     """
+    reach = float(np.abs(t).max(initial=0.0)) * float(np.abs(x).max(initial=0.0))
+    if not math.isfinite(reach):
+        raise ValueError("t*x overflows: max|t| * max|samples| is not finite")
     dt = _common_step(t)
     if dt is None:
         return _cis(np.outer(t, x)).sum(axis=1)

@@ -9,10 +9,12 @@ import sys
 import numpy as np
 import pytest
 
+import stablesums
 from stablesums import StableParams, stable, verify_sampler
 from stablesums.cli import _resolve, build_parser, emit_plotdata, main
 from stablesums.paths import simulate_levy_path
 from stablesums.rng import stream
+from stablesums.verification import _write_csv
 
 
 def _run(*args):
@@ -507,6 +509,66 @@ def test_bad_paths_and_files_exit_two(tmp_path, capsys, make_args):
     assert sorted(os.listdir(tmp_path)) == before
 
 
+_GAUSS = {"alpha": 2.0, "beta": 0.0, "dispersion": 1.0, "location": 0.0}
+# extreme and easily misread values: negative zero, the least subnormal, the
+# largest double, and two whose repr switches notation
+_EDGE_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 1e-05, 1e+16]
+
+
+def _artifact_report(tmp_path, campaign, source, laws):
+    (tmp_path / "limit_laws.json").write_text(json.dumps(laws))
+    (tmp_path / "report.json").write_text(json.dumps(
+        {"test_name": campaign, "artifacts": [source, "limit_laws.json"]}))
+    return str(tmp_path / "report.json")
+
+
+def _overlay_x(path):
+    header, *rows = path.read_text().splitlines()
+    assert header == "x,empirical,theoretical"
+    return [row.split(",")[0] for row in rows]
+
+
+@pytest.mark.parametrize("values", [_EDGE_VALUES, [5e-324]], ids=["edge-values", "one-row"])
+def test_plotdata_reads_back_every_written_bit(tmp_path, values):
+    _write_csv(tmp_path, "samples.csv", "value", np.array(values))
+    report = _artifact_report(tmp_path, "sample", "samples.csv", {"sampled": _GAUSS})
+    assert _run("plotdata", "--report", report) == 0
+    # repr round-trips, so equal text is equal bits, the sign of zero included
+    assert _overlay_x(tmp_path / "overlay.csv") == [repr(v) for v in sorted(values)]
+
+
+def test_plotdata_reads_back_the_statistics_columns(tmp_path):
+    times = [0.5, 1.0]
+    stats = np.array([_EDGE_VALUES, _EDGE_VALUES[::-1]]).T
+    _write_csv(tmp_path, "statistics.csv", "rep,t,value", np.repeat(np.arange(5), 2),
+               np.tile(times, 5), stats.ravel())
+    laws = {repr(t): _GAUSS for t in times}
+    report = _artifact_report(tmp_path, "verify-fclt", "statistics.csv", laws)
+    assert _run("plotdata", "--report", report) == 0
+    for t, column in zip(times, stats.T):
+        got = _overlay_x(tmp_path / f"overlay_t{t!r}.csv")
+        assert got == [repr(v) for v in sorted(column.tolist())]
+
+
+@pytest.mark.parametrize("source,text", [
+    ("samples.csv", "value\n"),
+    ("samples.csv", "value\n0.5\nabc\n"),
+    ("statistics.csv", "rep,t,value\n0,0.5,1.0\n1,0.5\n"),
+    ("statistics.csv", "rep,t,value\n0.5,1.0\n0.5,2.0\n"),
+    ("statistics.csv", "rep,value\n0,1.0\n"),
+], ids=["header-only", "non-numeric-cell", "short-row", "narrow-rows", "no-t-column"])
+def test_plotdata_refuses_a_malformed_artifact(tmp_path, capsys, source, text):
+    (tmp_path / source).write_text(text)
+    campaign = "sample" if source == "samples.csv" else "verify-fclt"
+    laws = {"sampled": _GAUSS} if source == "samples.csv" else {"0.5": _GAUSS}
+    report = _artifact_report(tmp_path, campaign, source, laws)
+    before = sorted(os.listdir(tmp_path))
+    assert _run("plotdata", "--report", report) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: plotdata: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_plotdata_missing_report(tmp_path):
     assert _run("plotdata", "--report", str(tmp_path / "nope.json")) == 2
 
@@ -525,6 +587,34 @@ def test_lemma_has_no_overlays(tmp_path):
                 "--reps", "50", "--seed", "4505",
                 "--out-dir", str(tmp_path)) == 0
     assert emit_plotdata(str(tmp_path / "report.json")) == []
+
+
+_STARTUP = """
+import json, sys
+import stablesums, stablesums.cli
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+for i, argv in enumerate(runs[:-1]):
+    assert stablesums.cli.main(argv + ["--out-dir", f"{out}/{i}"]) in (0, 1), argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+assert stablesums.cli.main(runs[-1] + ["--out-dir", f"{out}/last"]) in (0, 1)
+print(json.dumps("scipy.special" in sys.modules))
+"""
+
+
+def test_data_campaigns_start_without_scipy(tmp_path):
+    # scipy.special takes most of the start-up; only a stable CDF or a KS
+    # p-value may load it
+    runs = [[c, *_SMALL[c], "--seed", "1"] for c in
+            ("sample", "paths", "verify-sampler", "verify-lemma", "verify-fclt")]
+    src = os.path.dirname(os.path.dirname(stablesums.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP, str(tmp_path), json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(json.loads, proc.stdout.splitlines())
+    assert before == []
+    assert after is True
 
 
 def test_module_entry_point(tmp_path):

@@ -90,6 +90,30 @@ def test_empirical_char_fn_edge_values():
     assert empirical_char_fn(np.zeros(5), 3.7) == 1.0 + 0.0j
 
 
+@pytest.mark.parametrize("x,t", [
+    (np.array([10.0, 1.0]), 1e308),                           # the outer product
+    (np.array([1e300, -2.0]), np.linspace(-1e10, 1e10, 5)),   # a mirrored grid
+    (np.array([1e300]), np.linspace(1e9, 1e10, 4)),           # a one-sided grid
+])
+def test_empirical_char_fn_refuses_an_overflowing_product(x, t):
+    # some t*x is inf, where cos and sin give nan
+    with pytest.raises(ValueError, match="overflows"):
+        empirical_char_fn(x, t)
+
+
+def test_empirical_char_fn_is_finite_up_to_the_largest_product():
+    got = empirical_char_fn(np.array([10.0, -1.0]), np.array([-1.7e307, 0.0, 1.7e307]))
+    assert np.isfinite(got).all()
+
+
+def test_ecf_grid_whose_span_overflows_takes_the_outer_product():
+    # t[-1] - t[0] = 3e308 overflows, though every t*x is finite
+    x, t = np.array([1e-10, 0.5]), np.array([-1.5e308, 0.0, 1.5e308])
+    assert _common_step(t) is None
+    direct = np.exp(1j * np.outer(t, x)).mean(axis=1)
+    np.testing.assert_array_equal(empirical_char_fn(x, t), direct)
+
+
 def test_ks_one_sample_uniforms():
     u = stream(4401, 0).random(100_000)
     stat, p = ks_one_sample(u, lambda x: np.clip(x, 0.0, 1.0))
