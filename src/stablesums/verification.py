@@ -18,6 +18,15 @@ only array arithmetic, in place, through the private kernels of
 :mod:`.functionals` and :mod:`.paths` that also serve the public statistics.
 So each formula is written once, and a campaign's per-replicate values are
 bit for bit those of the public functions on the same draws.
+
+A KS statistic against a stable law is a supremum over the order
+statistics, and the CDF does not decrease, so the campaigns evaluate it only
+where that supremum can fall (:func:`_ks_sup`): at every 16th order
+statistic and the last, then in the runs between them whose bound comes
+within 1e-6 of the largest gap found.  The CDF gives each point the value
+it gives it in any array, so every statistic and p-value is bit for bit the
+one :func:`ks_one_sample` gives from every point, and only the evaluated
+points can raise :class:`~stablesums.stable.QuadratureError`.
 """
 
 from __future__ import annotations
@@ -115,6 +124,57 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     return stat, _ks_pvalue(stat, en)
 
 
+# How far apart _marginal_fits first evaluates the CDF, and by how much a run
+# may fall short of the largest gap and still be evaluated: 20 times
+# stable._MAX_ABSERR, so a CDF that strays from monotone by its error
+# tolerance cannot hide the supremum in a skipped run.
+_KS_STRIDE = 16
+_KS_SLACK = 1e-6
+
+
+def _cdf_values(cdf_fn, points: np.ndarray) -> np.ndarray:
+    """``cdf_fn`` at ``points``, refused unless it is one value in [0, 1]
+    (to within 1e-9) per point, and clipped to [0, 1]."""
+    f = np.asarray(cdf_fn(points), dtype=float)
+    if f.shape != points.shape or not np.all((f >= -1e-9) & (f <= 1.0 + 1e-9)):
+        raise ValueError("cdf_fn must return one value in [0, 1] per sample")
+    return np.clip(f, 0.0, 1.0)
+
+
+def _ks_gaps(index: np.ndarray, n: int, f: np.ndarray) -> np.ndarray:
+    """The larger one-sided KS gap at each order statistic ``index``
+    (0-based) of n with CDF value ``f``: to the ECDF i/n after the jump
+    and (i-1)/n before it."""
+    upper = (index + 1) / n
+    return np.maximum(upper - f, f - (upper - 1.0 / n))
+
+
+def _ks_sup(xs: np.ndarray, cdf_fn, stride: int) -> float:
+    """sup |ECDF - F| over the sorted sample ``xs``, in at most two calls of
+    ``cdf_fn``; ``stride`` 1 evaluates every point in the first.
+
+    The first call takes every ``stride``-th order statistic and the last.
+    F does not decrease, so between two of them, a < b, no point has a gap
+    above max(b/n - F(x_a), F(x_b) - (a+1)/n).  The second call takes every
+    point of each run whose bound comes within _KS_SLACK of the largest gap
+    of the first.  The supremum then falls on an evaluated point, and as
+    ``cdf_fn`` gives each point the value it gives it in any array, the
+    statistic is bit for bit the one from evaluating every point.
+    """
+    n = xs.size
+    first = np.unique(np.append(np.arange(0, n, stride), n - 1))
+    f = _cdf_values(cdf_fn, xs[first])
+    stat = _ks_gaps(first, n, f).max()
+    bound = np.maximum(first[1:] / n - f[:-1], f[1:] - (first[:-1] + 1) / n)
+    todo = np.zeros(n, dtype=bool)
+    todo[:-1] = np.repeat(bound >= stat - _KS_SLACK, np.diff(first))
+    todo[first] = False
+    rest = np.flatnonzero(todo)
+    if rest.size:
+        stat = max(stat, _ks_gaps(rest, n, _cdf_values(cdf_fn, xs[rest])).max())
+    return float(stat)
+
+
 def ks_one_sample(samples, cdf_fn) -> tuple[float, float]:
     """One-sample KS statistic against a continuous CDF, with p-value.
 
@@ -123,14 +183,8 @@ def ks_one_sample(samples, cdf_fn) -> tuple[float, float]:
     ECDF) enter the sup.
     """
     xs = np.sort(_as_samples(samples, "samples"))
-    f = np.asarray(cdf_fn(xs), dtype=float)
-    if f.shape != xs.shape or not np.all((f >= -1e-9) & (f <= 1.0 + 1e-9)):
-        raise ValueError("cdf_fn must return one value in [0, 1] per sample")
-    f = np.clip(f, 0.0, 1.0)
-    n = xs.size
-    grid = np.arange(1, n + 1) / n
-    stat = float(max((grid - f).max(), (f - (grid - 1.0 / n)).max()))
-    return stat, _ks_pvalue(stat, math.sqrt(n))
+    stat = _ks_sup(xs, cdf_fn, 1)
+    return stat, _ks_pvalue(stat, math.sqrt(xs.size))
 
 
 # How far, relative to max|t|, a grid may stray from the progression it is
@@ -297,12 +351,21 @@ def _half_dispersion(law: StableParams) -> StableParams:
 def _marginal_fits(stats: np.ndarray, laws) -> list:
     """For each column of the (reps x times) matrix ``stats``: the KS
     statistic and p-value against its law, and the KS statistic against
-    that law at half dispersion."""
+    that law at half dispersion.
+
+    Each statistic takes at most two ``cdf`` calls (:func:`_ks_sup`): one
+    at every 16th order statistic and the last, one at the runs between
+    them where the supremum can still fall.  Every value is bit for bit the
+    one :func:`ks_one_sample` gives from the CDF at every order statistic.
+    ``cdf`` is read from this module's namespace at each call, where the
+    benchmark's tracer (bench/spans.py) wraps it.
+    """
     fits = []
     for column, law in zip(stats.T, laws):
-        stat, p = ks_one_sample(column, partial(cdf, law))
-        control, _ = ks_one_sample(column, partial(cdf, _half_dispersion(law)))
-        fits.append((stat, p, control))
+        xs = np.sort(_as_samples(column, "samples"))
+        stat = _ks_sup(xs, partial(cdf, law), _KS_STRIDE)
+        control = _ks_sup(xs, partial(cdf, _half_dispersion(law)), _KS_STRIDE)
+        fits.append((stat, _ks_pvalue(stat, math.sqrt(xs.size)), control))
     return fits
 
 
@@ -496,7 +559,9 @@ def verify_fclt(spec: DoaSpec, n: int, grid: int, times: Sequence[float], reps: 
     functional_statistic(x, fn, mu, a_n, grid).at(j/grid) on its draws x, bit
     for bit, gathered at the cuts n*j//grid alone.  The values across
     replicates are KS-tested one-sample against the CDF of
-    limit_law(alpha, beta, t, f'(mu)).  The reported statistic is the worst
+    limit_law(alpha, beta, t, f'(mu)), which :func:`_marginal_fits` evaluates
+    only at the order statistics where the supremum can fall, with the same
+    bits as at every one.  The reported statistic is the worst
     marginal; the control is the best marginal against half-dispersion nulls,
     so "fail" means even the easiest marginal rejected the wrong law.
     """
@@ -569,7 +634,9 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     exponent mu/a_n (log_product_statistic, bit for bit, with log(k*mu) built
     once), and the sample of logs is KS-tested against the law with
     dispersion gamma(alpha+1) (skewness beta = 1 for positive heavy-tailed
-    inputs, inert at alpha = 2).  Requires a positivity guarantee.
+    inputs, inert at alpha = 2).  :func:`_marginal_fits` evaluates that
+    law's CDF only at the order statistics where the supremum can fall,
+    with the same bits as at every one.  Requires a positivity guarantee.
     """
     if not spec.positivity:
         raise ValueError("verify_product needs a spec with positivity=True")

@@ -465,6 +465,18 @@ def test_plotdata_quadrature_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "overlay.csv").exists()
 
 
+def test_product_quadrature_failure_exits_three(tmp_path, capsys, monkeypatch):
+    # the KS supremum evaluates the CDF only at some order statistics; a
+    # failure at one of them still ends the campaign before anything is written
+    monkeypatch.setattr(stable, "_MAX_ABSERR", -1.0)
+    out = tmp_path / "out"
+    assert _run("verify-product", "--family", "pareto", "--tail-index", "1.5",
+                "--n", "200", "--reps", "40", "--seed", "5", "--out-dir", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: verify-product: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_readme_pipeline_writes_overlay(tmp_path):
     out = tmp_path / "runs" / "stable15"
     assert _run("sample", "--alpha", "1.5", "--beta", "1", "--n", "100000",

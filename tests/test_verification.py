@@ -4,6 +4,8 @@ import json
 import math
 import os
 import tracemalloc
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from stablesums import (
     StableParams,
     TwoSidedPareto,
     VerificationReport,
+    cdf,
     char_fn,
     ecdf,
     empirical_char_fn,
@@ -35,7 +38,7 @@ from stablesums import (
     verify_sampler,
 )
 from stablesums.rng import stream
-from stablesums.verification import _common_step
+from stablesums.verification import _common_step, _half_dispersion, _marginal_fits
 
 
 def test_ecdf_hand_example():
@@ -573,3 +576,68 @@ def test_campaigns_draw_once_per_replicate(monkeypatch, campaign):
         assert calls == {"sample_doa": [], "sample": [GRID] * REPS + [REPS, REPS]}
     else:
         assert calls == {"sample_doa": [N] * REPS, "sample": []}
+
+
+# The marginal campaigns evaluate the CDF only at every 16th order statistic,
+# the last one, and the runs between them where the KS supremum can still
+# fall; each fit must be, bit for bit, ks_one_sample's from every point.
+def _fits_by_ks_one_sample(column, law):
+    stat, p = ks_one_sample(column, partial(cdf, law))
+    control, _ = ks_one_sample(column, partial(cdf, _half_dispersion(law)))
+    return stat, p, control
+
+
+@pytest.mark.parametrize("alpha, beta", [(2.0, 0.0), (1.5, 1.0), (1.5, -0.4), (1.2, 0.5),
+                                         (1.0, 0.0), (1.0, 0.8), (0.7, 1.0), (0.7, -0.3)])
+def test_bracketed_sup_equals_ks_one_sample(alpha, beta):
+    law = StableParams(alpha, beta)
+    for n in (2, 3, 15, 16, 17, 33, 500):
+        column = sample(law, stream(4530, n), n)
+        # the true law, a shifted law, and (as each fit's control) both at
+        # half dispersion
+        for null in (law, replace(law, location=0.25)):
+            [fit] = _marginal_fits(column[:, None], [null])
+            assert fit == _fits_by_ks_one_sample(column, null), (n, null)
+
+
+@pytest.mark.parametrize("where", ["ties", 0, -1])
+def test_bracketed_sup_at_ties_and_at_either_end(where):
+    law = StableParams(1.5, 1.0)
+    if where == "ties":
+        column = np.full(40, 0.3)   # the sup is at the first or the last point
+    else:
+        # shifted far into the upper tail, the sup falls on the first order
+        # statistic; far into the lower tail, on the last
+        column = sample(law, stream(4531, 0), 200) + (60.0 if where == 0 else -60.0)
+        xs = np.sort(column)
+        upper = np.arange(1, xs.size + 1) / xs.size
+        f = cdf(law, xs)
+        gaps = np.maximum(upper - f, f - (upper - 1.0 / xs.size))
+        assert int(np.argmax(gaps)) == np.arange(xs.size)[where]
+    [fit] = _marginal_fits(column[:, None], [law])
+    assert fit == _fits_by_ks_one_sample(column, law)
+
+
+def test_product_column_reaches_cdf_at_a_quarter_of_its_points(tmp_path, monkeypatch):
+    # The benchmark's verify-product at workload seed 0; its tracer wraps the
+    # cdf binding of the verification module, so every point must go through it.
+    import stablesums.verification as verification
+    evaluated = []
+
+    def counting(law, x):
+        evaluated.append((law, x.size))
+        return cdf(law, x)
+    monkeypatch.setattr(verification, "cdf", counting)
+    reps = 5000
+    rep = verify_product(Pareto(1.5), 10**4, reps, 404, out_dir=str(tmp_path))
+    law = StableParams(**rep.details["limit_law"])
+    per_law = [[size for null, size in evaluated if null == want]
+               for want in (law, _half_dispersion(law))]
+    # per law: every 16th order statistic and the last, then at most one more call
+    assert len(evaluated) == sum(map(len, per_law))
+    assert [sizes[0] for sizes in per_law] == [314, 314]
+    assert max(map(len, per_law)) <= 2
+    assert sum(map(sum, per_law)) <= 0.25 * 2 * reps
+    values = _csv_column(tmp_path / "statistics.csv", "value")
+    assert (rep.statistic, rep.details["p_value"], rep.negative_control["statistic"]) == \
+        _fits_by_ks_one_sample(values, law)
