@@ -4,8 +4,9 @@ Subcommands: ``sample``, ``paths``, ``verify-sampler``, ``verify-remark``,
 ``verify-fclt``, ``verify-lemma``, ``verify-product``, ``plotdata``.  Every
 campaign writes ``report.json`` plus CSV artifacts into ``--out-dir``
 (default: current directory).  Exit codes: 0 campaign passed, 1 campaign
-failed (report still written), 2 configuration error, a bad flag or an
-unreadable or unwritable path included (nothing written), 3 numerical
+failed (report still written), 2 configuration error, a bad flag, an input
+whose derived constants overflow, and an unreadable, undecodable or
+unwritable file included (nothing written), 3 numerical
 failure: the error estimate of a stable CDF value exceeded its tolerance (no
 report written).  Each error prints one line ``error: <subcommand>: ...``.
 
@@ -37,6 +38,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -68,7 +70,7 @@ from .verification import (
     verify_sampler,
 )
 
-__all__ = ["CampaignConfig", "ConfigError", "run", "emit_plotdata", "main"]
+__all__ = ["CampaignConfig", "run", "emit_plotdata", "main"]
 
 _VERIFY = ("verify-sampler", "verify-remark", "verify-fclt", "verify-lemma",
            "verify-product")
@@ -76,10 +78,6 @@ _OVERLAY_MAX_ROWS = 2048
 # verify-sampler frequency grids hold at most this many points, about 1000
 # times the default 101; a larger grid is a mistyped --t-step, not a test.
 _MAX_T_POINTS = 10**5
-
-
-class ConfigError(ValueError):
-    """Invalid campaign configuration; nothing has been written."""
 
 
 @dataclass
@@ -168,31 +166,42 @@ def _parse_number_list(text: str, kind, what: str):
     try:
         return [kind(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"could not parse {what} list {text!r}") from exc
+        raise ValueError(f"could not parse {what} list {text!r}") from exc
+
+
+def _read_text(path: str) -> str:
+    """The text of the file ``path``; one that cannot be opened or decoded is
+    refused with a ``ValueError`` naming it."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_object(path: str, text: Optional[str] = None) -> dict:
+    """The JSON object in the file ``path``, whose text may be given already;
+    anything else is refused with a ``ValueError`` naming the file."""
+    try:
+        data = json.loads(_read_text(path) if text is None else text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return data
 
 
 def _load_config_file(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        return data
+    text = _read_text(path)
+    if text.lstrip().startswith("{"):
+        return _read_object(path, text)
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         out[key.strip().replace("-", "_")] = value.strip()
     return out
@@ -213,15 +222,15 @@ def _resolve(ns: argparse.Namespace) -> CampaignConfig:
             if key == "campaign":
                 continue
             if key not in options or key == "config":
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             kind = options[key][0]
             if isinstance(kind, tuple) and str(raw) not in kind:
-                raise ConfigError(f"config key {key!r}: {raw!r} is not one of "
-                                  f"{', '.join(kind)}")
+                raise ValueError(f"config key {key!r}: {raw!r} is not one of "
+                                 f"{', '.join(kind)}")
             try:
                 given[key] = str(raw) if isinstance(kind, tuple) else kind(str(raw))
             except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: cannot coerce {raw!r}") from exc
+                raise ValueError(f"config key {key!r}: cannot coerce {raw!r}") from exc
     for key, val in vars(ns).items():
         if val is not None and key not in ("campaign", "config"):
             given[key] = val
@@ -233,8 +242,8 @@ def _resolve(ns: argparse.Namespace) -> CampaignConfig:
         for key in options:
             if key in _FAMILY_OPTIONS and key not in _SPECS[family][1]:
                 if key in given:
-                    raise ConfigError(f"--{key.replace('_', '-')} does not apply to "
-                                      f"--family {family}")
+                    raise ValueError(f"--{key.replace('_', '-')} does not apply to "
+                                     f"--family {family}")
                 merged.pop(key, None)
     seed = merged.pop("seed", None)
     if seed is None and campaign not in _VERIFY:
@@ -245,7 +254,7 @@ def _resolve(ns: argparse.Namespace) -> CampaignConfig:
 
 def _require(params: dict, key: str):
     if params.get(key) is None:
-        raise ConfigError(f"missing --{key.replace('_', '-')}")
+        raise ValueError(f"missing --{key.replace('_', '-')}")
     return params[key]
 
 
@@ -266,12 +275,12 @@ def _t_grid(params: dict) -> np.ndarray:
     _check_real(t_max, "t_max")
     _check_real(t_step, "t_step", 0.0)
     if not t_min < t_max:
-        raise ConfigError("need --t-min < --t-max")
+        raise ValueError("need --t-min < --t-max")
     slack = 8 * math.ulp(max(abs(t_min), abs(t_max)))
     steps = (t_max - t_min + slack) / t_step
     if not steps < _MAX_T_POINTS:
-        raise ConfigError(f"--t-step {t_step!r} gives {steps + 1:.4g} frequencies "
-                          f"from --t-min to --t-max, more than {_MAX_T_POINTS}")
+        raise ValueError(f"--t-step {t_step!r} gives {steps + 1:.4g} frequencies "
+                         f"from --t-min to --t-max, more than {_MAX_T_POINTS}")
     return t_min + t_step * np.arange(math.floor(steps) + 1)
 
 
@@ -328,7 +337,7 @@ def _execute(config: CampaignConfig) -> VerificationReport:
     if c == "verify-product":
         return verify_product(_build_spec(p), p["n"], p["reps"], seed,
                               threshold=p["threshold"], out_dir=out)
-    raise ConfigError(f"unknown campaign {c!r}")
+    raise ValueError(f"unknown campaign {c!r}")
 
 
 def run(config: CampaignConfig) -> int:
@@ -337,7 +346,7 @@ def run(config: CampaignConfig) -> int:
     A bad configuration raises ``ValueError`` before anything is drawn or
     written."""
     if config.seed is None and config.campaign in _VERIFY:
-        raise ConfigError("requires --seed (no wall-clock default)")
+        raise ValueError("requires --seed (no wall-clock default)")
     report = _execute(config)
     report.config["invocation"] = {
         "campaign": config.campaign,
@@ -360,32 +369,27 @@ def _overlay_columns(values: np.ndarray, law: StableParams):
 def _read_columns(path: str, *names: str) -> list:
     """The columns ``names`` of a CSV artifact, as float arrays.  A file
     without rows, a missing column, a short row or a cell that is not a
-    number is refused with a ``ValueError``."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        for name in names:
-            if name not in header:
-                raise ValueError(f"{path} has no column {name!r}")
-        body = fh.tell()
-        if not fh.readline().strip():   # np.loadtxt only warns on a file without rows
-            raise ValueError(f"{path} holds no rows")
-        fh.seek(body)
-        try:
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    number, and a file that is not text, is refused with a ``ValueError``."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            for name in names:
+                if name not in header:
+                    raise ValueError(f"{path} has no column {name!r}")
+            body = fh.tell()
+            if not fh.readline().strip():   # np.loadtxt only warns on a file without rows
+                raise ValueError(f"{path} holds no rows")
+            fh.seek(body)
+            try:
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:   # in the lines read before np.loadtxt
+        raise ValueError(f"{path}: {exc}") from None
     if table.shape[1] != len(header):
         raise ValueError(f"{path} has {table.shape[1]} cells per row under "
                          f"{len(header)} column names")
     return [table[:, header.index(name)] for name in names]
-
-
-def _read_object(path: str) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path} does not hold a JSON object")
-    return data
 
 
 def emit_plotdata(report_path: str, out_dir: Optional[str] = None) -> list:
@@ -438,7 +442,13 @@ def emit_plotdata(report_path: str, out_dir: Optional[str] = None) -> list:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad flag in the one line every configuration error gets;
-    a subcommand's prog is "stablesums <subcommand>"."""
+    a subcommand's prog is "stablesums <subcommand>".  An argument such as
+    -1e-3 is a negative number, not a flag: argparse's own pattern for
+    negative numbers has no exponent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.exit(2, f"error: {self.prog.split()[-1]}: {message}\n")
@@ -469,7 +479,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         if unknown:
-            raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         if ns.campaign == "plotdata":
             emit_plotdata(ns.report, ns.out_dir)
             return 0

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .paths import SamplePath, _partial_sums
-from .rng import _as_samples, _check_count, _check_real
+from .rng import _as_samples, _check_count, _check_real, _power
 from .stable import StableParams
 
 __all__ = [
@@ -201,6 +201,7 @@ def limit_law(alpha: float, beta: float, t: float, f_prime: float) -> StablePara
     return StableParams(
         alpha=alpha,
         beta=beta if f_prime > 0.0 else -beta,
-        dispersion=abs(f_prime) ** alpha * math.gamma(alpha + 1.0) * t,
+        dispersion=_power(abs(f_prime), alpha, "|f_prime|**alpha")
+        * math.gamma(alpha + 1.0) * t,
         location=0.0,
     )

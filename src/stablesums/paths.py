@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import _as_samples, _check_count, _check_real, as_generator
+from .rng import _as_samples, _check_count, _check_real, _power, as_generator
 from .stable import StableParams, sample
 
 __all__ = [
@@ -71,10 +71,11 @@ def tail_dispersion(alpha: float, c_plus: float, c_minus: float) -> float:
 @dataclass(frozen=True)
 class DoaSpec:
     """Base of the input families (see the module docstring); it refuses a
-    family whose mean is not finite."""
+    family whose mean is not finite or whose scale is not finite and > 0."""
 
     def __post_init__(self):
         _check_real(self.known_mu, "known_mu")
+        _check_real(self.scale, "scale", 0.0)
 
     def a(self, n):
         """Scaling a_n = scale * n**(1/known_alpha) at a scalar or an integer array n."""
@@ -155,11 +156,13 @@ class Pareto(DoaSpec):
     @property
     def scale(self) -> float:
         ti = self.tail_index
+        power, name = (ti, "x_min**tail_index") if ti < 2.0 else (2, "x_min**2")
+        tail = _power(self.x_min, power, name)
+        if tail == 0.0:   # the power underflows; the scale is linear in x_min
+            return self.x_min * Pareto(ti).scale
         if ti < 2.0:
-            d = tail_dispersion(ti, self.x_min**ti, 0.0)
-            return d ** (1.0 / ti)
-        var = ti * self.x_min**2 / ((ti - 1.0) ** 2 * (ti - 2.0))
-        return math.sqrt(var)
+            return tail_dispersion(ti, tail, 0.0) ** (1.0 / ti)
+        return math.sqrt(ti * tail / ((ti - 1.0) ** 2 * (ti - 2.0)))
 
 
 @dataclass(frozen=True)

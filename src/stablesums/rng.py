@@ -6,8 +6,9 @@ ready ``numpy.random.Generator``.  Integer seeds are expanded into Philox
 replicate from ``(seed, label, replicate)``.  Replicate r therefore sees the
 same bits no matter how replicates are chunked or ordered.
 
-The input checks the simulation entry points share (seeds, counts, real
-parameters, sample arrays) live here too, so each is written once.
+The input checks the simulation entry points share (counts, seeds among
+them, real parameters, sample arrays, float powers) live here too, so each is
+written once.
 """
 
 from __future__ import annotations
@@ -21,15 +22,6 @@ __all__ = ["MAX_SEED", "stream", "as_generator"]
 # Seeds are 64-bit by contract; SeedSequence would accept more but campaign
 # reports store them as plain integers.
 MAX_SEED = 2**64 - 1
-
-
-def _check_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-    seed = int(seed)
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return seed
 
 
 def _check_count(value, name: str, minimum: int) -> int:
@@ -57,6 +49,16 @@ def _check_real(value, name: str, low: float = -math.inf, high: float = math.inf
                          f"got {shown!r}")
 
 
+def _power(base: float, exponent: float, name: str) -> float:
+    """``base ** exponent`` in float arithmetic, where an overflow raises
+    ``OverflowError``; it is refused instead with a ``ValueError`` naming the
+    derived constant ``name``."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise ValueError(f"{name} = {base!r}**{exponent!r} overflows") from None
+
+
 def _as_samples(x, name: str) -> np.ndarray:
     """``x`` as a float array; refuses anything but a nonempty finite 1-d
     sequence with a ``ValueError``."""
@@ -74,7 +76,9 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     Same address, same bits; distinct addresses give statistically
     independent Philox streams.
     """
-    seed = _check_seed(seed)
+    seed = _check_count(seed, "seed", 0)
+    if seed > MAX_SEED:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     key = tuple(int(p) for p in path)
     ss = np.random.SeedSequence(seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))

@@ -62,7 +62,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .rng import _check_count, _check_real, as_generator
+from .rng import _check_count, _check_real, _power, as_generator
 
 __all__ = [
     "StableParams",
@@ -148,7 +148,7 @@ def scale_shift(params: StableParams, c: float, d: float) -> StableParams:
     _check_real(c, "c", 0.0)
     _check_real(d, "d")
     a = params.alpha
-    new_disp = params.dispersion * c**a
+    new_disp = params.dispersion * _power(c, a, "c**alpha")
     new_loc = c * params.location + d
     if a == 1.0:
         new_loc -= (2.0 / math.pi) * params.beta * params.dispersion * c * math.log(c)
@@ -195,7 +195,7 @@ def sample(params: StableParams, seed, n: int) -> np.ndarray:
         # Same drift correction as scale_shift: scaling the unit draw by d
         # displaces the alpha=1 location.
         return d * x + mu + (2.0 / math.pi) * b * d * math.log(d)
-    return d ** (1.0 / a) * x + mu
+    return _power(d, 1.0 / a, "dispersion**(1/alpha)") * x + mu
 
 
 def _rule(t_lo: float, t_hi: float, position, speed):

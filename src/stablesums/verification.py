@@ -330,7 +330,8 @@ def _plain(obj):
 
 def _report(test_name, seed, n, reps, statistic, threshold, config, details,
             control_name, control_statistic) -> VerificationReport:
-    """A statistic, and its control's, passes when it is at most ``threshold``."""
+    """A statistic, and its control's, passes when it is at most ``threshold``;
+    ``config`` is recorded after the campaign's name."""
     statistic = float(statistic)
     threshold = float(threshold)
     c_stat = float(control_statistic)
@@ -339,7 +340,7 @@ def _report(test_name, seed, n, reps, statistic, threshold, config, details,
     return VerificationReport(
         test_name=test_name, seed=int(seed), n=int(n), reps=int(reps),
         statistic=statistic, threshold=threshold, direction="leq",
-        passed=statistic <= threshold, config=_plain(config),
+        passed=statistic <= threshold, config=_plain({"campaign": test_name, **config}),
         details=_plain(details), negative_control=control, artifacts=[])
 
 
@@ -455,7 +456,6 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     control_stat = float(np.abs(ecf_vals - char_fn(wrong, grid)).max())
 
     config = {
-        "campaign": "verify-sampler",
         "params": asdict(params),
         "n": n,
         "t_min": float(grid.min()),
@@ -519,7 +519,6 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     control_stat, _ = ks_two_sample(integrals, wrong)
 
     config = {
-        "campaign": "verify-remark",
         "alpha": float(alpha),
         "beta": float(beta),
         "reps": reps,
@@ -603,7 +602,6 @@ def verify_fclt(spec: DoaSpec, n: int, grid: int, times: Sequence[float], reps: 
     control_stat = float(min(control_per_time))
 
     cfg = {
-        "campaign": "verify-fclt",
         "spec": _spec_dict(spec),
         "fn": fn.name,
         "f_prime_at_mu": float(fn.f_prime_at_mu),
@@ -654,7 +652,6 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     [(stat, p, control_stat)] = _marginal_fits(logs[:, None], [law])
 
     cfg = {
-        "campaign": "verify-product",
         "spec": _spec_dict(spec),
         "n": n,
         "reps": reps,
@@ -727,28 +724,27 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     control_stat = _band_stat(control_ratios)
 
     cfg = {
-        "campaign": "verify-lemma",
         "spec": _spec_dict(spec),
         "ns": ns,
         "reps": reps,
         "band": float(band),
         "trend_tol": float(trend_tol),
     }
+    ci_low, ci_high = ratios - 1.96 * ratio_se, ratios + 1.96 * ratio_se
     details = {
-        "ratios": [float(v) for v in ratios],
-        "ratio_stderr": [float(v) for v in ratio_se],
-        "ci95_low": [float(v - 1.96 * s) for v, s in zip(ratios, ratio_se)],
-        "ci95_high": [float(v + 1.96 * s) for v, s in zip(ratios, ratio_se)],
-        "a_n": [float(v) for v in a_vals],
-        "control_ratios": [float(v) for v in control_ratios],
+        "ratios": ratios,
+        "ratio_stderr": ratio_se,
+        "ci95_low": ci_low,
+        "ci95_high": ci_high,
+        "a_n": a_vals,
+        "control_ratios": control_ratios,
     }
     report = _report("verify-lemma", seed, nmax, reps, stat, 1.0, cfg, details,
                      "scaling deflated by log(n)", control_stat)
     if out_dir is not None:
         report.artifacts = [
             _write_csv(out_dir, "ratios.csv", "n,ratio,stderr,ci_low,ci_high",
-                       n_arr, ratios, ratio_se, ratios - 1.96 * ratio_se,
-                       ratios + 1.96 * ratio_se),
+                       n_arr, ratios, ratio_se, ci_low, ci_high),
             _write_csv(out_dir, "norming.csv", "n,a_n,b_n", n_arr, a_vals, spec.b(n_arr)),
         ]
     return report

@@ -191,6 +191,31 @@ def test_campaign_defaults_are_pinned(campaign):
     assert config.out_dir == "."
 
 
+# a negative value in scientific notation, one flag per subcommand that takes
+# numbers: argparse alone reads "-1e-3" as a flag and exits 2
+@pytest.mark.parametrize("argv, key, value", [
+    (["sample", "--location", "-1e-3"], "location", -0.001),
+    (["paths", "--beta", "-5e-1"], "beta", -0.5),
+    (["verify-sampler", "--t-min", "-1e1"], "t_min", -10.0),
+    (["verify-remark", "--beta", "-5E-1"], "beta", -0.5),
+    (["verify-fclt", "--family", "pareto", "--shift", "-5e-1"], "shift", -0.5),
+    (["verify-lemma", "--family", "two-sided-pareto", "--asymmetry", "-5e-1"],
+     "asymmetry", -0.5),
+    (["verify-product", "--shift", "-.5e+0"], "shift", -0.5),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_negative_values_in_scientific_notation(argv, key, value):
+    assert _resolve(build_parser().parse_args(argv)).params[key] == value
+
+
+def test_negative_location_in_scientific_notation_runs(tmp_path):
+    assert _run("sample", "--alpha", "2", "--beta", "0", "--n", "3",
+                "--location", "-1e-3", "--out-dir", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["invocation"]["params"]["location"] == -0.001
+    laws = json.loads((tmp_path / "limit_laws.json").read_text())
+    assert laws["sampled"]["location"] == -0.001
+
+
 _REMARK = ("verify-remark", "--alpha", "1.5", "--beta", "0", "--grid", "16")
 _FCLT = ("verify-fclt", "--n", "100", "--grid", "8", "--times", "1")
 _LEMMA = ("verify-lemma", "--ns", "10,100")
@@ -244,6 +269,21 @@ _PRODUCT = ("verify-product", "--tail-index", "1.5", "--n", "100")
     # draws from 0 up: verify_fclt refuses a family without positivity
     ("verify-fclt", "--family", "pareto", "--tail-index", "1.5", "--shift", "-2",
      "--seed", "1"),
+    # lists that do not parse, an empty list, a mandatory option left out
+    ("verify-fclt", "--times", "0.5,x", "--seed", "1"),
+    ("verify-lemma", "--ns", "10,1e3", "--seed", "1"),
+    ("verify-fclt", "--times", "", "--seed", "1"),
+    ("sample", "--alpha", "2", "--beta", "0"),
+    # j = 1 of 4 cells cuts 2 * 1 // 4 = 0 draws
+    ("verify-fclt", "--times", "0.25", "--n", "2", "--grid", "4", "--seed", "1"),
+    # a norming or scale constant that overflows the float range
+    _LEMMA + ("--family", "pareto", "--tail-index", "1.5", "--x-min", "1e300",
+              "--seed", "1"),
+    _FCLT + ("--family", "pareto", "--tail-index", "1.5", "--x-min", "1e300",
+             "--seed", "1"),
+    ("verify-sampler", "--alpha", "0.5", "--beta", "1", "--n", "10",
+     "--dispersion", "1e300", "--seed", "1"),
+    ("sample", "--alpha", "0.5", "--beta", "1", "--n", "10", "--dispersion", "1e300"),
 ])
 def test_bad_params_exit_two(tmp_path, capsys, args):
     out = tmp_path / "o"
@@ -284,6 +324,7 @@ def test_family_options_from_a_config_file(tmp_path, capsys):
     ["--t-step", "nan"],
     ["--t-min=-1e308", "--t-max", "1e308"],
     ["--t-step", "1e-300"],
+    ["--t-min", "1", "--t-max", "0"],
 ])
 def test_verify_sampler_rejects_non_finite_grid(tmp_path, capsys, grid_args):
     out = tmp_path / "o"
@@ -497,6 +538,19 @@ def _plotdata_of(tmp_path, report, laws):
 _SAMPLE_REPORT = {"test_name": "sample", "artifacts": ["samples.csv", "limit_laws.json"]}
 
 
+def _sample_with_config(tmp_path, content):
+    """A sample run with the config file ``content`` (bytes, or text), or
+    with ``content`` itself as the config path when it is a path."""
+    path = tmp_path / "c.cfg"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, str):
+        path.write_text(content)
+    else:
+        path = content
+    return ("sample", "--config", str(path), "--out-dir", str(tmp_path / "o"))
+
+
 @pytest.mark.parametrize("make_args", [
     # a report path that is a directory
     lambda tmp: ("plotdata", "--report", str(tmp)),
@@ -509,8 +563,18 @@ _SAMPLE_REPORT = {"test_name": "sample", "artifacts": ["samples.csv", "limit_law
     # an out-dir that is an existing file
     lambda tmp: ("sample", "--alpha", "2", "--beta", "0", "--n", "5",
                  "--out-dir", str(tmp / "samples.csv")),
+    # config files: a directory, a missing file, invalid JSON, a line without
+    # "=" after a comment and a blank line, and a campaign key, which is
+    # skipped, beside n = 0, which is not
+    lambda tmp: _sample_with_config(tmp, tmp),
+    lambda tmp: _sample_with_config(tmp, tmp / "missing.cfg"),
+    lambda tmp: _sample_with_config(tmp, '{"alpha": 2,'),
+    lambda tmp: _sample_with_config(tmp, "# settings\n\nalpha = 2\nbeta\n"),
+    lambda tmp: _sample_with_config(tmp, "campaign = paths\nalpha = 2\nbeta = 0\nn = 0\n"),
 ], ids=["report-is-a-directory", "report-holds-a-list", "artifacts-not-a-list",
-        "law-without-beta", "out-dir-is-a-file"])
+        "law-without-beta", "out-dir-is-a-file", "config-is-a-directory",
+        "config-missing", "config-invalid-json", "config-line-without-equals",
+        "config-campaign-key"])
 def test_bad_paths_and_files_exit_two(tmp_path, capsys, make_args):
     (tmp_path / "samples.csv").write_text("value\n0.5\n")
     args = make_args(tmp_path)
@@ -578,6 +642,29 @@ def test_plotdata_refuses_a_malformed_artifact(tmp_path, capsys, source, text):
     assert _run("plotdata", "--report", report) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: plotdata: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("name, content", [
+    ("config", b"n = \xff\n"),
+    ("report", b"{\xff}"),
+    ("report", b"{not json\n"),
+    ("samples", b"value\n\xff\n"),
+], ids=["config-not-utf-8", "report-not-utf-8", "report-not-json", "samples-not-utf-8"])
+def test_unreadable_files_are_named(tmp_path, capsys, name, content):
+    # the one stderr line names the file that could not be decoded or parsed
+    if name == "config":
+        args = _sample_with_config(tmp_path, content)
+        path = tmp_path / "c.cfg"
+    else:
+        args = _plotdata_of(tmp_path, _SAMPLE_REPORT, {"sampled": _GAUSS})
+        path = tmp_path / ("report.json" if name == "report" else "samples.csv")
+        path.write_bytes(content)
+    before = sorted(os.listdir(tmp_path))
+    assert _run(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {args[0]}: ") and err.count("\n") == 1
+    assert str(path) in err
     assert sorted(os.listdir(tmp_path)) == before
 
 

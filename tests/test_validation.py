@@ -1,5 +1,6 @@
 """The one check every real-valued library input goes through, seen through
-representative public callers."""
+representative public callers; the check of seeds; and the refusal of a
+derived constant that overflows."""
 
 import math
 
@@ -11,9 +12,12 @@ from stablesums import (
     Pareto,
     StableParams,
     limit_law,
+    sample,
     tail_dispersion,
     verify_lemma,
 )
+from stablesums.rng import MAX_SEED, stream
+from stablesums.stable import scale_shift
 
 # caller: (call taking the value, parameter name, interval as the error names it)
 CALLERS = {
@@ -64,3 +68,44 @@ def test_one_check_for_real_inputs(caller, value, accepted):
         call(value)
     shown = value.item() if isinstance(value, np.generic) else value
     assert str(refused.value) == f"{name} must be in {interval}, got {shown!r}"
+
+
+@pytest.mark.parametrize("seed, message", [
+    (True, "seed must be an integer >= 0, got True"),
+    (np.True_, "seed must be an integer >= 0, got np.True_"),
+    (1.0, "seed must be an integer >= 0, got 1.0"),
+    ("1", "seed must be an integer >= 0, got '1'"),
+    (-1, "seed must be an integer >= 0, got -1"),
+    (MAX_SEED + 1, f"seed must be in [0, 2**64), got {MAX_SEED + 1}"),
+])
+def test_seeds_are_counts(seed, message):
+    with pytest.raises(ValueError) as refused:
+        stream(seed)
+    assert str(refused.value) == message
+
+
+def test_seed_range_ends_are_accepted():
+    for seed in (0, np.uint64(0), MAX_SEED, np.uint64(MAX_SEED)):
+        stream(seed)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Pareto(1.5, x_min=1e250), "x_min**tail_index = 1e+250**1.5 overflows"),
+    (lambda: Pareto(3.0, x_min=1e200), "x_min**2 = 1e+200**2 overflows"),
+    (lambda: Pareto(3.0, x_min=1e154), "scale must be in (0, inf), got inf"),
+    (lambda: scale_shift(StableParams(2, 0), 1e200, 0), "c**alpha = 1e+200**2 overflows"),
+    (lambda: limit_law(2, 0, 1, 1e200), "|f_prime|**alpha = 1e+200**2 overflows"),
+    (lambda: sample(StableParams(0.5, 1, 1e300), 1, 10),
+     "dispersion**(1/alpha) = 1e+300**2.0 overflows"),
+], ids=["pareto-heavy", "pareto-light", "pareto-light-scale", "scale_shift",
+        "limit_law", "sample"])
+def test_overflowing_constants_are_refused(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("tail_index, x_min", [(1.5, 5e-324), (3.0, 1e-200)])
+def test_pareto_scale_is_linear_in_x_min_where_its_power_underflows(tail_index, x_min):
+    # x_min**tail_index (x_min**2 above index 2) underflows to 0
+    assert Pareto(tail_index, x_min).scale == x_min * Pareto(tail_index).scale > 0.0
