@@ -55,7 +55,7 @@ from .paths import (
     TwoSidedPareto,
     simulate_levy_path,
 )
-from .rng import _check_count, _check_real, stream
+from .rng import _check_count, _check_real, stream, streams
 from .stable import QuadratureError, StableParams, cdf, sample
 from .verification import (
     VerificationReport,
@@ -312,8 +312,8 @@ def _execute(config: CampaignConfig) -> VerificationReport:
         law = StableParams(_require(p, "alpha"), _require(p, "beta"), 1.0, 0.0)
         reps = _check_count(_require(p, "reps"), "reps", 1)
         names, t_text = [], None
-        for r in range(reps):
-            path = simulate_levy_path(law.alpha, law.beta, stream(seed, 0, r), p["grid"])
+        for r, rng in enumerate(streams(seed, 0, count=reps)):
+            path = simulate_levy_path(law.alpha, law.beta, rng, p["grid"])
             if t_text is None:   # every path has the same grid: format it once
                 t_text = np.array([repr(t) for t in path.times.tolist()])
             names.append(_write_csv(out, f"path_{r:04d}.csv", "t,value", t_text, path.values))

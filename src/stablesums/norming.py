@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import _check_count, stream
+from .rng import _check_count, streams
 from .paths import DoaSpec, sample_doa
 
 __all__ = [
@@ -62,8 +62,8 @@ def mean_abs_deviation(spec: DoaSpec, k: int, reps: int, seed) -> MeanAbsDeviati
     reps = _check_count(reps, "reps", 2)
     mu = spec.known_mu
     devs = np.empty(reps)
-    for r in range(reps):
-        x = sample_doa(spec, stream(seed, r), k)
+    for r, rng in enumerate(streams(seed, count=reps)):
+        x = sample_doa(spec, rng, k)
         devs[r] = abs(float(np.sum(x)) - k * mu)
     return MeanAbsDeviation(
         estimate=float(devs.mean()),

@@ -100,7 +100,9 @@ class Exponential(DoaSpec):
         super().__post_init__()
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.standard_exponential(n) / self.rate
+        x = rng.standard_exponential(n)
+        x /= self.rate
+        return x
 
     @property
     def known_mu(self) -> float:
@@ -134,8 +136,12 @@ class Pareto(DoaSpec):
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # Inverse CDF; 1 - U lies in (0, 1] so the magnitude never overflows.
-        u = rng.random(n)
-        return self.x_min * (1.0 - u) ** (-1.0 / self.tail_index) + self.shift
+        x = rng.random(n)
+        np.subtract(1.0, x, out=x)
+        x **= -1.0 / self.tail_index
+        np.multiply(self.x_min, x, out=x)
+        x += self.shift
+        return x
 
     @property
     def known_mu(self) -> float:
@@ -179,9 +185,12 @@ class TwoSidedPareto(DoaSpec):
         super().__post_init__()
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        magnitude = (1.0 - rng.random(n)) ** (-1.0 / self.tail_index)
-        right = rng.random(n) < (1.0 + self.asymmetry) / 2.0
-        return np.where(right, magnitude, -magnitude)
+        x = rng.random(n)
+        np.subtract(1.0, x, out=x)
+        x **= -1.0 / self.tail_index
+        left = rng.random(n) >= (1.0 + self.asymmetry) / 2.0
+        np.negative(x, out=x, where=left)
+        return x
 
     @property
     def known_mu(self) -> float:

@@ -9,7 +9,9 @@ was rejected, so a test with no power cannot certify anything.
 
 Replicate r of every campaign draws from the sub-stream (seed, label, r) with
 fixed labels per role, which keeps reports byte-identical across reruns
-and chunkings.
+and chunkings.  :func:`~stablesums.rng.streams` keys the sub-streams of all
+replicates in one vectorized pass, with the bits of
+:func:`~stablesums.rng.stream` at each address.
 
 The replicated campaigns build what every replicate shares once per
 campaign: k and log(k*mu), the cut indices, the Riemann cells, the increment
@@ -48,7 +50,7 @@ from .functionals import (
     qi_log,
 )
 from .paths import DoaSpec, _increment_law, _partial_sums, sample_doa
-from .rng import _as_samples, _check_count, _check_real, stream
+from .rng import _as_samples, _check_count, _check_real, stream, streams
 from .stable import StableParams, cdf, char_fn, sample
 
 # The campaigns call the kernels behind these public functions, not the
@@ -508,8 +510,8 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     integral = _riemann_kernel(np.arange(grid + 1) / grid, t, eps_used)
     path = np.empty(grid + 1)
     integrals = np.empty(reps)
-    for r in range(reps):
-        _partial_sums(sample(increment_law, stream(seed, _SIM, r), grid), path)
+    for r, rng in enumerate(streams(seed, _SIM, count=reps)):
+        _partial_sums(sample(increment_law, rng, grid), path)
         integrals[r] = integral(path)
     direct = sample(law, stream(seed, _NULL), reps)
     stat, p = ks_two_sample(integrals, direct)
@@ -590,8 +592,8 @@ def verify_fclt(spec: DoaSpec, n: int, grid: int, times: Sequence[float], reps: 
     fn = qi_log(spec.known_mu)
     statistic = _functional_kernel(fn, spec.known_mu, float(spec.a(n)), n, np.array(cuts))
     stats = np.empty((reps, len(times)))
-    for r in range(reps):
-        stats[r] = statistic(sample_doa(spec, stream(seed, _SIM, r), n))
+    for r, rng in enumerate(streams(seed, _SIM, count=reps)):
+        stats[r] = statistic(sample_doa(spec, rng, n))
 
     laws = [limit_law(spec.known_alpha, spec.known_beta, t, fn.f_prime_at_mu)
             for t in times]
@@ -645,8 +647,8 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     exponent = mu / a_n
     statistic = _log_product_kernel(mu, exponent, n)
     logs = np.empty(reps)
-    for r in range(reps):
-        logs[r] = statistic(sample_doa(spec, stream(seed, _SIM, r), n))
+    for r, rng in enumerate(streams(seed, _SIM, count=reps)):
+        logs[r] = statistic(sample_doa(spec, rng, n))
 
     law = limit_law(spec.known_alpha, spec.known_beta, 1.0, 1.0)
     [(stat, p, control_stat)] = _marginal_fits(logs[:, None], [law])
@@ -698,8 +700,8 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     sums = np.empty(nmax + 1)
     deviations = sums[1:]
     q = np.empty((reps, len(ns)))
-    for r in range(reps):
-        _partial_sums(sample_doa(spec, stream(seed, _SIM, r), nmax), sums)
+    for r, rng in enumerate(streams(seed, _SIM, count=reps)):
+        _partial_sums(sample_doa(spec, rng, nmax), sums)
         deviations -= k_mu
         np.abs(deviations, out=deviations)
         deviations /= k

@@ -11,7 +11,7 @@ import pytest
 
 import stablesums
 from stablesums import StableParams, stable, verify_sampler
-from stablesums.cli import _resolve, build_parser, emit_plotdata, main
+from stablesums.cli import CampaignConfig, _resolve, build_parser, emit_plotdata, main, run
 from stablesums.paths import simulate_levy_path
 from stablesums.rng import stream
 from stablesums.verification import _write_csv
@@ -85,6 +85,13 @@ def test_report_bytes_stable_across_reruns(tmp_path):
     first = (tmp_path / "report.json").read_bytes()
     assert _run(*args) == 0
     assert (tmp_path / "report.json").read_bytes() == first
+
+
+def test_run_refuses_an_unknown_campaign(tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="^unknown campaign 'bogus'$"):
+        run(CampaignConfig("bogus", 1, str(out)))
+    assert not out.exists()
 
 
 def test_config_file_and_flag_override(tmp_path):

@@ -184,6 +184,8 @@ def test_sample_path_validation():
         SamplePath(times=np.array([0.0, 1.0]), values=np.array([0.0, math.inf]))
     with pytest.raises(ValueError):
         SamplePath(times=np.array([0.0, 0.5, 1.0]), values=np.zeros(2))
+    with pytest.raises(ValueError, match="^a path needs at least the two endpoints 0 and 1$"):
+        SamplePath(times=np.array([0.0]), values=np.zeros(1))
 
 
 def test_sample_path_csv(tmp_path):

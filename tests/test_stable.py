@@ -73,6 +73,12 @@ def test_char_fn_at_zero_and_modulus():
             rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, [0.0, -math.inf]])
+def test_char_fn_refuses_non_finite_t(t):
+    with pytest.raises(ValueError, match="^t must be finite$"):
+        char_fn(StableParams(1.5, 0.3), t)
+
+
 def test_char_fn_mirror_symmetry():
     # negating the variable conjugates; negating (beta, location) mirrors the law
     for alpha in (0.8, 1.0, 1.4, 2.0):

@@ -1,6 +1,6 @@
 """The one check every real-valued library input goes through, seen through
-representative public callers; the check of seeds; and the refusal of a
-derived constant that overflows."""
+representative public callers; the check of seeds, stream path components and
+stream counts; and the refusal of a derived constant that overflows."""
 
 import math
 
@@ -16,7 +16,7 @@ from stablesums import (
     tail_dispersion,
     verify_lemma,
 )
-from stablesums.rng import MAX_SEED, stream
+from stablesums.rng import MAX_SEED, stream, streams
 from stablesums.stable import scale_shift
 
 # caller: (call taking the value, parameter name, interval as the error names it)
@@ -87,6 +87,32 @@ def test_seeds_are_counts(seed, message):
 def test_seed_range_ends_are_accepted():
     for seed in (0, np.uint64(0), MAX_SEED, np.uint64(MAX_SEED)):
         stream(seed)
+
+
+@pytest.mark.parametrize("component", [1.5, True, np.True_, -1, "1", None])
+def test_stream_path_components_are_counts(component):
+    shown = repr(component)
+    for call in (lambda: stream(3, component), lambda: stream(3, 0, component),
+                 lambda: streams(3, component, count=2)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == f"stream path component must be an integer >= 0, got {shown}"
+
+
+def test_stream_path_components_may_be_numpy_integers():
+    assert stream(3, np.int64(1)).random(3).tolist() == stream(3, 1).random(3).tolist()
+
+
+@pytest.mark.parametrize("count, message", [
+    (2**32 + 1, "count must be in [0, 2**32], got 4294967297"),
+    (-1, "count must be an integer >= 0, got -1"),
+    (True, "count must be an integer >= 0, got True"),
+    (2.0, "count must be an integer >= 0, got 2.0"),
+])
+def test_stream_counts_are_counts(count, message):
+    with pytest.raises(ValueError) as refused:
+        streams(3, 0, count=count)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("call, message", [

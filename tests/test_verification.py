@@ -104,6 +104,12 @@ def test_empirical_char_fn_refuses_an_overflowing_product(x, t):
         empirical_char_fn(x, t)
 
 
+@pytest.mark.parametrize("t", [math.nan, -math.inf, [0.5, math.inf]])
+def test_empirical_char_fn_refuses_non_finite_t(t):
+    with pytest.raises(ValueError, match="^t must be finite$"):
+        empirical_char_fn(np.array([0.5, -1.0]), t)
+
+
 def test_empirical_char_fn_is_finite_up_to_the_largest_product():
     got = empirical_char_fn(np.array([10.0, -1.0]), np.array([-1.7e307, 0.0, 1.7e307]))
     assert np.isfinite(got).all()
@@ -251,6 +257,13 @@ def test_ecf_non_arithmetic_grid_is_exact_outer_product(criterion_1_draws):
     for start in range(0, x.size, chunk):
         acc += np.exp(1j * np.outer(t, x[start : start + chunk])).sum(axis=1)
     np.testing.assert_array_equal(empirical_char_fn(x, t), acc / x.size)
+
+
+@pytest.mark.parametrize("t_grid", [[], [[0.5, 1.0]], [0.5, math.nan], [math.inf]],
+                         ids=["empty", "2-d", "nan", "inf"])
+def test_verify_sampler_refuses_a_bad_frequency_grid(t_grid):
+    with pytest.raises(ValueError, match="^t_grid must be a nonempty finite 1-d array$"):
+        verify_sampler(StableParams(1.5, 0.0), 10, 1, t_grid=t_grid)
 
 
 def test_verify_sampler_draws_in_fixed_chunks(tmp_path):
