@@ -6,15 +6,17 @@ ready ``numpy.random.Generator``.  Integer seeds are expanded into Philox
 replicate from ``(seed, label, replicate)``.  Replicate r therefore sees the
 same bits no matter how replicates are chunked or ordered.
 
-The stream at address ``(seed, *path)`` is the Philox generator keyed by
-``numpy.random.SeedSequence(seed, spawn_key=path).generate_state(2, uint64)``
-with its counter at 0.  That key is a fixed hash of the address words, and
-this module computes it itself (:func:`_absorb`, :func:`_stir`, :func:`_key`),
-on Python ints for one address and on numpy arrays for a run of replicate
-indices, so :func:`streams` keys thousands of replicates in one vectorized
-pass with the bits :func:`stream` gives each one.  No ``SeedSequence`` is
-kept, so ``spawn()`` on a generator from this module raises numpy's
-``TypeError``; derive a sub-stream by extending its address instead.
+The stream at address ``(seed, *path)`` is numpy's own
+``Generator(Philox(SeedSequence(seed, spawn_key=path)))``, so it can
+``spawn()``: its children are the streams at ``(seed, *path, 0)``,
+``(seed, *path, 1)``, ...  The seed is one 64-bit integer and each path
+component one 32-bit word, so distinct addresses give ``SeedSequence``
+distinct entropy.
+:func:`streams` keys a run of replicate indices in one vectorized pass: it
+takes the prefix's pool from ``SeedSequence`` and mixes the indices into it
+(:func:`_stir`, :func:`_key`) on numpy arrays, with the bits :func:`stream`
+gives each one.  Its items are one shared, re-keyed generator and cannot
+``spawn()``.
 
 The input checks the simulation entry points share (counts, seeds among
 them, real parameters, sample arrays, float powers) live here too, so each is
@@ -80,10 +82,25 @@ def _as_samples(x, name: str) -> np.ndarray:
     return x
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): its pool
-# of 4 words, the hash constants of mixing in and of generating state, and
-# the multipliers of mixing two pool words.
-_POOL = 4
+def _seed_sequence(seed, path) -> np.random.SeedSequence:
+    """``SeedSequence(seed, spawn_key=path)`` once the address is checked: a
+    seed in [0, 2**64) and path components in [0, 2**32), each refused
+    otherwise with a ``ValueError``."""
+    seed = _check_count(seed, "seed", 0)
+    if seed > MAX_SEED:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    words = []
+    for p in path:
+        p = _check_count(p, "stream path component", 0)
+        if p >= 2**32:
+            raise ValueError(f"stream path component must be in [0, 2**32), got {p}")
+        words.append(p)
+    return np.random.SeedSequence(seed, spawn_key=words)
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the hash
+# constants of mixing in and of generating state, and the multipliers of
+# mixing two pool words.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -92,20 +109,10 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _KEY_BLOCK = 2**12
 
 
-def _words(value: int) -> list:
-    """``value`` >= 0 as little-endian 32-bit words, ``[0]`` for 0."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
 def _hash(value, const: int, mult: int):
-    """One step of SeedSequence's running hash of ``value``, an int or a
-    uint64 array of 32-bit words, under the constant ``const``: the hash and
-    the next constant ``const * mult``."""
+    """One step of SeedSequence's running hash of ``value``, a uint64 array
+    of 32-bit words, under the constant ``const``: the hash and the next
+    constant ``const * mult``."""
     following = (const * mult) & _MASK32
     value = ((value ^ const) * following) & _MASK32
     return value ^ (value >> 16), following
@@ -118,8 +125,8 @@ def _mix(x, y):
 
 
 def _stir(pool: list, word, const: int):
-    """Mix one entropy word (an int, or a uint64 array of them) into every
-    word of ``pool``; the new pool and the running hash constant."""
+    """Mix a uint64 array of entropy words, one per replicate, into every
+    word of ``pool``; the new pools and the running hash constant."""
     out = []
     for x in pool:
         hashed, const = _hash(word, const, _MULT_A)
@@ -127,35 +134,9 @@ def _stir(pool: list, word, const: int):
     return out, const
 
 
-def _absorb(seed, path) -> tuple:
-    """The pool and hash constant of ``SeedSequence(seed, spawn_key=path)``
-    after it has mixed in every word: the seed's words padded with zeros to
-    the pool size, then each path component's words."""
-    seed = _check_count(seed, "seed", 0)
-    if seed > MAX_SEED:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    words = _words(seed)
-    words += [0] * (_POOL - len(words))
-    for p in path:
-        words += _words(_check_count(p, "stream path component", 0))
-    const = _INIT_A
-    pool = []
-    for w in words[:_POOL]:
-        hashed, const = _hash(w, const, _MULT_A)
-        pool.append(hashed)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                hashed, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], hashed)
-    for w in words[_POOL:]:
-        pool, const = _stir(pool, w, const)
-    return pool, const
-
-
 def _key(pool: list) -> np.ndarray:
-    """``generate_state(2, uint64)`` of ``pool``: the Philox key, shape (2,)
-    for int pool words, (k, 2) for arrays of k."""
+    """``generate_state(2, uint64)`` of ``pool``, arrays of k words each:
+    the k Philox keys, shape (k, 2)."""
     const, state = _INIT_B, []
     for x in pool:
         hashed, const = _hash(x, const, _MULT_B)
@@ -168,14 +149,11 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 
     Same address, same bits; distinct addresses give statistically
     independent Philox streams.  The seed is in [0, 2**64) and each path
-    component an integer >= 0; anything else is refused with a
-    ``ValueError``.  The bits are those of
-    ``Generator(Philox(SeedSequence(seed, spawn_key=path)))``, but the
-    generator has no ``SeedSequence``, so its ``spawn()`` raises numpy's
-    ``TypeError``.
+    component in [0, 2**32); anything else is refused with a ``ValueError``.
+    The generator is ``Generator(Philox(SeedSequence(seed, spawn_key=path)))``,
+    so ``spawn(k)`` gives the streams ``(seed, *path, i)`` for i < k.
     """
-    pool, _ = _absorb(seed, path)
-    return np.random.Generator(np.random.Philox(key=_key(pool)))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
 
 def streams(seed: int, *prefix: int, count: int):
@@ -185,13 +163,18 @@ def streams(seed: int, *prefix: int, count: int):
     The address is checked here; the keys are derived lazily, a block of
     replicate indices at a time, in numpy.  Every item is one and the same
     Generator, re-keyed before it is yielded, so draw from each item before
-    taking the next.  ``count`` is at most 2**32, so each index is one
+    taking the next; it has no ``SeedSequence`` and its ``spawn()`` raises
+    numpy's ``TypeError``.  ``count`` is at most 2**32, so each index is one
     32-bit word.
     """
     count = _check_count(count, "count", 0)
     if count > 2**32:
         raise ValueError(f"count must be in [0, 2**32], got {count}")
-    pool, const = _absorb(seed, prefix)
+    pool = _seed_sequence(seed, prefix).pool.tolist()
+    # SeedSequence has hashed 4 words to fill its pool, 12 to cross-mix it
+    # and 4 per word past the pool: one per prefix component, as it pads the
+    # seed to the 4 pool words.
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * len(prefix), 2**32) & _MASK32
     return _rekeyed(pool, const, count)
 
 

@@ -19,9 +19,8 @@ def _key(gen):
 
 
 SEEDS = st.one_of(st.sampled_from([0, 2**32, MAX_SEED]), st.integers(0, MAX_SEED))
-# components of one, two and three 32-bit words
-PATHS = st.lists(st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**70]),
-                           st.integers(0, 2**96)), max_size=4)
+# a path component is one 32-bit word
+PATHS = st.lists(st.integers(0, 2**32 - 1), max_size=4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -29,7 +28,7 @@ PATHS = st.lists(st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**70]),
 @example(0, [])
 @example(2**32, [])
 @example(MAX_SEED, [])
-@example(7, [2**70])
+@example(7, [2**32 - 1])
 def test_stream_is_the_seed_sequence_stream(seed, path):
     got, want = stream(seed, *path), _oracle(seed, *path)
     assert _key(got) == _key(want)
@@ -41,8 +40,13 @@ def test_stream_is_the_seed_sequence_stream(seed, path):
 @given(SEEDS, PATHS, st.integers(0, 40))
 @example(0, [], 0)
 @example(0, [], 1)
-@example(MAX_SEED, [2**70], 1)
+@example(MAX_SEED, [2**32 - 1], 1)
 @example(2**32, [0], 3)
+# prefixes of 1, 4 and 5 components: SeedSequence's hash count 16 + 4 per
+# component, up to and past its pool of 4 words
+@example(5, [2**32 - 1], 2)
+@example(MAX_SEED, [1, 2, 3, 2**32 - 1], 3)
+@example(2**32, [0, 9, 2**31, 4, 2**32 - 1], 2)
 def test_streams_are_the_stream_of_each_replicate(seed, prefix, count):
     items = 0
     for r, got in enumerate(streams(seed, *prefix, count=count)):
@@ -60,9 +64,14 @@ def test_streams_keys_run_across_key_blocks():
     assert got == [_key(_oracle(11, 0, r)) for r in range(count)]
 
 
-def test_derived_generators_cannot_spawn():
-    with pytest.raises(TypeError):
-        stream(3, 0).spawn(1)
+def test_stream_spawns_its_children_and_streams_items_cannot():
+    for seed, path in [(3, ()), (3, (0,)), (MAX_SEED, (2**32 - 1, 5))]:
+        children = stream(seed, *path).spawn(2)
+        for i, child in enumerate(children):
+            want = stream(seed, *path, i)
+            assert _key(child) == _key(want)
+            assert child.random(3).tolist() == want.random(3).tolist()
+    # one shared generator, re-keyed for each replicate: it has no SeedSequence
     with pytest.raises(TypeError):
         next(streams(3, 0, count=1)).spawn(1)
 

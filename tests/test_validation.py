@@ -99,6 +99,22 @@ def test_stream_path_components_are_counts(component):
         assert str(refused.value) == f"stream path component must be an integer >= 0, got {shown}"
 
 
+@pytest.mark.parametrize("component", [2**32, np.uint64(2**32), 2**70])
+def test_stream_path_components_are_single_words(component):
+    message = f"stream path component must be in [0, 2**32), got {int(component)}"
+    for call in (lambda: stream(3, component), lambda: stream(3, 0, component),
+                 lambda: streams(3, component, count=2)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
+
+
+def test_the_address_a_wide_component_aliased_keeps_its_key():
+    # 2**32 would be split into the words (0, 1): the key of stream(3, 0, 1)
+    key = stream(3, 0, 1).bit_generator.state["state"]["key"].tolist()
+    assert key == [4871736941327603950, 14424276488584317079]
+
+
 def test_stream_path_components_may_be_numpy_integers():
     assert stream(3, np.int64(1)).random(3).tolist() == stream(3, 1).random(3).tolist()
 
