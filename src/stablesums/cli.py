@@ -5,8 +5,8 @@ Subcommands: ``sample``, ``paths``, ``verify-sampler``, ``verify-remark``,
 campaign writes ``report.json`` plus CSV artifacts into ``--out-dir``
 (default: current directory).  Exit codes: 0 campaign passed, 1 campaign
 failed (report still written), 2 configuration error, a bad flag, an input
-whose derived constants overflow, and an unreadable, undecodable or
-unwritable file included (nothing written), 3 numerical
+whose derived constants overflow, an input too large to allocate, and an
+unreadable, undecodable or unwritable file included (nothing written), 3 numerical
 failure: the error estimate of a stable CDF value exceeded its tolerance (no
 report written).  Each error prints one line ``error: <subcommand>: ...``.
 
@@ -20,8 +20,9 @@ seed 0.  Results are byte-identical for a given seed, because every replicate
 draws from its own counter-based stream.
 
 ``--family`` picks the input of ``verify-fclt``, ``verify-lemma`` and
-``verify-product``.  Each family reads only its own options (``_SPECS``); an
-option of another family, flag or config key, is a configuration error.
+``verify-product``.  A family reads the fields of its class (``_FAMILIES``),
+with their defaults, and ``--help`` names the families that read each option;
+an option of another family, flag or config key, is a configuration error.
 ``exact-stable`` is offered by ``verify-lemma`` alone: the log transform of
 the other two needs positive draws.
 
@@ -40,7 +41,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -99,37 +100,33 @@ _COMMON = {
     "out_dir": (str, None, "directory for report.json and artifacts (default: .)"),
     "config": (str, None, "JSON or key=value settings file; flags override it"),
 }
-_ALPHA_BETA = {"alpha": (float, None, None), "beta": (float, None, None)}
-_LAW = {**_ALPHA_BETA, "dispersion": (float, 1.0, None),
-        "location": (float, 0.0, None)}
-# Each input family, declared once: its class and the options it reads, in
-# the class's argument order.  A run with --family reads only the options of
-# its family; an option of another family is refused.
-_SPECS = {
-    "exponential": (Exponential, ("rate",)),
-    "pareto": (Pareto, ("tail_index", "x_min", "shift")),
-    "two-sided-pareto": (TwoSidedPareto, ("tail_index", "asymmetry")),
-    "exact-stable": (lambda *law: ExactStable(StableParams(*law)),
-                     ("alpha", "beta", "dispersion", "location")),
-    "degenerate": (Degenerate, ("value",)),
-}
-_FAMILY_OPTIONS = {key for _, keys in _SPECS.values() for key in keys}
-_INPUTS = {
-    "rate": (float, 1.0, "exponential rate"),
-    "tail_index": (float, None, None),
-    "x_min": (float, 1.0, None),
-    "shift": (float, 0.0, None),
-    "asymmetry": (float, 0.0, None),
-    "value": (float, None, "degenerate point"),
-}
-_FAMILY = {
-    "family": (tuple(_SPECS), "exponential", None), **_INPUTS, **_LAW,
-    "alpha": (float, None, "exact-stable index"),
-    "beta": (float, None, "exact-stable skewness"),
-}
+# Each input family, declared once as the dataclass it builds (exact-stable
+# wraps its law in ExactStable): the fields of the class are the options the
+# family reads, with their defaults.  An option of another family is refused.
+_FAMILIES = {"exponential": Exponential, "pareto": Pareto,
+             "two-sided-pareto": TwoSidedPareto, "exact-stable": StableParams,
+             "degenerate": Degenerate}
+_FIELDS = {family: [f.name for f in fields(cls)] for family, cls in _FAMILIES.items()}
+_READ_BY = {key: "read by --family " + ", ".join(name for name in _FIELDS if key in _FIELDS[name])
+            for keys in _FIELDS.values() for key in keys}
 # The log transform of verify-fclt and verify-product needs positive draws,
 # which exact-stable inputs never are.
-_POSITIVE = tuple(family for family in _SPECS if family != "exact-stable")
+_POSITIVE = tuple(family for family in _FAMILIES if family != "exact-stable")
+
+
+def _float_options(classes, helps: dict) -> dict:
+    """The fields of the dataclasses ``classes`` as float options, each with
+    its field's default, or none where it has none, and its help in ``helps``."""
+    return {f.name: (float, None if f.default is MISSING else f.default, helps.get(f.name))
+            for cls in classes for f in fields(cls)}
+
+
+_LAW = _float_options([StableParams], {})
+# paths and verify-remark simulate the law at dispersion 1 and location 0
+_ALPHA_BETA = {key: option for key, option in _LAW.items() if option[1] is None}
+_INPUTS = _float_options([_FAMILIES[family] for family in _POSITIVE], _READ_BY)
+_FAMILY = {"family": (tuple(_FAMILIES), "exponential", None),
+           **_float_options(_FAMILIES.values(), _READ_BY)}
 _OPTIONS = {
     "sample": ("draw iid stable variates to CSV", {
         **_COMMON, **_LAW, "n": (int, None, None)}),
@@ -240,7 +237,7 @@ def _resolve(ns: argparse.Namespace) -> CampaignConfig:
     if "family" in options:
         family = merged["family"]
         for key in options:
-            if key in _FAMILY_OPTIONS and key not in _SPECS[family][1]:
+            if key in _READ_BY and key not in _FIELDS[family]:
                 if key in given:
                     raise ValueError(f"--{key.replace('_', '-')} does not apply to "
                                      f"--family {family}")
@@ -258,13 +255,13 @@ def _require(params: dict, key: str):
     return params[key]
 
 
-def _stable_params(params: dict) -> StableParams:
-    return StableParams(*(_require(params, key) for key in _LAW))
+def _build(cls, params: dict):
+    return cls(*(_require(params, f.name) for f in fields(cls)))
 
 
 def _build_spec(params: dict) -> DoaSpec:
-    build, keys = _SPECS[params["family"]]
-    return build(*(_require(params, key) for key in keys))
+    spec = _build(_FAMILIES[params["family"]], params)
+    return ExactStable(spec) if isinstance(spec, StableParams) else spec
 
 
 def _t_grid(params: dict) -> np.ndarray:
@@ -301,7 +298,7 @@ def _trivial_report(config: CampaignConfig, name: str, n: int, reps: int,
 def _execute(config: CampaignConfig) -> VerificationReport:
     c, p, out, seed = config.campaign, config.params, config.out_dir, config.seed
     if c == "sample":
-        params = _stable_params(p)
+        params = _build(StableParams, p)
         n = _check_count(_require(p, "n"), "n", 1)
         draws = sample(params, stream(seed, 0), n)
         return _trivial_report(config, "sample", n, 1, {"mean": float(draws.mean())}, [
@@ -320,7 +317,7 @@ def _execute(config: CampaignConfig) -> VerificationReport:
         names.append(_write(out, "limit_laws.json", _json({repr(1.0): asdict(law)})))
         return _trivial_report(config, "paths", p["grid"], reps, {}, names)
     if c == "verify-sampler":
-        return verify_sampler(_stable_params(p), p["n"], seed, t_grid=_t_grid(p),
+        return verify_sampler(_build(StableParams, p), p["n"], seed, t_grid=_t_grid(p),
                               threshold=p["threshold"], out_dir=out)
     if c == "verify-remark":
         return verify_remark(_require(p, "alpha"), _require(p, "beta"), p["reps"],
@@ -484,8 +481,8 @@ def main(argv=None) -> int:
             emit_plotdata(ns.report, ns.out_dir)
             return 0
         return run(_resolve(ns))
-    except (ValueError, OSError, QuadratureError) as exc:
-        print(f"error: {ns.campaign}: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, QuadratureError) as exc:
+        print(f"error: {ns.campaign}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3 if isinstance(exc, QuadratureError) else 2
 
 

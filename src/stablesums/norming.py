@@ -64,7 +64,7 @@ def mean_abs_deviation(spec: DoaSpec, k: int, reps: int, seed) -> MeanAbsDeviati
     devs = np.empty(reps)
     for r, rng in enumerate(streams(seed, count=reps)):
         x = sample_doa(spec, rng, k)
-        devs[r] = abs(float(np.sum(x)) - k * mu)
+        devs[r] = abs(float(np.sum(x - mu)))
     return MeanAbsDeviation(
         estimate=float(devs.mean()),
         stderr=float(devs.std(ddof=1) / math.sqrt(reps)),

@@ -344,18 +344,18 @@ def _increment_law(alpha: float, beta: float, grid: int) -> StableParams:
 def partial_sum_process(x, mu: float, a_n: float, grid: int = DEFAULT_GRID) -> SamplePath:
     """Rescaled partial-sum step path of the sequence ``x``.
 
-    Grid time j/grid carries (S_k - k*mu) / a_n with k = floor(n*j/grid),
-    computed in exact integer arithmetic; t = 0 carries the empty sum 0 and
-    t = 1 the fully centered sum.
+    Grid time j/grid carries (S_k - k*mu) / a_n, k = floor(n*j/grid) in exact
+    integer arithmetic, summed from the centered draws x_i - mu, so draws equal
+    to mu give exactly 0; t = 0 carries the empty sum 0 and t = 1 the full sum.
     """
     x = _as_samples(x, "x")
     _check_real(mu, "mu")
     _check_real(a_n, "a_n", 0.0)
     n, m = x.size, _check_count(grid, "grid", 1)
-    sums = _partial_sums(x, np.empty(n + 1))
+    sums = _partial_sums(x - mu, np.empty(n + 1))
     j = np.arange(m + 1)
     k = n * j // m
-    values = (sums[k] - k * mu) / a_n
+    values = sums[k] / a_n
     return SamplePath(times=j / m, values=values)
 
 

@@ -323,6 +323,8 @@ def _plain(obj):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
@@ -696,13 +698,13 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     a_vals = spec.a(n_arr)
     mu, nmax = spec.known_mu, ns[-1]
     k = np.arange(1, nmax + 1, dtype=float)
-    k_mu = k * mu
     sums = np.empty(nmax + 1)
     deviations = sums[1:]
     q = np.empty((reps, len(ns)))
     for r, rng in enumerate(streams(seed, _SIM, count=reps)):
-        _partial_sums(sample_doa(spec, rng, nmax), sums)
-        deviations -= k_mu
+        x = sample_doa(spec, rng, nmax)
+        x -= mu   # centered draws: a point mass sums to exactly zero
+        _partial_sums(x, sums)
         np.abs(deviations, out=deviations)
         deviations /= k
         np.cumsum(deviations, out=deviations)

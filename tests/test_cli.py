@@ -1,5 +1,6 @@
 """Exit codes, config resolution, and artifacts of the command line."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import stablesums
-from stablesums import StableParams, stable, verify_sampler
+from stablesums import (Degenerate, Exponential, Pareto, StableParams, TwoSidedPareto,
+                        stable, verify_sampler)
 from stablesums.cli import CampaignConfig, _resolve, build_parser, emit_plotdata, main, run
 from stablesums.paths import simulate_levy_path
 from stablesums.rng import stream
@@ -196,6 +198,38 @@ def test_campaign_defaults_are_pinned(campaign):
                for k, v in config.params.items())
     assert config.seed == (1 if campaign.startswith("verify-") else 0)
     assert config.out_dir == "."
+
+
+_FAMILY_CLASSES = {"exponential": Exponential, "pareto": Pareto,
+                   "two-sided-pareto": TwoSidedPareto, "exact-stable": StableParams,
+                   "degenerate": Degenerate}
+_REQUIRED_FIELDS = {"tail_index": "1.5", "alpha": "1.5", "beta": "0.5", "value": "3.0"}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_CLASSES))
+def test_family_options_are_the_fields_of_its_class(family):
+    # each family reads exactly the fields of its class, with their defaults
+    fields = dataclasses.fields(_FAMILY_CLASSES[family])
+    argv = ["verify-lemma", "--family", family, "--seed", "1"]
+    want = {}
+    for f in fields:
+        if f.default is dataclasses.MISSING:
+            argv += ["--" + f.name.replace("_", "-"), _REQUIRED_FIELDS[f.name]]
+            want[f.name] = float(_REQUIRED_FIELDS[f.name])
+        else:
+            want[f.name] = f.default
+    params = _resolve(build_parser().parse_args(argv)).params
+    assert params == {**want, "family": family, "ns": "100,1000,10000", "reps": 400,
+                      "band": 2.0, "trend_tol": 0.25}
+
+
+def test_help_names_the_families_that_read_an_option(capsys):
+    assert _run("verify-lemma", "--help") == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--tail-index TAIL_INDEX read by --family pareto, two-sided-pareto " in text
+    assert "--alpha ALPHA read by --family exact-stable " in text
+    assert _run("sample", "--help") == 0
+    assert "read by" not in capsys.readouterr().out
 
 
 # a negative value in scientific notation, one flag per subcommand that takes
@@ -522,6 +556,27 @@ def test_product_quadrature_failure_exits_three(tmp_path, capsys, monkeypatch):
                 "--n", "200", "--reps", "40", "--seed", "5", "--out-dir", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: verify-product: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, binding", [
+    (("sample", "--alpha", "2", "--beta", "0", "--n", "100000000000"), "sample"),
+    (("verify-lemma", "--ns", "10,100000000000", "--seed", "1"), "verify_lemma"),
+], ids=["sample", "verify-lemma"])
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 745. GiB", "Unable to allocate 745. GiB"),
+    ("", "MemoryError"),
+], ids=["numpy-message", "no-message"])
+def test_allocation_failure_exits_two(tmp_path, capsys, monkeypatch, args, binding,
+                                      message, shown):
+    # an input too large to allocate ends in one error line, not a traceback
+    def refuse(*_args, **_kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"stablesums.cli.{binding}", refuse)
+    out = tmp_path / "out"
+    assert _run(*args, "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {args[0]}: {shown}\n"
     assert not out.exists()
 
 

@@ -115,6 +115,11 @@ def test_mean_abs_deviation_degenerate():
     assert got == (0.0, 0.0)
 
 
+def test_mean_abs_deviation_non_dyadic_point_mass():
+    # the sum of 1000 draws of 0.1 is not 1000 * 0.1 in floating point
+    assert mean_abs_deviation(Degenerate(0.1), 1000, 3, 1) == (0.0, 0.0)
+
+
 def test_mean_abs_deviation_validation():
     with pytest.raises(ValueError):
         mean_abs_deviation(Exponential(1.0), 0, 10, 1)

@@ -216,6 +216,12 @@ def test_partial_sum_process_centered_constants():
     np.testing.assert_array_equal(path.values, np.zeros(5))
 
 
+def test_partial_sum_process_centers_each_draw():
+    # k * 0.1 is not the sum of k draws of 0.1: centering after summing left 1e-12
+    path = partial_sum_process(np.full(1000, 0.1), 0.1, 1.0, grid=8)
+    np.testing.assert_array_equal(path.values, np.zeros(9))
+
+
 def test_partial_sum_process_integer_cut():
     # n < grid: k = floor(n j / grid) repeats values instead of interpolating
     path = partial_sum_process(np.array([1.0, 3.0]), 0.0, 1.0, grid=4)

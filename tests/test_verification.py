@@ -362,9 +362,22 @@ def test_fclt_honest_failure_at_tiny_n():
 
 
 def test_lemma_degenerate_sums_pass_trivially():
-    rep = verify_lemma(Degenerate(2.0), [10, 100], 5, 1)
-    assert rep.passed
-    assert rep.details["ratios"] == [0.0, 0.0]
+    # 0.1 is not dyadic: ten draws of it sum to 0.9999999999999999, not 10 * 0.1
+    for value in (2.0, 0.1):
+        rep = verify_lemma(Degenerate(value), [10, 100], 5, 1)
+        assert rep.passed
+        assert rep.details["ratios"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("spec", [Degenerate(np.float64(2.0)),
+                                  TwoSidedPareto(np.float64(1.5), np.float64(1.0))],
+                         ids=["degenerate", "two-sided-pareto"])
+def test_reports_of_numpy_parameters_round_trip(spec):
+    # positivity compares numpy floats, which gives a numpy bool
+    rep = verify_lemma(spec, [10, 100], 5, 1)
+    parsed = json.loads(rep.to_json())
+    assert parsed["config"]["spec"]["positivity"] is True
+    assert VerificationReport(**parsed).to_json() == rep.to_json()
 
 
 def test_lemma_validates_horizons():
@@ -519,7 +532,7 @@ def test_lemma_ratios_match_the_formula(family):
     q = np.empty((REPS, len(ns)))
     for r in range(REPS):
         x = sample_doa(spec, stream(SEED, 0, r), N)
-        deviations = np.abs(np.cumsum(x) - k * spec.known_mu)
+        deviations = np.abs(np.cumsum(x - spec.known_mu))
         q[r] = np.cumsum(deviations / k)[np.array(ns) - 1]
     a_vals = spec.a(np.array(ns))
     assert rep.details["ratios"] == (q.mean(axis=0) / a_vals).tolist()
