@@ -18,11 +18,6 @@ from .functionals import (
     product_statistic,
     qi_log,
 )
-from .norming import (
-    karamata_partial_sum,
-    mean_abs_deviation,
-    norming_sequence,
-)
 from .paths import (
     Degenerate,
     DoaSpec,
@@ -31,6 +26,9 @@ from .paths import (
     Pareto,
     SamplePath,
     TwoSidedPareto,
+    karamata_partial_sum,
+    mean_abs_deviation,
+    norming_sequence,
     partial_sum_process,
     sample_doa,
     simulate_levy_path,

@@ -207,8 +207,9 @@ def _load_config_file(path: str) -> dict:
 def _resolve(ns: argparse.Namespace) -> CampaignConfig:
     """Merge flag > config file > default.
 
-    A config file may set exactly the options of its subcommand, and each
-    value is parsed from its text by the option's own flag type.  A run with
+    A config file may set exactly the options of its subcommand, and a
+    ``campaign`` key must name that subcommand.  Each value is parsed from
+    its text by the option's own flag type.  A run with
     --family keeps only the options its family reads."""
     campaign = ns.campaign
     options = _OPTIONS[campaign][1]
@@ -217,6 +218,9 @@ def _resolve(ns: argparse.Namespace) -> CampaignConfig:
         for key, raw in _load_config_file(ns.config).items():
             key = key.replace("-", "_")
             if key == "campaign":
+                if str(raw) != campaign:
+                    raise ValueError(f"config key 'campaign': the file is for {raw}, "
+                                     f"not {campaign}")
                 continue
             if key not in options or key == "config":
                 raise ValueError(f"unknown config key {key!r}")

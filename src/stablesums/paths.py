@@ -11,7 +11,9 @@ the product statistics require) and the norming constant ``scale``.  Its
 ``a(n)`` and ``b(n)`` are the sequences such that (S_n - b_n) / a_n
 converges to the unit-dispersion stable law S(known_alpha, known_beta, 1, 0):
 b_n = n * known_mu, and a_n = scale * n**(1/known_alpha) (sigma * sqrt(n) in
-the finite-variance cases).
+the finite-variance cases).  ``norming_sequence`` gives the pair at one n,
+``karamata_partial_sum`` sums a(k)/k, and ``mean_abs_deviation`` estimates
+E|S_k - k*mu| by Monte Carlo.
 
 The heavy-tail constant comes from the jump-measure limit: if
 P(X > x) ~ c_plus * x**-alpha and P(X < -x) ~ c_minus * x**-alpha with
@@ -29,10 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .rng import _as_samples, _check_count, _check_real, _power, as_generator
+from .rng import _as_samples, _check_count, _check_real, _power, as_generator, streams
 from .stable import StableParams, sample
 
 __all__ = [
@@ -45,6 +48,10 @@ __all__ = [
     "tail_dispersion",
     "SamplePath",
     "sample_doa",
+    "MeanAbsDeviation",
+    "norming_sequence",
+    "karamata_partial_sum",
+    "mean_abs_deviation",
     "partial_sum_process",
     "simulate_levy_path",
 ]
@@ -283,6 +290,55 @@ def sample_doa(spec: DoaSpec, seed, n: int) -> np.ndarray:
     """Draw ``n`` iid variates from the spec's family."""
     n = _check_count(n, "n", 0)
     return spec.draw(as_generator(seed), n)
+
+
+def norming_sequence(spec: DoaSpec, n: int) -> tuple[float, float]:
+    """(a_n, b_n) at one n >= 1."""
+    n = _check_count(n, "n", 1)
+    return float(spec.a(n)), float(spec.b(n))
+
+
+def karamata_partial_sum(a, n: int) -> float:
+    """Direct evaluation of sum_{k=1..n} a(k)/k, no closed form applied.
+
+    ``a`` is a callable on integer arrays, such as ``spec.a``.  For
+    regularly varying a(k) ~ k**g * slowly_varying, g > 0, this sum grows like
+    a(n)/g, which is what the boundedness diagnostics lean on.
+    """
+    n = _check_count(n, "n", 1)
+    total = 0.0
+    # Chunked so n in the tens of millions stays cheap on memory.
+    for start in range(1, n + 1, 2**20):
+        k = np.arange(start, min(start + 2**20, n + 1))
+        total += float(np.sum(a(k) / k))
+    return total
+
+
+class MeanAbsDeviation(NamedTuple):
+    estimate: float
+    stderr: float
+
+
+def mean_abs_deviation(spec: DoaSpec, k: int, reps: int, seed) -> MeanAbsDeviation:
+    """Monte Carlo estimate of E|S_k - k*mu| with its standard error.
+
+    Replicate r draws from the sub-stream (seed, r), so the estimate does
+    not depend on how the replicates are chunked or ordered.  For indices
+    alpha < 2 the summand has infinite variance; the reported standard error
+    is then the usual finite-sample estimate and should be read
+    qualitatively.
+    """
+    k = _check_count(k, "k", 1)
+    reps = _check_count(reps, "reps", 2)
+    mu = spec.known_mu
+    devs = np.empty(reps)
+    for r, rng in enumerate(streams(seed, count=reps)):
+        x = sample_doa(spec, rng, k)
+        devs[r] = abs(float(np.sum(x - mu)))
+    return MeanAbsDeviation(
+        estimate=float(devs.mean()),
+        stderr=float(devs.std(ddof=1) / math.sqrt(reps)),
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -126,12 +126,12 @@ def _mix(x, y):
 
 def _stir(pool: list, word, const: int):
     """Mix a uint64 array of entropy words, one per replicate, into every
-    word of ``pool``; the new pools and the running hash constant."""
+    word of ``pool``; the new pools."""
     out = []
     for x in pool:
         hashed, const = _hash(word, const, _MULT_A)
         out.append(_mix(x, hashed))
-    return out, const
+    return out
 
 
 def _key(pool: list) -> np.ndarray:
@@ -190,7 +190,7 @@ def _rekeyed(pool: list, const: int, count: int):
              "has_uint32": 0, "uinteger": 0}
     for start in range(0, count, _KEY_BLOCK):
         index = np.arange(start, min(start + _KEY_BLOCK, count), dtype=np.uint64)
-        for key in _key(_stir(pool, index, const)[0]):
+        for key in _key(_stir(pool, index, const)):
             state["state"]["key"] = key
             bitgen.state = state
             yield gen

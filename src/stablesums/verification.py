@@ -116,13 +116,10 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     sample, so scanning the pooled points with right-continuous evaluation is
     exact.
     """
-    a = np.sort(_as_samples(a, "a"))
-    b = np.sort(_as_samples(b, "b"))
-    pooled = np.concatenate([a, b])
-    fa = np.searchsorted(a, pooled, side="right") / a.size
-    fb = np.searchsorted(b, pooled, side="right") / b.size
-    stat = float(np.abs(fa - fb).max())
-    en = math.sqrt(a.size * b.size / (a.size + b.size))
+    fa, fb = Ecdf(_as_samples(a, "a")), Ecdf(_as_samples(b, "b"))
+    pooled = np.concatenate([fa.xs, fb.xs])
+    stat = float(np.abs(fa(pooled) - fb(pooled)).max())
+    en = math.sqrt(fa.n * fb.n / (fa.n + fb.n))
     return stat, _ks_pvalue(stat, en)
 
 

@@ -1,6 +1,7 @@
 """Exit codes, config resolution, and artifacts of the command line."""
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import pytest
 import stablesums
 from stablesums import (Degenerate, Exponential, Pareto, StableParams, TwoSidedPareto,
                         stable, verify_sampler)
-from stablesums.cli import CampaignConfig, _resolve, build_parser, emit_plotdata, main, run
+from stablesums.cli import (_OPTIONS, CampaignConfig, _resolve, build_parser, emit_plotdata,
+                            main, run)
 from stablesums.paths import simulate_levy_path
 from stablesums.rng import stream
 from stablesums.verification import _write_csv
@@ -134,6 +136,22 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_config_file_of_another_subcommand_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "remark.json"
+    cfg.write_text(json.dumps({"campaign": "verify-remark", "alpha": 2, "beta": 0,
+                               "reps": 2, "grid": 4, "seed": 5}))
+    out = tmp_path / "o"
+    assert _run("paths", "--config", str(cfg), "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == ("error: paths: config key 'campaign': the file "
+                                       "is for verify-remark, not paths\n")
+    assert not out.exists()
+    # a campaign key that names the subcommand itself is skipped
+    cfg.write_text(json.dumps({"campaign": "paths", "alpha": 2, "beta": 0, "grid": 4}))
+    assert _run("paths", "--config", str(cfg), "--out-dir", str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["invocation"]["params"]["grid"] == 4
+
+
 @pytest.mark.parametrize("key, name, text", [
     ("n", "c.json", '{"n": 2.9}'),
     ("seed", "c.json", '{"seed": 1.9}'),
@@ -198,6 +216,30 @@ def test_campaign_defaults_are_pinned(campaign):
                for k, v in config.params.items())
     assert config.seed == (1 if campaign.startswith("verify-") else 0)
     assert config.out_dir == "."
+
+
+_CAMPAIGN_FUNCTIONS = {"paths": "simulate_levy_path", "verify-sampler": "verify_sampler",
+                       "verify-remark": "verify_remark", "verify-fclt": "verify_fclt",
+                       "verify-lemma": "verify_lemma", "verify-product": "verify_product"}
+
+
+def test_campaign_defaults_are_the_library_defaults():
+    # an option named for a defaulted parameter of the function its subcommand
+    # calls has that default, so a run from the command line and one from the
+    # library agree; out_dir is excluded, as the command line writes into "."
+    # where the library writes nothing
+    checked = []
+    for campaign, function in _CAMPAIGN_FUNCTIONS.items():
+        options = _OPTIONS[campaign][1]
+        for name, param in inspect.signature(getattr(stablesums, function)).parameters.items():
+            if name in options and name != "out_dir" and param.default is not param.empty:
+                assert options[name][1] == param.default, (campaign, name)
+                checked.append((campaign, name))
+    assert sorted(checked) == sorted(
+        [("paths", "grid"), ("verify-remark", "t"), ("verify-remark", "eps"),
+         ("verify-lemma", "band"), ("verify-lemma", "trend_tol")]
+        + [(c, "threshold") for c in ("verify-sampler", "verify-remark",
+                                      "verify-fclt", "verify-product")])
 
 
 _FAMILY_CLASSES = {"exponential": Exponential, "pareto": Pareto,
@@ -626,8 +668,8 @@ def _sample_with_config(tmp_path, content):
     lambda tmp: ("sample", "--alpha", "2", "--beta", "0", "--n", "5",
                  "--out-dir", str(tmp / "samples.csv")),
     # config files: a directory, a missing file, invalid JSON, a line without
-    # "=" after a comment and a blank line, and a campaign key, which is
-    # skipped, beside n = 0, which is not
+    # "=" after a comment and a blank line, and a campaign key that names
+    # another subcommand, beside n = 0
     lambda tmp: _sample_with_config(tmp, tmp),
     lambda tmp: _sample_with_config(tmp, tmp / "missing.cfg"),
     lambda tmp: _sample_with_config(tmp, '{"alpha": 2,'),

@@ -13,6 +13,7 @@ from scipy.special import erf
 
 from stablesums import (
     Degenerate,
+    DoaSpec,
     Exponential,
     Pareto,
     StableParams,
@@ -367,6 +368,32 @@ def test_lemma_degenerate_sums_pass_trivially():
         rep = verify_lemma(Degenerate(value), [10, 100], 5, 1)
         assert rep.passed
         assert rep.details["ratios"] == [0.0, 0.0]
+
+
+class _ConstantThenNoise(DoaSpec):
+    # 1.0 for the first 10 draws, so the centered sums are 0 up to k = 10
+    # and the ratio at n = 10 is 0 while the ratio at n = 100 is not
+    known_mu = 1.0
+    known_alpha = 2.0
+    known_beta = 0.0
+    positivity = True
+    scale = 1.0
+
+    def draw(self, rng, n):
+        x = np.ones(n)
+        x[10:] = rng.standard_exponential(n - 10)
+        return x
+
+
+def test_lemma_some_zero_ratios_fail_finitely():
+    rep = verify_lemma(_ConstantThenNoise(), [10, 100], 3, 1)
+    assert rep.statistic == 1e300
+    assert not rep.passed
+    assert rep.details["ratios"][0] == 0.0
+    assert rep.details["ratios"][1] == pytest.approx(0.654, abs=1e-3)
+    # strict JSON: no Infinity or NaN anywhere in the report
+    parsed = json.loads(rep.to_json(), parse_constant=lambda c: pytest.fail(c))
+    assert parsed["statistic"] == 1e300
 
 
 @pytest.mark.parametrize("spec", [Degenerate(np.float64(2.0)),
