@@ -26,7 +26,8 @@ CDF
 ``_CHUNK`` points, and gives every point the same arithmetic, so an array gives
 bit for bit the values of a loop of scalar calls.
 
-* alpha == 2 is ``0.5*erfc((location - x)/sqrt(2*dispersion))``; alpha == 1
+* alpha == 2 is ``0.5*erfc((location - x)/sqrt(2*dispersion))`` with the C
+  library's ``erfc`` (``math.erfc``) at each point; alpha == 1
   with |beta| < 1e-6 is the Cauchy arctangent plus its first-order term in
   beta, -beta (2/pi^2) Re[(euler_gamma + log(1 + iz)) / (1 + iz)].
 * Every other law is standardized to the S1 law of unit scale and evaluated by
@@ -49,9 +50,8 @@ to the embedded rule of twice the step, which stays below 1e-8 on that grid;
 where it exceeds ``_MAX_ABSERR`` (5e-8), ``cdf`` raises
 :class:`QuadratureError` rather than return the value.
 
-The node tables of the quadrature are built, and ``scipy.special`` is
-imported, at the first ``cdf`` call that needs them, so importing this module
-or drawing from a law costs neither.
+The node tables of the quadrature are built at the first ``cdf`` call that
+needs them, so importing this module or drawing from a law does not.
 """
 
 from __future__ import annotations
@@ -198,6 +198,17 @@ def sample(params: StableParams, seed, n: int) -> np.ndarray:
     return _power(d, 1.0 / a, "dispersion**(1/alpha)") * x + mu
 
 
+# erfc at each point of an array; an array of objects, to be cast to float
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _expit(s):
+    """The logistic function 1 / (1 + exp(-s)); 0 where exp(-s) overflows,
+    which raises no warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-s))
+
+
 def _rule(t_lo: float, t_hi: float, position, speed):
     """Nodes of the trapezoid rule of step ``_STEP`` in t after the map
     ``position(t)`` with derivative ``speed(t)``: positions, weights and the
@@ -226,8 +237,6 @@ def _nodes():
     Columns of the outer matrix: the full-step and the half-step sum of each
     outer panel, then their end terms; of the middle matrix, its two sums.
     Returned with the slice of the nodes of the first outer panel."""
-    from scipy.special import expit
-
     def offset(t):
         return np.exp(t - np.exp(-t))
 
@@ -236,7 +245,7 @@ def _nodes():
 
     def middle_speed(t):
         x = math.pi * np.sinh(t)
-        return math.pi * np.cosh(t) * expit(x) * expit(-x)
+        return math.pi * np.cosh(t) * _expit(x) * _expit(-x)
 
     start = [np.zeros(1)] * 3
     outer = [start, _rule(-3.5, 5.5, offset, offset_speed),
@@ -250,7 +259,7 @@ def _nodes():
         sums[cols, 2 * j + 1] = coarse[cols]
         sums[cols[1], 4 + 2 * j] = weight[cols[1]]
         sums[cols[-1], 5 + 2 * j] = weight[cols[-1]]
-    middle = _rule(-3.2, 3.2, lambda t: expit(math.pi * np.sinh(t)), middle_speed)
+    middle = _rule(-3.2, 3.2, lambda t: _expit(math.pi * np.sinh(t)), middle_speed)
     middle_sums = np.stack([middle[1], middle[2]], axis=1)
     for arr in (pos, block, sums, middle[0], middle_sums):
         arr.flags.writeable = False
@@ -318,11 +327,9 @@ class _Integral:
 
     def log_v(self, s, slope: bool = False):
         """log V at s, with u and w, or with d log V / ds when ``slope``."""
-        from scipy.special import expit
-
         a, length = self.alpha, self.length
-        u = length * expit(s)
-        w = length * expit(-s)
+        u = length * _expit(s)
+        w = length * _expit(-s)
         if a == 1.0:
             b = self.b
             lin = 0.5 * math.pi * (1.0 - b) + b * u         # pi/2 + b theta
@@ -392,8 +399,6 @@ class _Integral:
         the others integrate exp(-h).  The estimate is the difference from the
         half-step rule plus the end terms of the outer panels; it is infinite
         where the Newton steps missed h = 1 by more than lambda."""
-        from scipy.special import expit
-
         positions, block, outer_sums, middle_nodes, middle_sums, small = _nodes()
         target = np.arcsinh(-shift)
         root = np.interp(target, self.key, self.key_s)
@@ -440,7 +445,7 @@ class _Integral:
             sums = np.einsum("ij,jk->ik", f, outer_sums)
             size = np.abs(scale) / self.length
             fine = size * sums[:, 0:4:2]
-            total = self.length * expit(lo if self.rising else -hi) + fine.sum(axis=1)
+            total = self.length * _expit(lo if self.rising else -hi) + fine.sum(axis=1)
             err = (np.abs(fine - size * sums[:, 1:4:2]).sum(axis=1)
                    + (size * np.abs(sums[:, 4:8:2])).sum(axis=1)
                    + (size * np.abs(sums[:, 5:8:2])).sum(axis=1))
@@ -541,9 +546,7 @@ def cdf(params: StableParams, x):
         raise ValueError("x must be finite")
     a, b, d, mu = params.alpha, params.beta, params.dispersion, params.location
     if a == 2.0:
-        from scipy.special import erfc
-
-        out = 0.5 * erfc((mu - xs.ravel()) / math.sqrt(2.0 * d))
+        out = 0.5 * _erfc((mu - xs.ravel()) / math.sqrt(2.0 * d)).astype(float)
     else:
         # the scale d**(1/alpha) can overflow or underflow for small alpha;
         # then every z is 0, or +-inf away from the location

@@ -100,13 +100,28 @@ def ecdf(samples) -> Ecdf:
     return Ecdf(samples)
 
 
+def _kolmogorov_sf(y: float) -> float:
+    """P(K > y) for Kolmogorov's limit law K of sqrt(n) times the KS statistic,
+    from the two classical series (Marsaglia, Tsang & Wang 2003): below
+    y = 0.82 one minus the theta series of the CDF,
+    sqrt(2 pi)/y sum_k exp(-(2k-1)^2 pi^2 / (8 y^2)), and above it the
+    alternating series 2 sum_k (-1)^(k-1) exp(-2 k^2 y^2).  Their first
+    omitted terms are below 1e-40 on either side, and below y = 0.1 the theta
+    series is below 1e-50, so the value there is 1."""
+    if y < 0.1:
+        return 1.0
+    if y < 0.82:
+        c = -(math.pi / y) ** 2 / 8.0
+        return 1.0 - math.sqrt(2.0 * math.pi) / y * sum(
+            math.exp(c * (2 * k - 1) ** 2) for k in range(4, 0, -1))
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * y * y) for k in range(11, 0, -1))
+
+
 def _ks_pvalue(stat: float, en: float) -> float:
     """Asymptotic p-value of the KS statistic ``stat`` at effective sample
-    size ``en**2``, with Stephens' correction en + 0.12 + 0.11/en.
-    ``scipy.special`` is imported here, at the first p-value."""
-    from scipy.special import kolmogorov
-
-    return float(kolmogorov((en + 0.12 + 0.11 / en) * stat))
+    size ``en**2``, with Stephens' correction en + 0.12 + 0.11/en: the
+    survival function of Kolmogorov's law, :func:`_kolmogorov_sf`."""
+    return _kolmogorov_sf((en + 0.12 + 0.11 / en) * stat)
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
@@ -376,25 +391,39 @@ def _spec_dict(spec: DoaSpec) -> dict:
             "known_beta": spec.known_beta, "positivity": spec.positivity}
 
 
-def _write(out_dir, name: str, text: str) -> str:
-    """Write ``text`` to ``out_dir/name``, making ``out_dir`` at the first
+# Rows that _write_csv formats and writes at a time
+_CSV_BLOCK = 4096
+
+
+def _open(out_dir, name: str):
+    """``out_dir/name`` opened for text, making ``out_dir`` at the first
     write, so a run that stops at a check leaves no directory behind."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
+    return open(os.path.join(out_dir, name), "w", newline="\n")
+
+
+def _write(out_dir, name: str, text: str) -> str:
+    """Write ``text`` to ``out_dir/name``."""
+    with _open(out_dir, name) as fh:
         fh.write(text)
     return name
 
 
 def _write_csv(out_dir, name: str, header: str, *columns) -> str:
-    """Write ``columns`` side by side under ``header``.  A float column is
-    written as the repr of each value, which reads back exactly; any other
-    column with ``str``."""
-    cells = []
-    for column in columns:
-        column = np.asarray(column)
-        cells.append(map(repr if column.dtype.kind == "f" else str, column.tolist()))
-    rows = "".join([",".join(row) + "\n" for row in zip(*cells)])
-    return _write(out_dir, name, header + "\n" + rows)
+    """Write ``columns`` side by side under ``header``, ``_CSV_BLOCK`` rows
+    at a time, down to the shortest column.  A float column is written as
+    the repr of each value, which reads back exactly; any other column with
+    ``str``."""
+    columns = [np.asarray(column) for column in columns]
+    formats = [repr if column.dtype.kind == "f" else str for column in columns]
+    rows = min(len(column) for column in columns)
+    with _open(out_dir, name) as fh:
+        fh.write(header + "\n")
+        for lo in range(0, rows, _CSV_BLOCK):
+            cells = [map(fmt, column[lo:lo + _CSV_BLOCK].tolist())
+                     for fmt, column in zip(formats, columns)]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+    return name
 
 
 def _json(obj) -> str:

@@ -794,30 +794,34 @@ def test_lemma_has_no_overlays(tmp_path):
 
 _STARTUP = """
 import json, sys
-import stablesums, stablesums.cli
-out, runs = sys.argv[1], json.loads(sys.argv[2])
-for i, argv in enumerate(runs[:-1]):
-    assert stablesums.cli.main(argv + ["--out-dir", f"{out}/{i}"]) in (0, 1), argv
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
-assert stablesums.cli.main(runs[-1] + ["--out-dir", f"{out}/last"]) in (0, 1)
-print(json.dumps("scipy.special" in sys.modules))
+import stablesums.cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert stablesums.cli.main(argv) in (0, 1), argv
+    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(json.dumps(loaded))
 """
 
 
-def test_data_campaigns_start_without_scipy(tmp_path):
-    # scipy.special takes most of the start-up; only a stable CDF or a KS
-    # p-value may load it
-    runs = [[c, *_SMALL[c], "--seed", "1"] for c in
-            ("sample", "paths", "verify-sampler", "verify-lemma", "verify-fclt")]
+def test_no_subcommand_loads_scipy(tmp_path):
+    # the package runs on numpy and the standard library alone: the stable
+    # CDF, the quadrature nodes and the KS p-values included
+    runs = [[c, *_SMALL[c], "--seed", "1", "--out-dir", str(tmp_path / c)]
+            for c in sorted(_SMALL)]
+    # plotdata of an alpha = 2 report (verify-remark) and of alpha = 1.5 ones
+    runs += [["plotdata", "--report", str(tmp_path / c / "report.json")]
+             for c in ("verify-remark", "sample", "verify-product")]
     src = os.path.dirname(os.path.dirname(stablesums.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _STARTUP, str(tmp_path), json.dumps(runs)],
+    proc = subprocess.run([sys.executable, "-c", _STARTUP, json.dumps(runs)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    before, after = map(json.loads, proc.stdout.splitlines())
-    assert before == []
-    assert after is True
+    assert json.loads(proc.stdout) == [[] for _ in runs]
+    for c, alpha in (("verify-remark", 2.0), ("sample", 1.5), ("verify-product", 1.5)):
+        laws = json.loads((tmp_path / c / "limit_laws.json").read_text()).values()
+        assert {law["alpha"] for law in laws} == {alpha}
+        assert list((tmp_path / c).glob("overlay*.csv"))
 
 
 def test_module_entry_point(tmp_path):

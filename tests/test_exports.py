@@ -1,9 +1,12 @@
-"""Every ``__all__`` of the package names something that exists, once, and
-every binding the benchmark wraps exists."""
+"""Every ``__all__`` of the package names something that exists, once,
+every binding the benchmark wraps exists, and the package imports nothing
+beyond its declared dependencies."""
 
+import ast
 import importlib
 import pkgutil
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,29 @@ def test_benchmark_sites_resolve():
                if not callable(getattr(importlib.import_module(f"stablesums.{module}"),
                                        attr, None))]
     assert unbound == []
+
+
+# What the modules of the package may import: the standard library, the one
+# runtime dependency of pyproject.toml, and the package itself.
+_ALLOWED = set(sys.stdlib_module_names) | {"numpy", "stablesums"}
+
+
+@pytest.mark.parametrize("path", sorted(Path(stablesums.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_modules_import_only_the_declared_dependencies(path):
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("stablesums" if node.level else node.module.split(".")[0])
+    assert imported and sorted(imported - _ALLOWED) == []
+
+
+def test_pyproject_declares_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    names = [spec.split(">")[0].split("=")[0].strip() for spec in project["dependencies"]]
+    assert names == ["numpy"]
+    assert "scipy>=1.10" in project["optional-dependencies"]["test"]

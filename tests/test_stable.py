@@ -221,6 +221,37 @@ def test_cdf_gaussian_closed_form():
                                           abs=1e-10)
 
 
+def test_cdf_gaussian_within_two_ulp_of_mpmath_erfc():
+    # the normal range of 0.5 erfc((location - x) / sqrt(2 dispersion)),
+    # down the lower tail to 1e-198; mpmath is the oracle, since scipy's erfc
+    # is itself off by up to a few hundred ulp there
+    p = StableParams(2.0, 0.0, dispersion=1.0, location=0.0)
+    x = np.linspace(-30.0, 26.0, 20001)
+    got = cdf(p, x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    with mpmath.workdps(40):
+        want = np.array([float(0.5 * mpmath.erfc(mpmath.mpf(a)))
+                         for a in ((0.0 - x) / math.sqrt(2.0)).tolist()])
+    assert want.min() > np.finfo(float).tiny
+    assert np.max(np.abs(got - want) / np.spacing(want)) <= 2.0
+    shifted = StableParams(2.0, 0.0, dispersion=2.5, location=-1.25)
+    assert cdf(shifted, 3.0) == float(0.5 * mpmath.erfc((-1.25 - 3.0) / mpmath.sqrt(5.0)))
+
+
+def test_expit_saturates_without_a_warning():
+    # pytest turns every warning into an error, so the overflow of exp(-s)
+    # at s = -800 would fail here
+    assert stable._expit(np.array([-800.0, 800.0])).tolist() == [0.0, 1.0]
+    assert stable._expit(-800.0) == 0.0
+    s = np.linspace(-40.0, 40.0, 4001)
+    got = stable._expit(s)
+    assert np.all(np.diff(got) >= 0.0)
+    np.testing.assert_allclose(got, special.expit(s), rtol=4e-16, atol=0)
+    with mpmath.workdps(40):
+        want = [float(1 / (1 + mpmath.exp(-mpmath.mpf(v)))) for v in s.tolist()]
+    np.testing.assert_allclose(got, want, rtol=4e-16, atol=0)
+
+
 def test_cdf_cauchy_closed_form():
     p = StableParams(1.0, 0.0)
     for x in (-5.0, -1.0, 0.0, 1.0, 2.5):

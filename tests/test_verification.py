@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, kolmogorov
 
 from stablesums import (
     Degenerate,
@@ -39,7 +39,13 @@ from stablesums import (
     verify_sampler,
 )
 from stablesums.rng import stream
-from stablesums.verification import _common_step, _half_dispersion, _marginal_fits
+from stablesums.verification import (
+    _common_step,
+    _half_dispersion,
+    _kolmogorov_sf,
+    _marginal_fits,
+    _write_csv,
+)
 
 
 def test_ecdf_hand_example():
@@ -297,6 +303,60 @@ def test_ks_one_sample_perfect_fit_p_value():
     stat, p = ks_one_sample(u, lambda x: np.clip(x, 0.0, 1.0))
     assert stat == pytest.approx(0.5e-4, abs=1e-15)
     assert p == 1.0
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 0.82), (0.82, 8.0), (8.0, 27.0)])
+def test_kolmogorov_sf_matches_scipy(lo, hi):
+    y = np.linspace(lo, hi, 20001)[1:]
+    want = kolmogorov(y)
+    got = np.array([_kolmogorov_sf(v) for v in y.tolist()])
+    normal = want > 1e-300
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0)
+    assert np.all(got[~normal] <= 1e-300)
+
+
+def test_kolmogorov_sf_at_the_switch_and_below_zero():
+    # the theta series below y = 0.82 and the alternating series from it on
+    # meet within rounding, so the survival function still does not increase
+    switch = 0.82 + math.ulp(0.82) * np.arange(-64, 65)
+    for y in (0.82, *switch.tolist()):
+        assert _kolmogorov_sf(y) == pytest.approx(float(kolmogorov(y)), rel=1e-13, abs=0)
+    steps = [_kolmogorov_sf(y) for y in switch.tolist()]
+    assert all(b <= a for a, b in zip(steps, steps[1:]))
+    grid = [_kolmogorov_sf(y) for y in np.linspace(0.0, 20.0, 40001).tolist()]
+    assert all(b <= a for a, b in zip(grid, grid[1:]))
+    assert grid[0] == 1.0 and grid[-1] == 0.0
+    assert [_kolmogorov_sf(y) for y in (-math.inf, -1.0, -0.0, 0.0, 5e-324, 0.05)] == [1.0] * 6
+    assert _kolmogorov_sf(math.inf) == 0.0
+    assert math.isnan(_kolmogorov_sf(math.nan))
+
+
+def _write_csv_at_once(path, header, *columns):
+    """The reference: every row formatted and joined in one pass."""
+    cells = [map(repr if np.asarray(c).dtype.kind == "f" else str, np.asarray(c).tolist())
+             for c in columns]
+    path.write_text(header + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 10000])
+def test_write_csv_in_blocks_matches_one_pass(tmp_path, rows):
+    values = sample(StableParams(1.5, 0.5), stream(4421, 0), rows)
+    columns = (np.arange(rows), values, np.repeat(np.array(["a", "b"]), -(-rows // 2))[:rows])
+    assert _write_csv(tmp_path, "blocks.csv", "rep,value,tag", *columns) == "blocks.csv"
+    _write_csv_at_once(tmp_path / "once.csv", "rep,value,tag", *columns)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "once.csv").read_bytes()
+
+
+def test_write_csv_memory_stays_of_order_one_block(tmp_path):
+    # formatting all 10**5 rows at once peaks at about 10 MB
+    values = sample(StableParams(1.5, 0.0), stream(4423, 0), 10**5)
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path, "samples.csv", "value", values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_report_roundtrip_and_campaign_logic():
