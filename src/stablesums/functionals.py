@@ -9,6 +9,12 @@ beta, is f'(mu) * integral over (0, t] of L(x)/x dx for a stable Levy motion
 L.  That integral carries the law S(alpha, beta, gamma(alpha+1) * t, 0) up to
 the factor f'(mu), which :func:`limit_law` spells out; products of partial-sum
 ratios are the same statistic run through f(x) = mu*log(x/mu) and exponentiated.
+
+The sum up to a cut is taken in aligned blocks of ``_BLOCK`` terms: a running
+sum of the blocks' pairwise sums, plus the pairwise sum of the terms of the
+cut's own block before it.  So a path value depends only on the draws and its
+cut, whichever other cuts are read, and its rounding error grows with the
+number of blocks, not of terms (Higham 1993).
 """
 
 from __future__ import annotations
@@ -34,6 +40,10 @@ __all__ = [
     "limit_law",
 ]
 
+# Terms per block of the fclt sum; fixed, so the bits of a value never depend
+# on the cuts read beside it.
+_BLOCK = 1024
+
 
 class DomainError(ValueError):
     """A partial-sum average left the domain of the transform."""
@@ -57,11 +67,12 @@ def qi_log(mu: float) -> FunctionSpec:
     """f(x) = mu * log(x / mu) on (0, inf); f'(mu) = 1.
 
     The normalization makes the log of the product statistic literally this
-    functional statistic, whatever mu is.
+    functional statistic, whatever mu is.  At mu = 1.0 f is ``np.log`` itself,
+    which has the bits of 1.0 * log(x / 1.0).
     """
     _check_real(mu, "mu", 0.0)
     return FunctionSpec(
-        f=lambda x: mu * np.log(x / mu),
+        f=np.log if mu == 1.0 else (lambda x: mu * np.log(x / mu)),
         f_prime_at_mu=1.0,
         domain_check=lambda x: np.asarray(x) > 0.0,
         name=f"qi_log(mu={mu!r})",
@@ -70,20 +81,30 @@ def qi_log(mu: float) -> FunctionSpec:
 
 def _functional_kernel(fn: FunctionSpec, mu: float, a_n: float, n: int, cuts: np.ndarray):
     """The function taking n draws x to (1/a_n) * sum_{k <= c} of
-    f(S_k/k) - f(mu) at each cut c in ``cuts`` (counts in 0..n).
+    f(S_k/k) - f(mu) at each cut c in ``cuts`` (counts in 0..n, in any order,
+    repeats allowed).
 
-    k, f(mu) and the working buffer are built here once; each call does only
-    the array arithmetic, in place, and returns a fresh array.  A partial-sum
+    The sum up to c is block_cum[c // _BLOCK] plus the pairwise (``ndarray.sum``)
+    sum of the terms from (c // _BLOCK) * _BLOCK to c, where block_cum is the
+    running sum of the pairwise sums of the aligned full blocks of ``_BLOCK``
+    terms.  f is applied to all n averages, so each value depends on x and c
+    alone, bit for bit, not on the other cuts.  f(mu) is subtracted only where
+    it is not 0.0, which changes no bit.  k, f(mu), the blocks and the buffers
+    are built here once; each call returns a fresh array.  A partial-sum
     average outside f's domain raises :class:`DomainError` naming the
     offending k.
     """
     k = np.arange(1, n + 1, dtype=float)
     center = float(np.asarray(fn.f(float(mu))))
-    terms = np.empty(n + 1)
-    averages = terms[1:]
+    distinct, where = np.unique(np.asarray(cuts), return_inverse=True)
+    spans = [(c // _BLOCK, c // _BLOCK * _BLOCK, c) for c in distinct.tolist()]
+    full = n // _BLOCK * _BLOCK
+    block_cum = np.zeros(n // _BLOCK + 1)
+    sums = np.empty(n + 1)
+    averages = sums[1:]
 
     def values(x: np.ndarray) -> np.ndarray:
-        _partial_sums(x, terms)
+        _partial_sums(x, sums)
         np.divide(averages, k, out=averages)
         ok = np.asarray(fn.domain_check(averages), dtype=bool)
         if not ok.all():
@@ -92,8 +113,12 @@ def _functional_kernel(fn: FunctionSpec, mu: float, a_n: float, n: int, cuts: np
                 f"partial-sum average at k={i} ({averages[i - 1]!r}) is outside "
                 f"the domain of {fn.name}"
             )
-        np.cumsum(fn.f(averages) - center, out=averages)
-        return terms[cuts] / a_n
+        terms = fn.f(averages)
+        if center != 0.0:
+            terms = terms - center
+        np.cumsum(terms[:full].reshape(-1, _BLOCK).sum(axis=1), out=block_cum[1:])
+        at = np.array([block_cum[b] + terms[lo:c].sum() for b, lo, c in spans])
+        return at[where] / a_n
 
     return values
 
@@ -103,8 +128,10 @@ def functional_statistic(x, fn: FunctionSpec, mu: float, a_n: float, grid: int) 
 
     Grid time j/grid carries (1/a_n) * sum_{k <= floor(n*j/grid)} of
     f(S_k/k) - f(mu); the cut floor(n*j/grid) is computed in integer
-    arithmetic.  A partial-sum average outside f's domain raises
-    :class:`DomainError` naming the offending k.
+    arithmetic, and the sum is taken in the block association of
+    :func:`_functional_kernel`, so each value depends only on x and its cut.
+    A partial-sum average outside f's domain raises :class:`DomainError`
+    naming the offending k.
     """
     x = _as_samples(x, "x")
     _check_real(mu, "mu")

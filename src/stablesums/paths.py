@@ -108,7 +108,8 @@ class Exponential(DoaSpec):
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         x = rng.standard_exponential(n)
-        x /= self.rate
+        if self.rate != 1.0:   # x / 1.0 is x, bit for bit
+            x /= self.rate
         return x
 
     @property
@@ -146,8 +147,11 @@ class Pareto(DoaSpec):
         x = rng.random(n)
         np.subtract(1.0, x, out=x)
         x **= -1.0 / self.tail_index
-        np.multiply(self.x_min, x, out=x)
-        x += self.shift
+        # 1.0 * x and x + 0.0 are x, bit for bit (x >= 1 is never -0.0)
+        if self.x_min != 1.0:
+            np.multiply(self.x_min, x, out=x)
+        if self.shift != 0.0:
+            x += self.shift
         return x
 
     @property

@@ -586,7 +586,8 @@ def verify_fclt(spec: DoaSpec, n: int, grid: int, times: Sequence[float], reps: 
     grid times, and the read, the law and the report keys all use j/grid.
     Replicate r's value at t is
     functional_statistic(x, fn, mu, a_n, grid).at(j/grid) on its draws x, bit
-    for bit, gathered at the cuts n*j//grid alone.  The values across
+    for bit, though only the cuts n*j//grid are summed: the shared kernel
+    sums in fixed blocks, so a value depends on its cut alone.  The values across
     replicates are KS-tested one-sample against the CDF of
     limit_law(alpha, beta, t, f'(mu)), which :func:`_marginal_fits` evaluates
     only at the order statistics where the supremum can fall, with the same

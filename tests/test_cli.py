@@ -33,6 +33,16 @@ def test_sample_rejects_zero_n(tmp_path):
     assert not out.exists()  # config errors never touch the filesystem
 
 
+def test_sample_refuses_an_alpha_below_the_floor(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = _run("sample", "--alpha", "1e-300", "--beta", "1", "--n", "5", "--seed", "3",
+                "--out-dir", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: sample: alpha must be in [0.05, 2], got 1e-300\n")
+    assert not out.exists()
+
+
 def test_sample_writes_artifacts(tmp_path):
     code = _run("sample", "--alpha", "1.5", "--beta", "1", "--n", "50",
                 "--seed", "3", "--out-dir", str(tmp_path))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablesums import (
     DomainError,
@@ -23,6 +25,7 @@ from stablesums import (
     simulate_levy_path,
     verify_fclt,
 )
+from stablesums.functionals import _functional_kernel
 from stablesums.rng import stream
 
 X3 = np.array([2.0, 0.0, 4.0])  # partial sums 2, 2, 6; averages 2, 1, 2
@@ -44,6 +47,13 @@ def test_qi_log_spec():
     assert fn.domain_check(0.5) and not fn.domain_check(0.0)
     with pytest.raises(ValueError):
         qi_log(0.0)
+
+
+def test_qi_log_at_mu_one_is_the_plain_log():
+    x = np.concatenate(([1e-300, 0.5, 1.0, 1.5, 1e300],
+                        stream(4303, 0).random(1000) * 10.0))
+    np.testing.assert_array_equal(qi_log(1.0).f(x), 1.0 * np.log(x / 1.0))
+    np.testing.assert_array_equal(qi_log(2.5).f(x), 2.5 * np.log(x / 2.5))
 
 
 def test_identity_spec():
@@ -198,10 +208,24 @@ def test_function_spec_is_frozen():
         fn.name = "other"
 
 
-# Each statistic as one plain numpy expression, as first written.  The
-# in-place kernels behind the public functions must reproduce these bit for
-# bit: campaign reports are pinned to that arithmetic.
+# Each statistic as one plain numpy expression.  The in-place kernels behind
+# the public functions must reproduce these bit for bit: campaign reports are
+# pinned to that arithmetic.  The functional sums its terms in aligned blocks
+# of 1024: a running sum of the blocks' pairwise sums, then the pairwise sum
+# of the cut's own block up to the cut.
 def _reference_functional(x, fn, mu, a_n, m):
+    n = x.size
+    averages = np.cumsum(x) / np.arange(1, n + 1)
+    terms = fn.f(averages) - float(np.asarray(fn.f(float(mu))))
+    nb = n // 1024
+    block_cum = np.concatenate(([0.0], np.cumsum(terms[:nb * 1024].reshape(nb, 1024).sum(axis=1))))
+    cuts = n * np.arange(m + 1) // m
+    return np.array([block_cum[c // 1024] + terms[c // 1024 * 1024:c].sum() for c in cuts]) / a_n
+
+
+# The functional as first written, one sequential running sum of all terms;
+# the block association moves its values by rounding only.
+def _sequential_functional(x, fn, mu, a_n, m):
     n = x.size
     averages = np.cumsum(x) / np.arange(1, n + 1)
     center = float(np.asarray(fn.f(float(mu))))
@@ -223,7 +247,7 @@ REFERENCE_DRAWS = {"exponential": Exponential(1.0), "pareto 1.5": Pareto(1.5)}
 
 
 @pytest.mark.parametrize("family", sorted(REFERENCE_DRAWS))
-@pytest.mark.parametrize("n, m", [(1000, 64), (300, 4096), (4097, 4096)])
+@pytest.mark.parametrize("n, m", [(1000, 64), (300, 4096), (4097, 4096), (10_000, 64)])
 def test_kernels_match_reference_expressions(family, n, m):
     spec = REFERENCE_DRAWS[family]
     mu = spec.known_mu
@@ -232,7 +256,37 @@ def test_kernels_match_reference_expressions(family, n, m):
         for fn in (qi_log(mu), IDENTITY):
             got = functional_statistic(x, fn, mu, 7.25, m).values
             np.testing.assert_array_equal(got, _reference_functional(x, fn, mu, 7.25, m))
+            old = _sequential_functional(x, fn, mu, 7.25, m)
+            assert np.all(np.abs(got - old) <= 1e-13 * np.maximum(np.abs(got), 1.0))
         assert log_product_statistic(x, mu, 0.03) == _reference_log_product(x, mu, 0.03)
+
+
+_KERNEL_N = st.sampled_from([1, 2, 5, 1023, 1024, 1025, 2048, 3000])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=_KERNEL_N, family=st.sampled_from(sorted(REFERENCE_DRAWS)),
+       identity=st.booleans(), data=st.data())
+def test_kernel_value_at_a_cut_depends_on_that_cut_alone(n, family, identity, data):
+    # unsorted, repeated and zero cuts, n below, at and off the block size
+    cut = st.one_of(st.just(0), st.just(n), st.integers(0, n))
+    cuts = data.draw(st.lists(cut, min_size=1, max_size=10), label="cuts")
+    spec = REFERENCE_DRAWS[family]
+    mu = spec.known_mu
+    fn = IDENTITY if identity else qi_log(mu)
+    x = sample_doa(spec, stream(4313, 0, n), n)
+    together = _functional_kernel(fn, mu, 3.5, n, np.array(cuts))(x)
+    alone = [_functional_kernel(fn, mu, 3.5, n, np.array([c]))(x)[0] for c in cuts]
+    assert together.tolist() == alone
+    # against an exactly rounded sum of the same terms
+    terms = fn.f(np.cumsum(x) / np.arange(1, n + 1)) - float(np.asarray(fn.f(float(mu))))
+    for c, v in zip(cuts, together):
+        assert abs(v - math.fsum(terms[:c]) / 3.5) <= 1e-12 * max(abs(v), 1.0)
+    # a path on a grid finer than n repeats cuts and starts with cut 0
+    m = data.draw(st.integers(n + 1, 4 * n + 8), label="grid")
+    path = functional_statistic(x, fn, mu, 3.5, m)
+    for j in data.draw(st.lists(st.integers(0, m), min_size=1, max_size=5), label="j"):
+        assert path.values[j] == _functional_kernel(fn, mu, 3.5, n, np.array([n * j // m]))(x)[0]
 
 
 @pytest.mark.parametrize("law", [(1.5, 1.0), (2.0, 0.0), (1.2, -0.5)], ids=str)

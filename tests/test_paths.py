@@ -101,6 +101,11 @@ def test_sample_doa_deterministic():
 # name: (spec, first five draws of sample_doa(spec, stream(3, 1), 1000),
 #        (a_n, b_n) at n = 1, 100, 10**4), bit for bit
 PINNED = {
+    "exponential rate 1": (
+        Exponential(1.0),
+        [0.606362135429451, 0.043991044737947044, 0.1558085618064331,
+         3.2713240713508545, 0.947180577787414],
+        [(1.0, 1.0), (10.0, 100.0), (100.0, 10000.0)]),
     "exponential": (
         Exponential(2.0),
         [0.3031810677147255, 0.021995522368973522, 0.07790428090321655,

@@ -473,6 +473,22 @@ def test_cdf_properties(alpha, beta, xs):
     np.testing.assert_allclose(f, 1.0 - mirrored, rtol=0, atol=1e-15)
 
 
+_EDGE_X = np.array([0.0, 5e-324, 1e-300, 1e-10, 0.5, 1.0, 10.0, 1e6, 1e10, 1e100, 1e300, 1.7e308])
+
+
+@pytest.mark.parametrize("alpha", [stable._MIN_ALPHA, 2.0])
+@pytest.mark.parametrize("beta", [-1.0, 0.0, 1.0])
+def test_sample_and_cdf_are_total_at_the_ends_of_alpha(alpha, beta):
+    # warnings are errors here, so neither call may warn
+    law = StableParams(alpha, beta)
+    assert np.isfinite(sample(law, stream(12, 0), 100_000)).all()
+    xs = np.concatenate((-_EDGE_X[::-1], _EDGE_X))
+    f = cdf(law, xs)
+    assert np.all((0.0 <= f) & (f <= 1.0)) and np.all(np.diff(f) >= -1e-10)
+    if beta == 0.0:
+        assert abs(cdf(law, 0.0) - 0.5) <= 1e-12
+
+
 def test_limit_constant_exact_and_quadrature():
     assert limit_constant(2.0) == math.sqrt(2.0)
     for alpha in (1.1, 1.5, 1.9, 2.0):

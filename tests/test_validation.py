@@ -21,7 +21,7 @@ from stablesums.stable import scale_shift
 
 # caller: (call taking the value, parameter name, interval as the error names it)
 CALLERS = {
-    "StableParams.alpha": (lambda v: StableParams(v, 0.0), "alpha", "(0, 2]"),
+    "StableParams.alpha": (lambda v: StableParams(v, 0.0), "alpha", "[0.05, 2]"),
     "StableParams.beta": (lambda v: StableParams(1.5, v), "beta", "[-1, 1]"),
     "StableParams.dispersion": (lambda v: StableParams(1.5, 0.0, v), "dispersion",
                                 "(0, inf)"),
