@@ -132,6 +132,10 @@ def functional_statistic(x, fn: FunctionSpec, mu: float, a_n: float, grid: int) 
     :func:`_functional_kernel`, so each value depends only on x and its cut.
     A partial-sum average outside f's domain raises :class:`DomainError`
     naming the offending k.
+
+    That association costs one pairwise sum per distinct cut, about 2 µs
+    each, so a fine grid is slow: n = 4097 at grid 4096 takes 7.5-8.6 ms on
+    a 2-core x86_64, against 0.1 ms at grid 4.
     """
     x = _as_samples(x, "x")
     _check_real(mu, "mu")
@@ -181,10 +185,14 @@ def _riemann_kernel(times: np.ndarray, t: float, eps: float):
     """The function taking path values on the grid ``times`` to the
     right-endpoint Riemann sum of path(u)/u over the grid cells in (eps, t].
 
-    ``times`` increases from 0 and eps > 0, so those cells are one run of
-    indices lo..hi-1 with lo >= 1; their right ends and widths are built here
-    once.  Each call overwrites one working buffer.
+    t in (0, 1] and 0 < eps < t, or ``ValueError``; ``times`` increases from
+    0, so those cells are one run of indices lo..hi-1 with lo >= 1.  Their
+    right ends and widths are built here once; each call overwrites one buffer.
     """
+    _check_real(t, "t", 0.0, 1.0, "(]")
+    _check_real(eps, "eps")
+    if not 0.0 < eps < t:
+        raise ValueError(f"need 0 < eps < t, got eps={eps!r}, t={t!r}")
     lo, hi = np.searchsorted(times, [eps, t], side="right")
     ends = times[lo:hi]
     widths = ends - times[lo - 1 : hi - 1]
@@ -206,12 +214,8 @@ def integral_riemann(path: SamplePath, t: float, eps: Optional[float] = None) ->
     path(u)/u times its cell width; the singular left end is simply cut away,
     which is harmless for paths vanishing at 0 faster than x**g, g > 0.
     """
-    _check_real(t, "t", 0.0, 1.0, "(]")
     if eps is None:
         eps = float(path.times[1] - path.times[0])
-    _check_real(eps, "eps")
-    if not 0.0 < eps < t:
-        raise ValueError(f"need 0 < eps < t, got eps={eps!r}, t={t!r}")
     return _riemann_kernel(path.times, t, eps)(path.values)
 
 

@@ -71,15 +71,22 @@ def _power(base: float, exponent: float, name: str) -> float:
         raise ValueError(f"{name} = {base!r}**{exponent!r} overflows") from None
 
 
+def _as_finite(x, name: str) -> np.ndarray:
+    """``x`` as a float array of any shape; refuses NaN and +-inf with a
+    ``ValueError``."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
 def _as_samples(x, name: str) -> np.ndarray:
     """``x`` as a float array; refuses anything but a nonempty finite 1-d
     sequence with a ``ValueError``."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} must be finite")
-    return x
+    return _as_finite(x, name)
 
 
 def _seed_sequence(seed, path) -> np.random.SeedSequence:

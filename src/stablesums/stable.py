@@ -73,7 +73,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .rng import _check_count, _check_real, _power, as_generator
+from .rng import _as_finite, _check_count, _check_real, _power, as_generator
 
 __all__ = [
     "StableParams",
@@ -130,9 +130,7 @@ def char_fn(params: StableParams, t):
     Evaluates the exact branch for the stored alpha; the alpha == 1 branch is
     continuous at t = 0 because |t|*log|t| -> 0.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t must be finite")
+    t = _as_finite(t, "t")
     a, b, d, mu = params.alpha, params.beta, params.dispersion, params.location
     drift = 1j * mu * t
     if a == 2.0:
@@ -508,8 +506,6 @@ class _Integral:
             else:
                 j, e = self.integral(self.p * np.log(zb))
                 fb = 1.0 - j / math.pi if self.alpha > 1.0 else (self.gap + j) / math.pi
-            if not tail.any():
-                return fb, e / math.pi
             f[body] = fb
             err[body] = e / math.pi
         return f, err
@@ -532,8 +528,6 @@ def _standard_cdf(alpha: float, beta: float, z: np.ndarray):
         # F(z; beta) = 1 - F(-z; -beta), so only beta > 0 is integrated
         f, err = _integral(1.0, abs(beta)).cdf(z if beta > 0.0 else -z)
         return (f if beta > 0.0 else 1.0 - f), err
-    if (z > 0.0).all():
-        return _integral(alpha, beta).cdf(z)
     f = np.full_like(z, _integral(alpha, beta).gap / math.pi)   # F(0)
     err = np.zeros_like(z)
     for sign in (1.0, -1.0):
@@ -554,9 +548,7 @@ def cdf(params: StableParams, x):
     ``_MAX_ABSERR``, instead of returning a value the kernel cannot vouch for,
     and ``ValueError`` for an x that is not finite.
     """
-    xs = np.asarray(x, dtype=float)
-    if not np.isfinite(xs).all():
-        raise ValueError("x must be finite")
+    xs = _as_finite(x, "x")
     a, b, d, mu = params.alpha, params.beta, params.dispersion, params.location
     if a == 2.0:
         out = 0.5 * _erfc((mu - xs.ravel()) / math.sqrt(2.0 * d)).astype(float)

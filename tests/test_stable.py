@@ -320,6 +320,14 @@ def test_cdf_rejects_non_finite_element():
             cdf(StableParams(1.5, 0.0), bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.array([0.0, math.nan]),
+                                 [1.0, math.inf], np.array([[-math.inf, 0.5]])])
+@pytest.mark.parametrize("law", [StableParams(1.5, 0.0), StableParams(2.0, 0.0)])
+def test_cdf_refuses_non_finite_x_with_its_message(law, bad):
+    with pytest.raises(ValueError, match=r"^x must be finite$"):
+        cdf(law, bad)
+
+
 def test_cdf_array_reports_quadrature_failure(monkeypatch):
     out = cdf(StableParams(1.5, 0.0, 1e-9), np.array([0.0, 100.0]))
     assert out[0] == 0.5

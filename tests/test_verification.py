@@ -16,6 +16,7 @@ from stablesums import (
     DoaSpec,
     Exponential,
     Pareto,
+    SamplePath,
     StableParams,
     TwoSidedPareto,
     VerificationReport,
@@ -487,6 +488,21 @@ def test_lemma_validates_band_and_trend_tol():
             verify_lemma(Exponential(1.0), [10, 100], 5, 1, **kwargs)
 
 
+@pytest.mark.parametrize("t, eps, message", [
+    (0.0, 0.25, "t must be in (0, 1], got 0.0"),
+    (0.5, 0.0, "need 0 < eps < t, got eps=0.0, t=0.5"),
+    (0.5, 0.5, "need 0 < eps < t, got eps=0.5, t=0.5"),
+    (0.5, math.nan, "eps must be in (-inf, inf), got nan"),
+])
+def test_riemann_window_is_refused_alike_by_integral_and_remark(t, eps, message):
+    path = SamplePath(times=np.arange(17) / 16, values=np.zeros(17))
+    with pytest.raises(ValueError) as direct:
+        integral_riemann(path, t, eps)
+    with pytest.raises(ValueError) as campaign:
+        verify_remark(1.5, 0.0, 5, 16, 1, t=t, eps=eps)
+    assert str(direct.value) == str(campaign.value) == message
+
+
 def test_remark_checks_eps_before_simulating(monkeypatch):
     import stablesums.verification as verification
 
@@ -689,6 +705,19 @@ def test_campaigns_draw_once_per_replicate(monkeypatch, campaign):
         assert calls == {"sample_doa": [], "sample": [GRID] * REPS + [REPS, REPS]}
     else:
         assert calls == {"sample_doa": [N] * REPS, "sample": []}
+
+
+def test_ks_one_sample_calls_cdf_once_with_every_sorted_sample():
+    law = StableParams(1.5, 1.0)
+    column = sample(law, stream(4532, 0), 100)
+    calls = []
+
+    def recording(x):
+        calls.append(x.copy())
+        return cdf(law, x)
+    ks_one_sample(column, recording)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.sort(column))
 
 
 # The marginal campaigns evaluate the CDF only at every 16th order statistic,
