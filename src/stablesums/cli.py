@@ -14,10 +14,11 @@ Options may come from ``--config FILE`` (JSON object, or ``key=value`` lines
 with ``#`` comments) holding options of the same subcommand.  A file value is
 parsed from its text exactly like the flag's, so an integer option needs an
 integer (``n = 40``, not ``40.0``).  Explicit flags override the file, the
-file overrides built-in defaults.  Seeds are mandatory for ``verify-*`` so no
-verification ever depends on hidden state; ``sample``/``paths`` default to
-seed 0.  Results are byte-identical for a given seed, because every replicate
-draws from its own counter-based stream.
+file overrides the defaults, and an option named for a library parameter
+takes the default of the library's signature.  Seeds are mandatory for
+``verify-*`` so no verification ever depends on hidden state;
+``sample``/``paths`` default to seed 0.  Results are byte-identical for a
+given seed, because every replicate draws from its own counter-based stream.
 
 ``--family`` picks the input of ``verify-fclt``, ``verify-lemma`` and
 ``verify-product``.  A family reads the fields of its class (``_FAMILIES``),
@@ -36,12 +37,12 @@ the first write, so a configuration error leaves nothing behind.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
-import math
 import os
 import re
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -56,10 +57,11 @@ from .paths import (
     TwoSidedPareto,
     simulate_levy_path,
 )
-from .rng import _check_count, _check_real, stream, streams
+from .rng import _check_count, stream, streams
 from .stable import QuadratureError, StableParams, cdf, sample
 from .verification import (
     VerificationReport,
+    _frequency_grid,
     _json,
     _write,
     _write_csv,
@@ -73,12 +75,7 @@ from .verification import (
 
 __all__ = ["CampaignConfig", "run", "emit_plotdata", "main"]
 
-_VERIFY = ("verify-sampler", "verify-remark", "verify-fclt", "verify-lemma",
-           "verify-product")
 _OVERLAY_MAX_ROWS = 2048
-# verify-sampler frequency grids hold at most this many points, about 1000
-# times the default 101; a larger grid is a mistyped --t-step, not a test.
-_MAX_T_POINTS = 10**5
 
 
 @dataclass
@@ -106,7 +103,7 @@ _COMMON = {
 _FAMILIES = {"exponential": Exponential, "pareto": Pareto,
              "two-sided-pareto": TwoSidedPareto, "exact-stable": StableParams,
              "degenerate": Degenerate}
-_FIELDS = {family: [f.name for f in fields(cls)] for family, cls in _FAMILIES.items()}
+_FIELDS = {family: list(inspect.signature(cls).parameters) for family, cls in _FAMILIES.items()}
 _READ_BY = {key: "read by --family " + ", ".join(name for name in _FIELDS if key in _FIELDS[name])
             for keys in _FIELDS.values() for key in keys}
 # The log transform of verify-fclt and verify-product needs positive draws,
@@ -114,49 +111,53 @@ _READ_BY = {key: "read by --family " + ", ".join(name for name in _FIELDS if key
 _POSITIVE = tuple(family for family in _FAMILIES if family != "exact-stable")
 
 
-def _float_options(classes, helps: dict) -> dict:
-    """The fields of the dataclasses ``classes`` as float options, each with
-    its field's default, or none where it has none, and its help in ``helps``."""
-    return {f.name: (float, None if f.default is MISSING else f.default, helps.get(f.name))
-            for cls in classes for f in fields(cls)}
+def _options(function, *names: str, helps: Optional[dict] = None) -> dict:
+    """The parameters ``names`` of the library callable ``function``, or all of
+    them (a dataclass's are its fields), as options with the library's default
+    or none, typed int where it is an int and float otherwise, helped by ``helps``."""
+    params = inspect.signature(function).parameters
+    defaults = {name: params[name].default for name in names or params}
+    return {name: (int if type(default) is int else float,
+                   None if default is inspect.Parameter.empty else default,
+                   (helps or {}).get(name)) for name, default in defaults.items()}
 
 
-_LAW = _float_options([StableParams], {})
+_LAW = _options(StableParams)
 # paths and verify-remark simulate the law at dispersion 1 and location 0
-_ALPHA_BETA = {key: option for key, option in _LAW.items() if option[1] is None}
-_INPUTS = _float_options([_FAMILIES[family] for family in _POSITIVE], _READ_BY)
+_ALPHA_BETA = _options(StableParams, "alpha", "beta")
 _FAMILY = {"family": (tuple(_FAMILIES), "exponential", None),
-           **_float_options(_FAMILIES.values(), _READ_BY)}
+           **{key: option for cls in _FAMILIES.values()
+              for key, option in _options(cls, helps=_READ_BY).items()}}
+_INPUTS = {key: _FAMILY[key] for family in _POSITIVE for key in _FIELDS[family]}
 _OPTIONS = {
     "sample": ("draw iid stable variates to CSV", {
         **_COMMON, **_LAW, "n": (int, None, None)}),
     "paths": ("simulate stable Levy paths to CSV", {
-        **_COMMON, **_ALPHA_BETA, "grid": (int, DEFAULT_GRID, None),
+        **_COMMON, **_ALPHA_BETA, **_options(simulate_levy_path, "grid"),
         "reps": (int, 1, None)}),
     "verify-sampler": ("char-fn fidelity of the sampler", {
-        **_COMMON, **_LAW, "n": (int, 10**6, None),
-        "t_min": (float, -5.0, None), "t_max": (float, 5.0, None),
-        "t_step": (float, 0.1, None), "threshold": (float, 5e-3, None)}),
+        **_COMMON, **_LAW, "n": (int, 10**6, None), **_options(_frequency_grid),
+        **_options(verify_sampler, "threshold")}),
     "verify-remark": ("truncated path integral vs its stable law", {
         **_COMMON, **_ALPHA_BETA, "reps": (int, 5000, None),
-        "grid": (int, DEFAULT_GRID, None), "t": (float, 1.0, None),
-        "eps": (float, None, None), "threshold": (float, 0.04, None)}),
+        "grid": (int, DEFAULT_GRID, None),
+        **_options(verify_remark, "t", "eps", "threshold")}),
     "verify-fclt": ("functional statistic marginals vs limit laws", {
         **_COMMON, "family": (_POSITIVE, "exponential", None), **_INPUTS,
         "n": (int, 10**4, None),
         "grid": (int, DEFAULT_GRID, None),
         "times": (str, "0.25,0.5,0.75,1.0", "comma-separated times in (0,1]"),
-        "reps": (int, 5000, None), "threshold": (float, 0.04, None)}),
+        "reps": (int, 5000, None), **_options(verify_fclt, "threshold")}),
     "verify-lemma": ("boundedness of the mean-deviation sums", {
         **_COMMON, **_FAMILY,
         "ns": (str, "100,1000,10000", "comma-separated horizons, increasing"),
-        "reps": (int, 400, None), "band": (float, 2.0, None),
-        "trend_tol": (float, 0.25, None)}),
+        "reps": (int, 400, None), **_options(verify_lemma, "band", "trend_tol")}),
     "verify-product": ("log product statistic vs its stable law", {
         **_COMMON, "family": (_POSITIVE, "pareto", None), **_INPUTS,
         "n": (int, 10**4, None), "reps": (int, 5000, None),
-        "threshold": (float, 0.07, None)}),
+        **_options(verify_product, "threshold")}),
 }
+_VERIFY = tuple(campaign for campaign in _OPTIONS if campaign.startswith("verify-"))
 
 
 def _parse_number_list(text: str, kind, what: str):
@@ -259,30 +260,14 @@ def _require(params: dict, key: str):
     return params[key]
 
 
-def _build(cls, params: dict):
-    return cls(*(_require(params, f.name) for f in fields(cls)))
+def _build(function, params: dict):
+    """``function`` called with the options named for its parameters."""
+    return function(*(_require(params, name) for name in inspect.signature(function).parameters))
 
 
 def _build_spec(params: dict) -> DoaSpec:
     spec = _build(_FAMILIES[params["family"]], params)
     return ExactStable(spec) if isinstance(spec, StableParams) else spec
-
-
-def _t_grid(params: dict) -> np.ndarray:
-    """t-min + t-step*k for k = 0, 1, ... up to the last point not above t-max,
-    give or take 8 ulps of max|t| of rounding."""
-    t_min, t_max, t_step = params["t_min"], params["t_max"], params["t_step"]
-    _check_real(t_min, "t_min")
-    _check_real(t_max, "t_max")
-    _check_real(t_step, "t_step", 0.0)
-    if not t_min < t_max:
-        raise ValueError("need --t-min < --t-max")
-    slack = 8 * math.ulp(max(abs(t_min), abs(t_max)))
-    steps = (t_max - t_min + slack) / t_step
-    if not steps < _MAX_T_POINTS:
-        raise ValueError(f"--t-step {t_step!r} gives {steps + 1:.4g} frequencies "
-                         f"from --t-min to --t-max, more than {_MAX_T_POINTS}")
-    return t_min + t_step * np.arange(math.floor(steps) + 1)
 
 
 def _trivial_report(config: CampaignConfig, name: str, n: int, reps: int,
@@ -305,7 +290,11 @@ def _execute(config: CampaignConfig) -> VerificationReport:
         params = _build(StableParams, p)
         n = _check_count(_require(p, "n"), "n", 1)
         draws = sample(params, stream(seed, 0), n)
-        return _trivial_report(config, "sample", n, 1, {"mean": float(draws.mean())}, [
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(draws.mean())
+        if not np.isfinite(mean):
+            raise ValueError("the mean of the draws overflows")
+        return _trivial_report(config, "sample", n, 1, {"mean": mean}, [
             _write_csv(out, "samples.csv", "value", draws),
             _write(out, "limit_laws.json", _json({"sampled": asdict(params)})),
         ])
@@ -321,7 +310,8 @@ def _execute(config: CampaignConfig) -> VerificationReport:
         names.append(_write(out, "limit_laws.json", _json({repr(1.0): asdict(law)})))
         return _trivial_report(config, "paths", p["grid"], reps, {}, names)
     if c == "verify-sampler":
-        return verify_sampler(_build(StableParams, p), p["n"], seed, t_grid=_t_grid(p),
+        return verify_sampler(_build(StableParams, p), p["n"], seed,
+                              t_grid=_build(_frequency_grid, p),
                               threshold=p["threshold"], out_dir=out)
     if c == "verify-remark":
         return verify_remark(_require(p, "alpha"), _require(p, "beta"), p["reps"],

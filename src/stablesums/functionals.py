@@ -181,14 +181,19 @@ def product_statistic(x, mu: float, exponent: float) -> float:
     return math.exp(log_product_statistic(x, mu, exponent))
 
 
-def _riemann_kernel(times: np.ndarray, t: float, eps: float):
+def _riemann_kernel(times: np.ndarray, t: float, eps: Optional[float] = None):
     """The function taking path values on the grid ``times`` to the
-    right-endpoint Riemann sum of path(u)/u over the grid cells in (eps, t].
+    right-endpoint Riemann sum of path(u)/u over the grid cells in (eps, t],
+    and the eps it uses.
 
-    t in (0, 1] and 0 < eps < t, or ``ValueError``; ``times`` increases from
-    0, so those cells are one run of indices lo..hi-1 with lo >= 1.  Their
-    right ends and widths are built here once; each call overwrites one buffer.
+    ``eps`` defaults to the first grid cell's width, the smallest truncation
+    the grid can express.  t in (0, 1] and 0 < eps < t, or ``ValueError``;
+    ``times`` increases from 0, so those cells are one run of indices
+    lo..hi-1 with lo >= 1.  Their right ends and widths are built here once;
+    each call overwrites one buffer.
     """
+    if eps is None:
+        eps = float(times[1] - times[0])
     _check_real(t, "t", 0.0, 1.0, "(]")
     _check_real(eps, "eps")
     if not 0.0 < eps < t:
@@ -203,7 +208,7 @@ def _riemann_kernel(times: np.ndarray, t: float, eps: float):
         np.multiply(terms, widths, out=terms)
         return float(np.sum(terms))
 
-    return integral
+    return integral, eps
 
 
 def integral_riemann(path: SamplePath, t: float, eps: Optional[float] = None) -> float:
@@ -214,9 +219,8 @@ def integral_riemann(path: SamplePath, t: float, eps: Optional[float] = None) ->
     path(u)/u times its cell width; the singular left end is simply cut away,
     which is harmless for paths vanishing at 0 faster than x**g, g > 0.
     """
-    if eps is None:
-        eps = float(path.times[1] - path.times[0])
-    return _riemann_kernel(path.times, t, eps)(path.values)
+    integral, _ = _riemann_kernel(path.times, t, eps)
+    return integral(path.values)
 
 
 def limit_law(alpha: float, beta: float, t: float, f_prime: float) -> StableParams:

@@ -128,22 +128,33 @@ def char_fn(params: StableParams, t):
     """Characteristic function at ``t`` (scalar or array), as complex values.
 
     Evaluates the exact branch for the stored alpha; the alpha == 1 branch is
-    continuous at t = 0 because |t|*log|t| -> 0.
+    continuous at t = 0 because |t|*log|t| -> 0.  Where |cf| = exp(-m),
+    m = dispersion*|t|**alpha (dispersion*t**2/2 at alpha == 2), is below the
+    smallest float, the value is 0 even where m or the phase overflows.  A
+    phase that overflows where |cf| is not 0, as location*t can, is refused
+    with a ``ValueError``.
     """
     t = _as_finite(t, "t")
     a, b, d, mu = params.alpha, params.beta, params.dispersion, params.location
-    drift = 1j * mu * t
-    if a == 2.0:
-        out = np.exp(-0.5 * d * t * t + drift)
-    elif a == 1.0:
-        at = np.abs(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # t*log|t| with the t=0 limit patched in.
-            tlog = np.where(at > 0.0, t * np.log(at), 0.0)
-        out = np.exp(-d * at - 1j * d * b * (2.0 / math.pi) * tlog + drift)
-    else:
-        skew = math.tan(math.pi * a / 2.0)
-        out = np.exp(-d * np.abs(t) ** a * (1.0 - 1j * b * skew * np.sign(t)) + drift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = 1j * mu * t
+        if a == 2.0:
+            m = 0.5 * d * t * t
+            out = np.exp(-m + drift)
+        elif a == 1.0:
+            at = np.abs(t)
+            with np.errstate(divide="ignore"):
+                # t*log|t| with the t=0 limit patched in.
+                tlog = np.where(at > 0.0, t * np.log(at), 0.0)
+            m = d * at
+            out = np.exp(-m - 1j * d * b * (2.0 / math.pi) * tlog + drift)
+        else:
+            skew = math.tan(math.pi * a / 2.0)
+            m = d * np.abs(t) ** a
+            out = np.exp(-m * (1.0 - 1j * b * skew * np.sign(t)) + drift)
+        out = np.where(np.isfinite(out) | (np.exp(-m) > 0.0), out, 0j)
+    if not np.isfinite(out).all():
+        raise ValueError("the phase of the characteristic function overflows")
     if out.ndim == 0:
         return complex(out)
     return out

@@ -442,24 +442,57 @@ def _write_marginals(out_dir, times, stats: np.ndarray, laws) -> list:
     ]
 
 
+# A frequency grid holds at most this many points, about 1000 times the
+# default 101; a larger grid is a mistyped --t-step, not a test.
+_MAX_T_POINTS = 10**5
+# verify_sampler draws at most this many variates, 1000 times the command
+# line's default 10**6.  It draws in chunks, so no allocation refuses more,
+# and a larger n would run for hours.
+_MAX_SAMPLER_N = 10**9
+
+
+def _frequency_grid(t_min: float = -5.0, t_max: float = 5.0, t_step: float = 0.1) -> np.ndarray:
+    """t_min + t_step*k for k = 0, 1, ... up to the last point not above t_max,
+    give or take 8 ulps of max|t| of rounding.  With its defaults it is
+    -5 + 0.1*k for k = 0..100, the default grid of :func:`verify_sampler`
+    and of the command line's ``--t-min``, ``--t-max`` and ``--t-step``."""
+    _check_real(t_min, "t_min")
+    _check_real(t_max, "t_max")
+    _check_real(t_step, "t_step", 0.0)
+    if not t_min < t_max:
+        raise ValueError("need --t-min < --t-max")
+    slack = 8 * math.ulp(max(abs(t_min), abs(t_max)))
+    steps = (t_max - t_min + slack) / t_step
+    if not steps < _MAX_T_POINTS:
+        raise ValueError(f"--t-step {t_step!r} gives {steps + 1:.4g} frequencies "
+                         f"from --t-min to --t-max, more than {_MAX_T_POINTS}")
+    return t_min + t_step * np.arange(math.floor(steps) + 1)
+
+
 def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
                    threshold: float = 5e-3, out_dir=None) -> VerificationReport:
     """Characteristic-function fidelity of the exact sampler.
 
-    Draws n variates and compares their empirical characteristic function with
-    the analytic one on a grid of frequencies, in sup norm.  The default grid
-    is -5 + 0.1*k for k = 0..100, the same floats as the command line's
-    default.  Each chunk of 2**14 draws goes through :func:`_ecf_sums`, so
-    memory stays of the order of one chunk; on the default grid that costs
-    one exponential per draw and 50 multiplies, as each negative t takes
-    the conjugate of its mirror.  The control re-tests the same draws
-    against the law with doubled dispersion.
+    Draws n variates, at most 10**9, and compares their empirical
+    characteristic function with the analytic one on a grid of frequencies,
+    in sup norm.  The default grid is :func:`_frequency_grid`'s, -5 + 0.1*k
+    for k = 0..100, which the command line builds too.  Each chunk of 2**14
+    draws goes through :func:`_ecf_sums`, so memory stays of the order of
+    one chunk; on the default grid that costs one exponential per draw and
+    50 multiplies, as each negative t takes the conjugate of its mirror.
+    The control re-tests the same draws against the law with doubled
+    dispersion, so a dispersion whose double overflows is refused.
     """
     n = _check_count(n, "n", 1)
+    _check_real(n, "n", 1, _MAX_SAMPLER_N, "[]")
     _check_real(threshold, "threshold", 0.0)
-    grid = -5.0 + 0.1 * np.arange(101) if t_grid is None else np.asarray(t_grid, dtype=float)
+    grid = _frequency_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("t_grid must be a nonempty finite 1-d array")
+    if not math.isfinite(2.0 * params.dispersion):
+        raise ValueError(f"dispersion {params.dispersion!r} is too large: the control's "
+                         f"doubled dispersion overflows")
+    wrong = replace(params, dispersion=2.0 * params.dispersion)
 
     rng = stream(seed, _SIM)
     acc = np.zeros(grid.size, dtype=complex)
@@ -480,7 +513,6 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     # gap is even in t and its maximum ties at +-t; rounding would pick the
     # sign.  Report the largest t among the gaps tied with the maximum.
     tied = gaps >= stat * (1.0 - 1e-12)
-    wrong = replace(params, dispersion=2.0 * params.dispersion)
     control_stat = float(np.abs(ecf_vals - char_fn(wrong, grid)).max())
 
     config = {
@@ -528,9 +560,8 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     _check_real(threshold, "threshold", 0.0)
     law = limit_law(alpha, beta, t, 1.0)
     grid = _check_count(grid, "grid", 1)
-    eps_used = 1.0 / grid if eps is None else eps
     increment_law = _increment_law(alpha, beta, grid)
-    integral = _riemann_kernel(np.arange(grid + 1) / grid, t, eps_used)
+    integral, eps = _riemann_kernel(np.arange(grid + 1) / grid, t, eps)
     path = np.empty(grid + 1)
     integrals = np.empty(reps)
     for r, rng in enumerate(streams(seed, _SIM, count=reps)):
@@ -549,7 +580,7 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
         "reps": reps,
         "grid": grid,
         "t": float(t),
-        "eps": eps_used,
+        "eps": eps,
         "threshold": float(threshold),
     }
     details = {

@@ -452,6 +452,31 @@ def test_library_default_frequency_grid_is_the_cli_default(tmp_path):
     assert (lib / "charfn_fit.csv").read_bytes() == (cli / "charfn_fit.csv").read_bytes()
 
 
+@pytest.mark.parametrize("args, err", [
+    (["verify-sampler", "--n", str(2**62)],
+     "verify-sampler: n must be in [1, 1e+09], got 4611686018427387904"),
+    (["verify-sampler", "--n", "20", "--dispersion", "1.7e308"],
+     "verify-sampler: dispersion 1.7e+308 is too large: the control's doubled "
+     "dispersion overflows"),
+    (["sample", "--n", "20", "--location", "1.7e308"],
+     "sample: the mean of the draws overflows"),
+])
+def test_inputs_near_the_float_range_exit_two(tmp_path, capsys, args, err):
+    # refused in one line, with no warning and nothing written
+    out = tmp_path / "o"
+    assert _run(*args, "--alpha", "1.5", "--beta", "0.5", "--seed", "0",
+                "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not out.exists()
+
+
+def test_verify_sampler_at_a_huge_dispersion_runs_without_a_warning(tmp_path, capsys):
+    assert _run("verify-sampler", "--alpha", "1.5", "--beta", "0.5", "--n", "20",
+                "--seed", "0", "--dispersion", "8e307", "--out-dir", str(tmp_path)) in (0, 1)
+    assert capsys.readouterr().err == ""
+    json.loads((tmp_path / "report.json").read_text())
+
+
 # config.spec of report.json for one input of each family, key order
 # included: report bytes must not move when the spec's code does
 _FAMILY_ARGS = {

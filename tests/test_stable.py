@@ -79,6 +79,27 @@ def test_char_fn_refuses_non_finite_t(t):
         char_fn(StableParams(1.5, 0.3), t)
 
 
+@pytest.mark.parametrize("alpha,beta", [(2.0, 0.0), (1.0, 0.5), (1.0, 0.0), (1.5, 0.5),
+                                        (1.5, 0.0), (1.2, -1.0), (0.5, 1.0)])
+def test_char_fn_is_zero_where_its_exponent_overflows(alpha, beta):
+    # |phi| = exp(-d*|t|**alpha) is below the smallest float, whatever the
+    # phase; no warning (warnings are errors here)
+    p = StableParams(alpha, beta, 8e307, 1.0)
+    t = np.array([-1.7e308, -1e200, -5.0, 5.0, 1e300, 1.7e308])
+    np.testing.assert_array_equal(char_fn(p, t), np.zeros(t.size))
+    assert char_fn(p, 5.0) == 0j and char_fn(p, 0.0) == 1.0 + 0.0j
+    # the usual dispersion at huge |t| underflows alike
+    np.testing.assert_array_equal(char_fn(StableParams(alpha, beta), t[[0, -1]]), [0j, 0j])
+
+
+def test_char_fn_refuses_a_phase_that_overflows_where_it_is_not_zero():
+    # location*t beyond the float range has no float phase, and |phi| is not 0
+    with pytest.raises(ValueError, match="^the phase of the characteristic function "
+                                         "overflows$"):
+        char_fn(StableParams(1.5, 0.5, 1.0, 1e308), [0.5, 5.0])
+    assert char_fn(StableParams(1.5, 0.5, 1.0, 1e308), 1e200) == 0j
+
+
 def test_char_fn_mirror_symmetry():
     # negating the variable conjugates; negating (beta, location) mirrors the law
     for alpha in (0.8, 1.0, 1.4, 2.0):

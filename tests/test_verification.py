@@ -39,9 +39,12 @@ from stablesums import (
     verify_remark,
     verify_sampler,
 )
+from stablesums.functionals import _riemann_kernel
 from stablesums.rng import stream
 from stablesums.verification import (
+    _MAX_SAMPLER_N,
     _common_step,
+    _frequency_grid,
     _half_dispersion,
     _kolmogorov_sf,
     _marginal_fits,
@@ -272,6 +275,39 @@ def test_ecf_non_arithmetic_grid_is_exact_outer_product(criterion_1_draws):
 def test_verify_sampler_refuses_a_bad_frequency_grid(t_grid):
     with pytest.raises(ValueError, match="^t_grid must be a nonempty finite 1-d array$"):
         verify_sampler(StableParams(1.5, 0.0), 10, 1, t_grid=t_grid)
+
+
+def test_default_frequency_grid_keeps_its_bits():
+    assert _frequency_grid().tobytes() == (-5.0 + 0.1 * np.arange(101)).tobytes()
+
+
+def _no_draws(monkeypatch):
+    import stablesums.verification as verification
+
+    def fail(*args, **kwargs):
+        pytest.fail("drew before refusing")
+    monkeypatch.setattr(verification, "sample", fail)
+
+
+def test_verify_sampler_refuses_an_n_above_its_bound_before_drawing(monkeypatch):
+    _no_draws(monkeypatch)
+    for n in (_MAX_SAMPLER_N + 1, 2**62, 2**64):
+        with pytest.raises(ValueError, match=rf"^n must be in \[1, 1e\+09\], got {n}$"):
+            verify_sampler(StableParams(1.5, 0.5), n, 0)
+
+
+def test_verify_sampler_refuses_a_dispersion_whose_control_overflows(monkeypatch):
+    _no_draws(monkeypatch)
+    with pytest.raises(ValueError, match=r"^dispersion 1\.7e\+308 is too large: the "
+                                         r"control's doubled dispersion overflows$"):
+        verify_sampler(StableParams(1.5, 0.5, 1.7e308), 20, 0)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 16, 4096, 10**6])
+def test_default_truncation_is_the_first_cell(grid):
+    times = np.arange(grid + 1) / grid
+    _, eps = _riemann_kernel(times, 1.0)
+    assert eps == 1.0 / grid and type(eps) is float
 
 
 def test_verify_sampler_draws_in_fixed_chunks(tmp_path):
