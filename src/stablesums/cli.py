@@ -10,6 +10,13 @@ unreadable, undecodable or unwritable file included (nothing written), 3 numeric
 failure: the error estimate of a stable CDF value exceeded its tolerance (no
 report written).  Each error prints one line ``error: <subcommand>: ...``.
 
+One floating-point policy holds in ``main``: an evaluation that overflows by
+design, such as ``stable.cdf``, silences its own scope and checks its
+result, and any other overflow, division by zero or invalid operation in a
+subcommand, in the partial sums or the norming say, exits 2 with one line
+instead of a numpy warning.  Underflow is ignored.  ``run`` and
+``emit_plotdata`` called from Python keep the caller's numpy settings.
+
 Options may come from ``--config FILE`` (JSON object, or ``key=value`` lines
 with ``#`` comments) holding options of the same subcommand.  A file value is
 parsed from its text exactly like the flag's, so an integer option needs an
@@ -471,11 +478,13 @@ def main(argv=None) -> int:
     try:
         if unknown:
             raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
-        if ns.campaign == "plotdata":
-            emit_plotdata(ns.report, ns.out_dir)
-            return 0
-        return run(_resolve(ns))
-    except (ValueError, OSError, MemoryError, QuadratureError) as exc:
+        # the floating-point policy of the module docstring
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            if ns.campaign == "plotdata":
+                emit_plotdata(ns.report, ns.out_dir)
+                return 0
+            return run(_resolve(ns))
+    except (ValueError, OSError, MemoryError, FloatingPointError, QuadratureError) as exc:
         print(f"error: {ns.campaign}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3 if isinstance(exc, QuadratureError) else 2
 

@@ -53,6 +53,12 @@ where it exceeds ``_MAX_ABSERR`` (5e-8), ``cdf`` raises
 The node tables of the quadrature are built at the first ``cdf`` call that
 needs them, so importing this module or drawing from a law does not.
 
+Each evaluation, ``cdf`` and ``char_fn``, is one floating-point scope: it
+silences numpy's overflow, division and invalid-operation warnings for its
+whole body, where they arise by design, and checks its result explicitly
+(``cdf`` by the error estimate, ``char_fn`` by the finiteness of its value),
+so it answers alike under any ``np.errstate`` of its caller.
+
 Domain
 ------
 alpha is refused below ``_MIN_ALPHA`` = 0.05.  Below it the draw
@@ -136,18 +142,22 @@ def char_fn(params: StableParams, t):
     """
     t = _as_finite(t, "t")
     a, b, d, mu = params.alpha, params.beta, params.dispersion, params.location
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         drift = 1j * mu * t
         if a == 2.0:
             m = 0.5 * d * t * t
             out = np.exp(-m + drift)
         elif a == 1.0:
             at = np.abs(t)
-            with np.errstate(divide="ignore"):
-                # t*log|t| with the t=0 limit patched in.
-                tlog = np.where(at > 0.0, t * np.log(at), 0.0)
+            log_at = np.log(at)
             m = d * at
-            out = np.exp(-m - 1j * d * b * (2.0 / math.pi) * tlog + drift)
+            # t*log|t| with the t=0 limit patched in; where it overflows and
+            # |cf| is not 0, d*t*log|t| may not, so there d*t is formed first
+            tlog = np.where(at > 0.0, t * log_at, 0.0)
+            phase = np.where(np.isfinite(tlog) | (np.exp(-m) == 0.0),
+                             1j * d * b * (2.0 / math.pi) * tlog,
+                             1j * b * (2.0 / math.pi) * ((d * t) * log_at))
+            out = np.exp(-m - phase + drift)
         else:
             skew = math.tan(math.pi * a / 2.0)
             m = d * np.abs(t) ** a
@@ -335,12 +345,14 @@ class _Integral:
             # (Samorodnitsky & Taqqu 1994, Prop. 1.2.15 is its first term)
             k = np.arange(1, _TAIL_TERMS + 2)
             gam = np.array([math.gamma(alpha * j) / math.factorial(j) for j in k])
-            self.tail = ((-1.0) ** (k + 1) * gam * cos_at0 ** -k.astype(float)
-                         * np.sin(k * alpha_l) / math.pi)
+            tail = ((-1.0) ** (k + 1) * gam * cos_at0 ** -k.astype(float)
+                    * np.sin(k * alpha_l) / math.pi)
+            # the first _TAIL_TERMS terms as a polynomial in z^(-alpha)
+            self.series = np.append(tail[-2::-1], 0.0)
             # use the series where the first omitted term is below _TAIL_RTOL
             # of the first one; the totally skewed light side has no such tail
-            if self.tail[0] > 0.0:
-                self.z_tail = (abs(self.tail[-1]) / (_TAIL_RTOL * self.tail[0])) ** (
+            if tail[0] > 0.0:
+                self.z_tail = (abs(tail[-1]) / (_TAIL_RTOL * tail[0])) ** (
                     1.0 / (alpha * _TAIL_TERMS))
             else:
                 self.z_tail = math.inf
@@ -392,12 +404,11 @@ class _Integral:
         monotone.  The second is the mode of Nolan's density integrand
         h k exp(-h) dtheta/ds, the point where the CDF integrand changes
         fastest; ``table_rest`` holds log k + log dtheta/ds for it."""
-        with np.errstate(all="ignore"):
-            lv, u, w = self.log_v(_TABLE_S)
-            k = np.abs(np.gradient(lv, _TABLE_S))
-            key = np.arcsinh(lv + np.minimum(0.0, np.log(k)))
-            self.table_lv, self.table_k = lv, k
-            self.table_rest = np.log(k) + np.log(u * w / self.length)
+        lv, u, w = self.log_v(_TABLE_S)
+        k = np.abs(np.gradient(lv, _TABLE_S))
+        key = np.arcsinh(lv + np.minimum(0.0, np.log(k)))
+        self.table_lv, self.table_k = lv, k
+        self.table_rest = np.log(k) + np.log(u * w / self.length)
         if self.rising:
             self.key, self.key_s = np.fmax.accumulate(key), _TABLE_S
         else:
@@ -426,64 +437,63 @@ class _Integral:
         root = np.interp(target, self.key, self.key_s)
         k_root = np.interp(root, _TABLE_S, self.table_k)
         steep = (k_root >= 4.0) & (target > self.key[0]) & (target < self.key[-1])
-        with np.errstate(all="ignore"):
-            if steep.any():
-                # a point that has converged keeps its root and slope, so the
-                # result of each point does not depend on the rest of its block
-                for _ in range(_NEWTON_STEPS):
-                    lv, dv = self.log_v(root, slope=True)
-                    k_root = np.where(steep, np.abs(dv), k_root)
-                    step = np.clip((shift + lv) / dv, -0.5, 0.5)
-                    move = steep & ~(np.abs(step * dv) <= 0.1)
-                    if not move.any():
-                        break
-                    root = np.where(move, root - step, root)
-            y = shift[:, None] + self.table_lv
-            peak = np.argmax(np.where(np.isnan(y), -np.inf, y + self.table_rest - np.exp(y)),
-                             axis=1)
-            lam_root = 1.0 / np.fmax(1.0, k_root)
-            # a mode within one unit of s of the root is the same transition
-            one = np.abs(_TABLE_S[peak] - root) <= 1.0
-            mode = np.where(one, root, _TABLE_S[peak])
-            lam_mode = np.where(one, lam_root, 1.0 / np.fmax(1.0, self.table_k[peak]))
-            first = root <= mode
-            lo, hi = np.minimum(root, mode), np.maximum(root, mode)
-            lam_lo = np.where(first, lam_root, lam_mode)
-            lam_hi = np.where(first, lam_mode, lam_root)
-            # block 0 runs toward small h: left of lo if h rises with s, else
-            # right of hi; block 1 the other way
-            origin = np.empty((shift.size, 2))
-            scale = np.empty((shift.size, 2))
-            if self.rising:
-                origin[:, 0], scale[:, 0], origin[:, 1], scale[:, 1] = lo, -lam_lo, hi, lam_hi
-            else:
-                origin[:, 0], scale[:, 0], origin[:, 1], scale[:, 1] = hi, lam_hi, lo, -lam_lo
-            lv, u, w = self.log_v(origin[:, block] + scale[:, block] * positions)
-            h = np.exp(shift[:, None] + lv)
-            f = np.exp(-h)
-            f[:, small] = np.expm1(-h[:, small])
-            # dtheta/ds = u w / L; the 1/L is applied to the sums
-            f *= u * w
-            sums = np.einsum("ij,jk->ik", f, outer_sums)
-            size = np.abs(scale) / self.length
-            fine = size * sums[:, 0:4:2]
-            total = self.length * _expit(lo if self.rising else -hi) + fine.sum(axis=1)
-            err = (np.abs(fine - size * sums[:, 1:4:2]).sum(axis=1)
-                   + (size * np.abs(sums[:, 4:8:2])).sum(axis=1)
-                   + (size * np.abs(sums[:, 5:8:2])).sum(axis=1))
-            missed = steep
-            if steep.any():
-                y_root = shift + np.where(first == self.rising, lv[:, 0], lv[:, small.stop])
-                missed = steep & ~(np.abs(y_root) <= 1.0)
-            # the middle panel, [lo, hi], where there are two split points
-            two = ~one
-            if two.any():
-                span = (hi - lo)[two]
-                lv, u, w = self.log_v(lo[two][:, None] + span[:, None] * middle_nodes)
-                f = np.exp(-np.exp(shift[two][:, None] + lv)) * (u * w)
-                sums = np.einsum("ij,jk->ik", f, middle_sums) * (span / self.length)[:, None]
-                total[two] += sums[:, 0]
-                err[two] += np.abs(sums[:, 0] - sums[:, 1])
+        if steep.any():
+            # a point that has converged keeps its root and slope, so the
+            # result of each point does not depend on the rest of its block
+            for _ in range(_NEWTON_STEPS):
+                lv, dv = self.log_v(root, slope=True)
+                k_root = np.where(steep, np.abs(dv), k_root)
+                step = np.clip((shift + lv) / dv, -0.5, 0.5)
+                move = steep & ~(np.abs(step * dv) <= 0.1)
+                if not move.any():
+                    break
+                root = np.where(move, root - step, root)
+        y = shift[:, None] + self.table_lv
+        peak = np.argmax(np.where(np.isnan(y), -np.inf, y + self.table_rest - np.exp(y)),
+                         axis=1)
+        lam_root = 1.0 / np.fmax(1.0, k_root)
+        # a mode within one unit of s of the root is the same transition
+        one = np.abs(_TABLE_S[peak] - root) <= 1.0
+        mode = np.where(one, root, _TABLE_S[peak])
+        lam_mode = np.where(one, lam_root, 1.0 / np.fmax(1.0, self.table_k[peak]))
+        first = root <= mode
+        lo, hi = np.minimum(root, mode), np.maximum(root, mode)
+        lam_lo = np.where(first, lam_root, lam_mode)
+        lam_hi = np.where(first, lam_mode, lam_root)
+        # block 0 runs toward small h: left of lo if h rises with s, else
+        # right of hi; block 1 the other way
+        origin = np.empty((shift.size, 2))
+        scale = np.empty((shift.size, 2))
+        if self.rising:
+            origin[:, 0], scale[:, 0], origin[:, 1], scale[:, 1] = lo, -lam_lo, hi, lam_hi
+        else:
+            origin[:, 0], scale[:, 0], origin[:, 1], scale[:, 1] = hi, lam_hi, lo, -lam_lo
+        lv, u, w = self.log_v(origin[:, block] + scale[:, block] * positions)
+        h = np.exp(shift[:, None] + lv)
+        f = np.exp(-h)
+        f[:, small] = np.expm1(-h[:, small])
+        # dtheta/ds = u w / L; the 1/L is applied to the sums
+        f *= u * w
+        sums = np.einsum("ij,jk->ik", f, outer_sums)
+        size = np.abs(scale) / self.length
+        fine = size * sums[:, 0:4:2]
+        total = self.length * _expit(lo if self.rising else -hi) + fine.sum(axis=1)
+        err = (np.abs(fine - size * sums[:, 1:4:2]).sum(axis=1)
+               + (size * np.abs(sums[:, 4:8:2])).sum(axis=1)
+               + (size * np.abs(sums[:, 5:8:2])).sum(axis=1))
+        missed = steep
+        if steep.any():
+            y_root = shift + np.where(first == self.rising, lv[:, 0], lv[:, small.stop])
+            missed = steep & ~(np.abs(y_root) <= 1.0)
+        # the middle panel, [lo, hi], where there are two split points
+        two = ~one
+        if two.any():
+            span = (hi - lo)[two]
+            lv, u, w = self.log_v(lo[two][:, None] + span[:, None] * middle_nodes)
+            f = np.exp(-np.exp(shift[two][:, None] + lv)) * (u * w)
+            sums = np.einsum("ij,jk->ik", f, middle_sums) * (span / self.length)[:, None]
+            total[two] += sums[:, 0]
+            err[two] += np.abs(sums[:, 0] - sums[:, 1])
         err = np.where(missed | ~np.isfinite(total), np.inf, err)
         return total, err
 
@@ -506,8 +516,7 @@ class _Integral:
         else:
             tail = z >= self.z_tail
             if tail.any():
-                series = np.append(self.tail[-2::-1], 0.0)
-                f[tail] = 1.0 - np.polyval(series, z[tail] ** -self.alpha)
+                f[tail] = 1.0 - np.polyval(self.series, z[tail] ** -self.alpha)
         body = ~tail
         if body.any():
             zb = z[body]
@@ -561,28 +570,31 @@ def cdf(params: StableParams, x):
     """
     xs = _as_finite(x, "x")
     a, b, d, mu = params.alpha, params.beta, params.dispersion, params.location
-    if a == 2.0:
-        out = 0.5 * _erfc((mu - xs.ravel()) / math.sqrt(2.0 * d)).astype(float)
-    else:
-        # the scale d**(1/alpha) can overflow or underflow for small alpha;
-        # then every z is 0, or +-inf away from the location
-        with np.errstate(all="ignore"):
+    # One floating-point scope for the whole evaluation: the standardization
+    # and the kernel overflow and underflow by design, and each value is
+    # checked by its error estimate instead.
+    with np.errstate(all="ignore"):
+        if a == 2.0:
+            out = 0.5 * _erfc((mu - xs.ravel()) / math.sqrt(2.0 * d)).astype(float)
+        else:
+            # the scale d**(1/alpha) can overflow or underflow for small alpha;
+            # then every z is 0, or +-inf away from the location
             if a == 1.0:
                 z = (xs.ravel() - mu) / d - 2.0 / math.pi * b * math.log(d)
             else:
                 z = (xs.ravel() - mu) / np.float64(d) ** (1.0 / a)
-        z[np.isnan(z)] = 0.0
-        out = np.empty(z.size)
-        for lo in range(0, z.size, _CHUNK):
-            f, err = _standard_cdf(a, b, z[lo:lo + _CHUNK])
-            bad = ~(err <= _MAX_ABSERR)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise QuadratureError(
-                    f"stable CDF integral did not converge at x={xs.ravel()[lo + i]} "
-                    f"(error estimate {err[i]:.2e})")
-            out[lo:lo + _CHUNK] = f
-        np.clip(out, 0.0, 1.0, out=out)
+            z[np.isnan(z)] = 0.0
+            out = np.empty(z.size)
+            for lo in range(0, z.size, _CHUNK):
+                f, err = _standard_cdf(a, b, z[lo:lo + _CHUNK])
+                bad = ~(err <= _MAX_ABSERR)
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    raise QuadratureError(
+                        f"stable CDF integral did not converge at x={xs.ravel()[lo + i]} "
+                        f"(error estimate {err[i]:.2e})")
+                out[lo:lo + _CHUNK] = f
+            np.clip(out, 0.0, 1.0, out=out)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 

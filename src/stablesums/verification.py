@@ -748,7 +748,7 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     _check_real(band, "band", 1.0)
     _check_real(trend_tol, "trend_tol", 0.0)
     n_arr = np.array(ns)
-    a_vals = spec.a(n_arr)
+    a_vals, b_vals = spec.a(n_arr), spec.b(n_arr)
     mu, nmax = spec.known_mu, ns[-1]
     k = np.arange(1, nmax + 1, dtype=float)
     sums = np.empty(nmax + 1)
@@ -802,6 +802,6 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
         report.artifacts = [
             _write_csv(out_dir, "ratios.csv", "n,ratio,stderr,ci_low,ci_high",
                        n_arr, ratios, ratio_se, ci_low, ci_high),
-            _write_csv(out_dir, "norming.csv", "n,a_n,b_n", n_arr, a_vals, spec.b(n_arr)),
+            _write_csv(out_dir, "norming.csv", "n,a_n,b_n", n_arr, a_vals, b_vals),
         ]
     return report

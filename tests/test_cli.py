@@ -470,6 +470,29 @@ def test_inputs_near_the_float_range_exit_two(tmp_path, capsys, args, err):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["verify-fclt", "--family", "exponential", "--rate", "1e-307", "--n", "100",
+     "--grid", "4", "--times", "1", "--reps", "20"],
+    ["verify-fclt", "--family", "degenerate", "--value", "1.7e308", "--n", "100",
+     "--grid", "4", "--times", "1", "--reps", "2"],
+    ["verify-fclt", "--family", "exponential", "--rate", "1e-300", "--n", str(2**62),
+     "--grid", "4", "--times", "1", "--reps", "2"],
+    ["verify-lemma", "--family", "exponential", "--rate", "1e-300", "--ns", f"10,{2**62}",
+     "--reps", "2"],
+    ["verify-lemma", "--family", "degenerate", "--value", "1e307", "--ns", "10,1000",
+     "--reps", "2"],
+], ids=["sums", "point-mass-sums", "a_n", "lemma-a_n", "lemma-b_n"])
+def test_an_overflow_anywhere_in_a_run_exits_two(tmp_path, capsys, args):
+    # the partial sums or the norming overflow: one line, no warning (warnings
+    # are errors here), and nothing written
+    out = tmp_path / "o"
+    assert _run(*args, "--seed", "1", "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {args[0]}: ") and "overflow" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
 def test_verify_sampler_at_a_huge_dispersion_runs_without_a_warning(tmp_path, capsys):
     assert _run("verify-sampler", "--alpha", "1.5", "--beta", "0.5", "--n", "20",
                 "--seed", "0", "--dispersion", "8e307", "--out-dir", str(tmp_path)) in (0, 1)

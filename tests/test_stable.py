@@ -100,6 +100,22 @@ def test_char_fn_refuses_a_phase_that_overflows_where_it_is_not_zero():
     assert char_fn(StableParams(1.5, 0.5, 1.0, 1e308), 1e200) == 0j
 
 
+def test_char_fn_alpha_one_where_only_t_log_t_overflows():
+    # t*log|t| overflows at t = 1.7e308, but d*t*log|t| does not; mpmath is
+    # the oracle
+    p = StableParams(1.0, 0.5, 1e-310)
+    t = 1.7e308
+    with mpmath.workdps(40):
+        d, tm = mpmath.mpf(p.dispersion), mpmath.mpf(t)
+        want = complex(mpmath.exp(-d * tm - 1j * d * 0.5 * (2 / mpmath.pi) * tm * mpmath.log(tm)))
+    assert char_fn(p, t) == pytest.approx(want, rel=0, abs=1e-15)
+    assert char_fn(p, -t) == pytest.approx(want.conjugate(), rel=0, abs=1e-15)
+    # a location*t beyond the float range is still refused
+    with pytest.raises(ValueError, match="^the phase of the characteristic function "
+                                         "overflows$"):
+        char_fn(StableParams(1.0, 0.5, 1e-310, 1e300), t)
+
+
 def test_char_fn_mirror_symmetry():
     # negating the variable conjugates; negating (beta, location) mirrors the law
     for alpha in (0.8, 1.0, 1.4, 2.0):
@@ -257,6 +273,23 @@ def test_cdf_gaussian_within_two_ulp_of_mpmath_erfc():
     assert np.max(np.abs(got - want) / np.spacing(want)) <= 2.0
     shifted = StableParams(2.0, 0.0, dispersion=2.5, location=-1.25)
     assert cdf(shifted, 3.0) == float(0.5 * mpmath.erfc((-1.25 - 3.0) / mpmath.sqrt(5.0)))
+
+
+@pytest.mark.parametrize("law, x", [
+    (StableParams(2.0, 0.0, 1e-300), 1e300),
+    (StableParams(1.5, 1.0), 1e300),
+    (StableParams(0.05, 0.5, 1e300), 3.0),
+    (StableParams(1.5, 0.3), 0.7),
+])
+def test_cdf_is_one_silenced_scope(law, x):
+    # cdf overflows and underflows by design and checks each value itself, so
+    # it answers alike under a caller's errstate(all="raise"), also while it
+    # builds the law's table and the nodes
+    want = cdf(law, x)
+    stable._integral.cache_clear()
+    stable._nodes.cache_clear()
+    with np.errstate(all="raise"):
+        assert cdf(law, x) == want
 
 
 def test_expit_saturates_without_a_warning():
