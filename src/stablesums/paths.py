@@ -11,7 +11,8 @@ the product statistics require) and the norming constant ``scale``.  Its
 ``a(n)`` and ``b(n)`` are the sequences such that (S_n - b_n) / a_n
 converges to the unit-dispersion stable law S(known_alpha, known_beta, 1, 0):
 b_n = n * known_mu, and a_n = scale * n**(1/known_alpha) (sigma * sqrt(n) in
-the finite-variance cases).  ``norming_sequence`` gives the pair at one n,
+the finite-variance cases); a value beyond the float range is refused with a
+``ValueError`` that names it.  ``norming_sequence`` gives the pair at one n,
 ``karamata_partial_sum`` sums a(k)/k, and ``mean_abs_deviation`` estimates
 E|S_k - k*mu| by Monte Carlo.
 
@@ -86,11 +87,24 @@ class DoaSpec:
 
     def a(self, n):
         """Scaling a_n = scale * n**(1/known_alpha) at a scalar or an integer array n."""
-        return self.scale * np.asarray(n, dtype=float) ** (1.0 / self.known_alpha)
+        with np.errstate(all="ignore"):
+            a_n = self.scale * np.asarray(n, dtype=float) ** (1.0 / self.known_alpha)
+        return _finite_norming(a_n, n, "a_n")
 
     def b(self, n):
         """Centering b_n = n * known_mu at a scalar or an integer array n."""
-        return np.asarray(n, dtype=float) * self.known_mu
+        with np.errstate(all="ignore"):
+            b_n = np.asarray(n, dtype=float) * self.known_mu
+        return _finite_norming(b_n, n, "b_n")
+
+
+def _finite_norming(values, n, name: str):
+    """``values`` of the norming ``name`` at ``n``; one that overflows is
+    refused with a ``ValueError`` naming it and the first such n."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"{name} overflows at n={np.ravel(n)[np.argmax(bad)]}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -196,9 +210,7 @@ class TwoSidedPareto(DoaSpec):
         super().__post_init__()
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        x = rng.random(n)
-        np.subtract(1.0, x, out=x)
-        x **= -1.0 / self.tail_index
+        x = Pareto(self.tail_index).draw(rng, n)
         left = rng.random(n) >= (1.0 + self.asymmetry) / 2.0
         np.negative(x, out=x, where=left)
         return x
@@ -390,7 +402,10 @@ def _partial_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     exactly when every S_k is.
     """
     out[0] = 0.0
-    np.cumsum(x, out=out[1:])
+    try:
+        np.cumsum(x, out=out[1:])
+    except FloatingPointError:   # the overflow, under a caller's np.errstate(over="raise")
+        out[-1] = math.inf
     if not math.isfinite(out[-1]):
         raise ValueError("partial sums must be finite: a draw is inf or nan, or the sum overflows")
     return out

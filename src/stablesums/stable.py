@@ -22,9 +22,10 @@ Branches of the characteristic function, chosen exactly by alpha:
 
 CDF
 ---
-``cdf`` evaluates a whole array of x in one vectorized kernel, in blocks of
-``_CHUNK`` points, and gives every point the same arithmetic, so an array gives
-bit for bit the values of a loop of scalar calls.
+``cdf`` evaluates a whole array of x in one vectorized kernel; only the
+quadrature runs in blocks of ``_CHUNK`` points.  Every point gets the same
+arithmetic, which does not depend on the other points, so an array gives bit
+for bit the values of a loop of scalar calls.
 
 * alpha == 2 is ``0.5*erfc((location - x)/sqrt(2*dispersion))`` with the C
   library's ``erfc`` (``math.erfc``) at each point; alpha == 1
@@ -95,7 +96,7 @@ __all__ = [
 _MIN_ALPHA = 0.05
 # Largest tolerated error estimate of a CDF value before we refuse to answer.
 _MAX_ABSERR = 5e-8
-# Points per block of the (points x nodes) matrices of the CDF kernel.
+# Points per block of the quadrature's (points x nodes) matrices.
 _CHUNK = 32
 # Terms of the tail series, and its tolerated truncation relative to its first term.
 _TAIL_TERMS = 6
@@ -520,13 +521,13 @@ class _Integral:
         body = ~tail
         if body.any():
             zb = z[body]
-            if self.alpha == 1.0:
-                j, e = self.integral(-0.5 * math.pi / self.b * zb)
-                fb = j / math.pi
-            else:
-                j, e = self.integral(self.p * np.log(zb))
-                fb = 1.0 - j / math.pi if self.alpha > 1.0 else (self.gap + j) / math.pi
-            f[body] = fb
+            shift = -0.5 * math.pi / self.b * zb if self.alpha == 1.0 else self.p * np.log(zb)
+            j, e = np.empty((2, zb.size))
+            for lo in range(0, zb.size, _CHUNK):
+                j[lo:lo + _CHUNK], e[lo:lo + _CHUNK] = self.integral(shift[lo:lo + _CHUNK])
+            if self.alpha < 1.0:
+                j += self.gap
+            f[body] = 1.0 - j / math.pi if self.alpha > 1.0 else j / math.pi
             err[body] = e / math.pi
         return f, err
 
@@ -584,16 +585,13 @@ def cdf(params: StableParams, x):
             else:
                 z = (xs.ravel() - mu) / np.float64(d) ** (1.0 / a)
             z[np.isnan(z)] = 0.0
-            out = np.empty(z.size)
-            for lo in range(0, z.size, _CHUNK):
-                f, err = _standard_cdf(a, b, z[lo:lo + _CHUNK])
-                bad = ~(err <= _MAX_ABSERR)
-                if bad.any():
-                    i = int(np.argmax(bad))
-                    raise QuadratureError(
-                        f"stable CDF integral did not converge at x={xs.ravel()[lo + i]} "
-                        f"(error estimate {err[i]:.2e})")
-                out[lo:lo + _CHUNK] = f
+            out, err = _standard_cdf(a, b, z)
+            bad = ~(err <= _MAX_ABSERR)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise QuadratureError(
+                    f"stable CDF integral did not converge at x={xs.ravel()[i]} "
+                    f"(error estimate {err[i]:.2e})")
             np.clip(out, 0.0, 1.0, out=out)
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 

@@ -470,6 +470,9 @@ def test_inputs_near_the_float_range_exit_two(tmp_path, capsys, args, err):
     assert not out.exists()
 
 
+_SUMS_OVERFLOW = "partial sums must be finite: a draw is inf or nan, or the sum overflows"
+
+
 @pytest.mark.parametrize("args", [
     ["verify-fclt", "--family", "exponential", "--rate", "1e-307", "--n", "100",
      "--grid", "4", "--times", "1", "--reps", "20"],
@@ -490,6 +493,25 @@ def test_an_overflow_anywhere_in_a_run_exits_two(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {args[0]}: ") and "overflow" in err
     assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, name", [
+    (["verify-fclt", "--family", "exponential", "--rate", "1e-300", "--n", str(2**62),
+      "--grid", "4", "--times", "1", "--reps", "2"], f"a_n overflows at n={2**62}"),
+    (["verify-lemma", "--family", "exponential", "--rate", "1e-300", "--ns", f"10,{2**62}",
+      "--reps", "2"], f"a_n overflows at n={2**62}"),
+    (["verify-lemma", "--family", "degenerate", "--value", "1e307", "--ns", "10,1000",
+      "--reps", "2"], "b_n overflows at n=1000"),
+    (["verify-fclt", "--family", "exponential", "--rate", "1e-307", "--n", "100",
+      "--grid", "4", "--times", "1", "--reps", "20"], _SUMS_OVERFLOW),
+    (["verify-fclt", "--family", "degenerate", "--value", "1.7e308", "--n", "100",
+      "--grid", "4", "--times", "1", "--reps", "2"], _SUMS_OVERFLOW),
+], ids=["a_n", "lemma-a_n", "lemma-b_n", "sums", "point-mass-sums"])
+def test_an_overflow_in_a_run_names_the_quantity(tmp_path, capsys, args, name):
+    out = tmp_path / "o"
+    assert _run(*args, "--seed", "1", "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {args[0]}: {name}\n"
     assert not out.exists()
 
 

@@ -77,6 +77,18 @@ def test_norming_accepts_arrays():
     np.testing.assert_allclose(Exponential(1.0).a(np.array([1, 4, 9])), [1.0, 2.0, 3.0])
 
 
+def test_norming_that_overflows_is_refused_by_name():
+    # pytest turns warnings into errors, so a warning from numpy fails here
+    with pytest.raises(ValueError, match=r"^a_n overflows at n=4611686018427387904$"):
+        Exponential(rate=1e-300).a(2**62)
+    with pytest.raises(ValueError, match=r"^b_n overflows at n=1000$"):
+        Degenerate(1e307).b(np.array([10, 1000]))
+    with pytest.raises(ValueError, match=r"^a_n overflows at n=4611686018427387904$"):
+        norming_sequence(Exponential(rate=1e-300), 2**62)
+    # a value just inside the float range keeps its bits
+    assert Degenerate(1e307).b(np.array([10, 17])).tolist() == [1e307 * 10.0, 1e307 * 17.0]
+
+
 def test_karamata_power_sums():
     # for a(k) = k**r the sum of a(k)/k grows like a(n)/r
     got = karamata_partial_sum(lambda k: np.sqrt(k), 10**5)

@@ -244,6 +244,14 @@ def test_partial_sum_process_validation():
         partial_sum_process(np.array([1.0]), 0.0, 1.0, grid=0)
 
 
+@pytest.mark.parametrize("state", ["ignore", "raise"])
+def test_partial_sums_that_overflow_are_refused_by_name(state):
+    # alike under the library's default and under a caller that raises
+    with np.errstate(over=state):
+        with pytest.raises(ValueError, match="^partial sums must be finite: .* overflows$"):
+            partial_sum_process(np.array([1e308, 1e308]), 0.0, 1.0)
+
+
 def test_levy_path_shape_and_start():
     path = simulate_levy_path(1.5, 1.0, stream(2, 0), grid=32)
     assert path.times.size == 33

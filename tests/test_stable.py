@@ -391,6 +391,30 @@ def test_cdf_array_reports_quadrature_failure(monkeypatch):
         cdf(StableParams(1.5, 0.0), np.array([-0.5, 0.5]))
 
 
+def test_cdf_reports_the_first_failure_in_input_order_across_blocks(monkeypatch):
+    # more than a block of far-tail points, which take the series with error
+    # estimate 0, then body points from the second block on, the first of
+    # them negative: the refusal names that x
+    rng = np.random.default_rng(3)
+    n_tail = stable._CHUNK + 5
+    tail = rng.choice([-1.0, 1.0], n_tail) * 10.0 ** rng.uniform(6.0, 9.0, n_tail)
+    body = np.concatenate([[-0.75], rng.uniform(-5.0, 5.0, 2 * stable._CHUNK)])
+    xs = np.concatenate([tail, body])
+    assert xs.size > 3 * stable._CHUNK
+    law = StableParams(1.5, 0.0)
+    cdf(law, xs)
+    monkeypatch.setattr(stable, "_MAX_ABSERR", 1e-30)
+    cdf(law, tail)
+    with pytest.raises(QuadratureError, match=r"x=-0\.75 "):
+        cdf(law, xs)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_cdf_of_an_empty_array_is_an_empty_float_array(alpha):
+    out = cdf(StableParams(alpha, 0.5), np.array([]))
+    assert out.dtype == np.float64 and out.shape == (0,)
+
+
 def test_cdf_array_equals_scalar_loop_across_blocks():
     # more points than two blocks of the kernel, bulk and tail points mixed,
     # so each block holds points of every branch
