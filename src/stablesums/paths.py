@@ -49,7 +49,6 @@ __all__ = [
     "tail_dispersion",
     "SamplePath",
     "sample_doa",
-    "MeanAbsDeviation",
     "norming_sequence",
     "karamata_partial_sum",
     "mean_abs_deviation",
@@ -394,12 +393,13 @@ class SamplePath:
     __call__ = at
 
 
-def _partial_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _partial_sums(x: np.ndarray, out: np.ndarray, name: str = "partial sums") -> np.ndarray:
     """S_0 = 0, S_1, ..., S_n of the draws ``x`` into ``out`` (length n + 1).
 
     One O(1) check guards the whole array: an inf or nan draw, or an
     overflow, leaves every later partial sum non-finite, so S_n is finite
-    exactly when every S_k is.
+    exactly when every S_k is.  Sums that are not are refused with a
+    ``ValueError`` that calls them ``name``.
     """
     out[0] = 0.0
     try:
@@ -407,7 +407,7 @@ def _partial_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     except FloatingPointError:   # the overflow, under a caller's np.errstate(over="raise")
         out[-1] = math.inf
     if not math.isfinite(out[-1]):
-        raise ValueError("partial sums must be finite: a draw is inf or nan, or the sum overflows")
+        raise ValueError(f"{name} must be finite: a draw is inf or nan, or the sum overflows")
     return out
 
 

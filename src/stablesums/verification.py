@@ -60,7 +60,6 @@ from .functionals import functional_statistic, integral_riemann, log_product_sta
 from .paths import simulate_levy_path  # noqa: F401
 
 __all__ = [
-    "Ecdf",
     "VerificationReport",
     "ecdf",
     "ks_two_sample",
@@ -425,8 +424,9 @@ def _write_csv(out_dir, name: str, header: str, *columns) -> str:
 
 
 def _json(obj) -> str:
-    """The JSON text of every report and artifact: plain types, indent 2."""
-    return json.dumps(_plain(obj), indent=2) + "\n"
+    """The JSON text of every report and artifact: plain types, indent 2; an
+    inf or nan is refused with a ``ValueError``, as JSON has neither."""
+    return json.dumps(_plain(obj), indent=2, allow_nan=False) + "\n"
 
 
 def _write_marginals(out_dir, times, stats: np.ndarray, laws) -> list:
@@ -691,7 +691,8 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     dispersion gamma(alpha+1) (skewness beta = 1 for positive heavy-tailed
     inputs, inert at alpha = 2).  :func:`_marginal_fits` evaluates that
     law's CDF only at the order statistics where the supremum can fall,
-    with the same bits as at every one.  Requires a positivity guarantee.
+    with the same bits as at every one.  Requires a positivity guarantee,
+    and refuses an n for which b_n = n*mu overflows.
     """
     if not spec.positivity:
         raise ValueError("verify_product needs a spec with positivity=True")
@@ -699,6 +700,7 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     n = _check_count(n, "n", 1)
     _check_real(threshold, "threshold", 0.0)
     a_n, mu = float(spec.a(n)), spec.known_mu
+    spec.b(n)   # refuses an n*mu that overflows, and so any k*mu of the kernel
     exponent = mu / a_n
     statistic = _log_product_kernel(mu, exponent, n)
     logs = np.empty(reps)
@@ -739,7 +741,8 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     ``band`` (> 1) of the largest-n ratio, and growth over the top step at
     most 1 + trend_tol (trend_tol > 0).  Statistic = max(spread/band,
     growth/(1+trend_tol)), threshold 1.  The control rescales the same sums
-    by a_n/log(n), which a genuinely bounded ratio must reject.
+    by a_n/log(n), which a genuinely bounded ratio must reject.  Deviation
+    sums, or their mean or standard error, that overflow raise ``ValueError``.
     """
     reps = _check_count(reps, "reps", 2)
     ns = [_check_count(v, "ns", 2) for v in ns]
@@ -760,7 +763,7 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
         _partial_sums(x, sums)
         np.abs(deviations, out=deviations)
         deviations /= k
-        np.cumsum(deviations, out=deviations)
+        _partial_sums(deviations, sums, "deviation sums")
         q[r] = sums[n_arr]
 
     def _band_stat(ratios: np.ndarray) -> float:
@@ -772,8 +775,11 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
         growth = float(ratios[-1] / ratios[-2])
         return max(spread / band, growth / (1.0 + trend_tol))
 
-    means = q.mean(axis=0)
-    stderr = q.std(axis=0, ddof=1) / math.sqrt(reps)
+    with np.errstate(all="ignore"):   # checked below
+        means = q.mean(axis=0)
+        stderr = q.std(axis=0, ddof=1) / math.sqrt(reps)
+    if not np.isfinite([means, stderr]).all():
+        raise ValueError("the mean or standard error of the deviation sums overflows")
     ratios = means / a_vals
     ratio_se = stderr / a_vals
     stat = _band_stat(ratios)

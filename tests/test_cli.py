@@ -471,6 +471,7 @@ def test_inputs_near_the_float_range_exit_two(tmp_path, capsys, args, err):
 
 
 _SUMS_OVERFLOW = "partial sums must be finite: a draw is inf or nan, or the sum overflows"
+_LEMMA_MOMENTS_OVERFLOW = "the mean or standard error of the deviation sums overflows"
 
 
 @pytest.mark.parametrize("args", [
@@ -507,7 +508,16 @@ def test_an_overflow_anywhere_in_a_run_exits_two(tmp_path, capsys, args):
       "--grid", "4", "--times", "1", "--reps", "20"], _SUMS_OVERFLOW),
     (["verify-fclt", "--family", "degenerate", "--value", "1.7e308", "--n", "100",
       "--grid", "4", "--times", "1", "--reps", "2"], _SUMS_OVERFLOW),
-], ids=["a_n", "lemma-a_n", "lemma-b_n", "sums", "point-mass-sums"])
+    (["verify-lemma", "--family", "exponential", "--rate", "1e-307", "--ns", "2,10",
+      "--reps", "50"], _LEMMA_MOMENTS_OVERFLOW),
+    (["verify-lemma", "--family", "exponential", "--rate", "7e-308", "--ns", "2,10",
+      "--reps", "50"], "deviation sums must be finite: a draw is inf or nan, or the sum overflows"),
+    (["verify-lemma", "--family", "exponential", "--rate", "1e-160", "--ns", "2,10",
+      "--reps", "50"], _LEMMA_MOMENTS_OVERFLOW),
+    (["verify-product", "--family", "exponential", "--rate", "1e-305", "--n", "4000",
+      "--reps", "4"], "b_n overflows at n=4000"),
+], ids=["a_n", "lemma-a_n", "lemma-b_n", "sums", "point-mass-sums", "lemma-mean",
+        "lemma-deviation-sums", "lemma-stderr", "product-b_n"])
 def test_an_overflow_in_a_run_names_the_quantity(tmp_path, capsys, args, name):
     out = tmp_path / "o"
     assert _run(*args, "--seed", "1", "--out-dir", str(out)) == 2

@@ -1,6 +1,6 @@
-"""Every ``__all__`` of the package names something that exists, once,
-every binding the benchmark wraps exists, and the package imports nothing
-beyond its declared dependencies."""
+"""Every ``__all__`` of the package names something that exists, once, the
+package publishes its modules' lists, every binding the benchmark wraps
+exists, and the package imports nothing beyond its declared dependencies."""
 
 import ast
 import importlib
@@ -24,6 +24,17 @@ def test_export_list_resolves_without_repeats(name):
     assert len(set(exported)) == len(exported), sorted(
         e for e in set(exported) if exported.count(e) > 1)
     assert [e for e in exported if not hasattr(module, e)] == []
+
+
+def test_package_publishes_its_modules_export_lists():
+    # each public name is declared once, in its module's __all__
+    owners = {"stream": importlib.import_module("stablesums.rng")}
+    for name in ["functionals", "paths", "stable", "verification"]:
+        module = importlib.import_module(f"stablesums.{name}")
+        owners.update(dict.fromkeys(module.__all__, module))
+    assert sorted(stablesums.__all__) == sorted(owners)
+    assert [name for name, module in owners.items()
+            if getattr(stablesums, name) is not getattr(module, name)] == []
 
 
 def test_benchmark_sites_resolve():

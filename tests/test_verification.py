@@ -46,6 +46,7 @@ from stablesums.verification import (
     _common_step,
     _frequency_grid,
     _half_dispersion,
+    _json,
     _kolmogorov_sf,
     _marginal_fits,
     _write_csv,
@@ -491,6 +492,31 @@ def test_lemma_some_zero_ratios_fail_finitely():
     # strict JSON: no Infinity or NaN anywhere in the report
     parsed = json.loads(rep.to_json(), parse_constant=lambda c: pytest.fail(c))
     assert parsed["statistic"] == 1e300
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_refuses_a_non_finite_float(value):
+    with pytest.raises(ValueError, match="JSON"):
+        _json({"details": {"ratio_stderr": [1.0, np.float64(value)]}})
+
+
+# Warnings are errors under this suite, so each refusal below also shows
+# that nothing warned on the way to it.
+def test_lemma_refuses_deviation_moments_that_overflow(tmp_path):
+    # |S_k - k*mu|/k summed is near 1e160, and its square overflows in the std
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match="^the mean or standard error of the deviation "
+                                         "sums overflows$"):
+        verify_lemma(Exponential(1e-160), [2, 10], 50, 1, out_dir=str(out_dir))
+    assert not out_dir.exists()
+
+
+def test_product_refuses_a_b_n_that_overflows_before_drawing(monkeypatch):
+    # 4000 * mu = 4e308: every k*mu of the kernel is checked by b_n at k = n
+    import stablesums.verification as verification
+    monkeypatch.setattr(verification, "sample_doa", lambda *args: pytest.fail("drew"))
+    with pytest.raises(ValueError, match="^b_n overflows at n=4000$"):
+        verify_product(Exponential(1e-305), 4000, 4, 1)
 
 
 @pytest.mark.parametrize("spec", [Degenerate(np.float64(2.0)),
