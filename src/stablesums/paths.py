@@ -396,16 +396,16 @@ class SamplePath:
 def _partial_sums(x: np.ndarray, out: np.ndarray, name: str = "partial sums") -> np.ndarray:
     """S_0 = 0, S_1, ..., S_n of the draws ``x`` into ``out`` (length n + 1).
 
-    One O(1) check guards the whole array: an inf or nan draw, or an
-    overflow, leaves every later partial sum non-finite, so S_n is finite
-    exactly when every S_k is.  Sums that are not are refused with a
-    ``ValueError`` that calls them ``name``.
+    The sum runs with numpy's floating-point errors silenced, whatever the
+    caller's ``np.errstate``, and one O(1) check guards the whole array: an
+    inf or nan draw, or an overflow, leaves every later partial sum
+    non-finite, so S_n is finite exactly when every S_k is.  Sums that are
+    not are refused with a ``ValueError`` that calls them ``name``, and
+    with no warning.
     """
     out[0] = 0.0
-    try:
+    with np.errstate(all="ignore"):
         np.cumsum(x, out=out[1:])
-    except FloatingPointError:   # the overflow, under a caller's np.errstate(over="raise")
-        out[-1] = math.inf
     if not math.isfinite(out[-1]):
         raise ValueError(f"{name} must be finite: a draw is inf or nan, or the sum overflows")
     return out

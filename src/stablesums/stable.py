@@ -189,26 +189,46 @@ def scale_shift(params: StableParams, c: float, d: float) -> StableParams:
 
 
 def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draws of the unit-dispersion, zero-location law, alpha in (0,2)."""
+    """Draws of the unit-dispersion, zero-location law, alpha in (0,2).
+
+    The operations run in place on the draws' own buffers, in the order and
+    association of the textbook expressions, so the bits are theirs."""
     theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
     w = rng.standard_exponential(n)
     if alpha == 1.0:
+        # ((pi/2 + beta theta) tan theta - beta log((pi/2 w) cos theta
+        #  / (pi/2 + beta theta))) / (pi/2)
         half_pi = math.pi / 2.0
-        shifted = half_pi + beta * theta
-        return (
-            shifted * np.tan(theta)
-            - beta * np.log(half_pi * w * np.cos(theta) / shifted)
-        ) / half_pi
+        shifted = beta * theta
+        shifted += half_pi
+        x = np.tan(theta)
+        x *= shifted
+        w *= half_pi
+        w *= np.cos(theta, out=theta)
+        w /= shifted
+        np.log(w, out=w)
+        w *= beta
+        x -= w
+        x /= half_pi
+        return x
+    # scale sin(arg) / cos(theta)**(1/alpha) * (cos(theta - arg) / w)**((1-alpha)/alpha)
+    # with arg = alpha (theta + pivot)
     skew = math.tan(math.pi * alpha / 2.0)
     pivot = math.atan(beta * skew) / alpha
     scale = (1.0 + (beta * skew) ** 2) ** (0.5 / alpha)
-    arg = alpha * (theta + pivot)
-    return (
-        scale
-        * np.sin(arg)
-        / np.cos(theta) ** (1.0 / alpha)
-        * (np.cos(theta - arg) / w) ** ((1.0 - alpha) / alpha)
-    )
+    arg = theta + pivot
+    arg *= alpha
+    x = np.sin(arg)
+    x *= scale
+    ratio = np.subtract(theta, arg, out=arg)
+    np.cos(ratio, out=ratio)
+    ratio /= w
+    ratio **= (1.0 - alpha) / alpha
+    cos_theta = np.cos(theta, out=theta)
+    cos_theta **= 1.0 / alpha
+    x /= cos_theta
+    x *= ratio
+    return x
 
 
 def sample(params: StableParams, seed, n: int) -> np.ndarray:
@@ -221,14 +241,24 @@ def sample(params: StableParams, seed, n: int) -> np.ndarray:
     n = _check_count(n, "n", 0)
     rng = as_generator(seed)
     a, b, d, mu = params.alpha, params.beta, params.dispersion, params.location
+    # the scale and shift run in place; + mu stays even at mu = 0.0, where it
+    # turns a draw of -0.0 into +0.0
     if a == 2.0:
-        return mu + math.sqrt(d) * rng.standard_normal(n)
+        x = rng.standard_normal(n)
+        x *= math.sqrt(d)
+        x += mu
+        return x
     x = _cms_standard(a, b, rng, n)
     if a == 1.0:
         # Same drift correction as scale_shift: scaling the unit draw by d
         # displaces the alpha=1 location.
-        return d * x + mu + (2.0 / math.pi) * b * d * math.log(d)
-    return _power(d, 1.0 / a, "dispersion**(1/alpha)") * x + mu
+        x *= d
+        x += mu
+        x += (2.0 / math.pi) * b * d * math.log(d)
+        return x
+    x *= _power(d, 1.0 / a, "dispersion**(1/alpha)")
+    x += mu
+    return x
 
 
 # erfc at each point of an array; an array of objects, to be cast to float

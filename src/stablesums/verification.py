@@ -410,16 +410,22 @@ def _write_csv(out_dir, name: str, header: str, *columns) -> str:
     """Write ``columns`` side by side under ``header``, ``_CSV_BLOCK`` rows
     at a time, down to the shortest column.  A float column is written as
     the repr of each value, which reads back exactly; any other column with
-    ``str``."""
+    ``str``.  Each block is formatted by one ``%`` call on a row template
+    repeated once per row (``%r`` is repr and ``%s`` is str, so the bytes are
+    those of formatting cell by cell), with the block's cells interleaved row
+    by row in one flat list."""
     columns = [np.asarray(column) for column in columns]
-    formats = [repr if column.dtype.kind == "f" else str for column in columns]
+    width = len(columns)
+    row = ",".join("%r" if column.dtype.kind == "f" else "%s" for column in columns) + "\n"
     rows = min(len(column) for column in columns)
     with _open(out_dir, name) as fh:
         fh.write(header + "\n")
         for lo in range(0, rows, _CSV_BLOCK):
-            cells = [map(fmt, column[lo:lo + _CSV_BLOCK].tolist())
-                     for fmt, column in zip(formats, columns)]
-            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+            size = min(_CSV_BLOCK, rows - lo)
+            cells = [None] * (size * width)
+            for i, column in enumerate(columns):
+                cells[i::width] = column[lo:lo + size].tolist()
+            fh.write(row * size % tuple(cells))
     return name
 
 

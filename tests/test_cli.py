@@ -628,6 +628,23 @@ def test_csv_rows_match_their_header(tmp_path, campaign):
         assert all(row.count(",") == header.count(",") for row in rows), name
 
 
+@pytest.mark.parametrize("campaign", sorted(_SMALL))
+def test_every_artifact_keeps_its_bytes_on_a_rerun(tmp_path, campaign):
+    # every CSV and JSON file of a run and of its plotdata, report.json with
+    # its out_dir aside
+    files = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        code = _run(campaign, *_SMALL[campaign], "--seed", "1", "--out-dir", str(out))
+        assert code in (0, 1)
+        assert _run("plotdata", "--report", str(out / "report.json")) == 0
+        files.append((code, {path.name: path.read_bytes().replace(
+            json.dumps(str(out)).encode(), b'"OUT_DIR"') for path in out.iterdir()}))
+    assert files[0] == files[1]
+    names = sorted(files[0][1])
+    assert "report.json" in names and any(name.endswith(".csv") for name in names)
+    assert all(name.endswith((".csv", ".json")) for name in names), names
+
+
 def test_plotdata_overlays(tmp_path):
     out = tmp_path / "fclt"
     assert _run("verify-fclt", "--family", "exponential", "--n", "1000",

@@ -1,6 +1,7 @@
 """Characteristic function, sampler, and CDF of the stable family."""
 
 import cmath
+import itertools
 import math
 import time
 import timeit
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_inversion import inversion_cdf
+from reference_sampler import reference_sample
 from scipy import integrate, special
 from scipy.stats import levy_stable
 
@@ -244,6 +246,19 @@ def test_sampler_convolution_stability():
     raw = sample(StableParams(1.5, 1.0), stream(3002, 0), 5 * m)
     stat, p = ks_two_sample(raw.reshape(m, 5).sum(axis=1), direct)
     assert p > 0.01, (stat, p)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 1.0, 1.2, 1.5, 1.9, 2.0])
+def test_sampler_keeps_the_bits_of_the_textbook_expressions(alpha):
+    # at alpha = 0.5 the exponents are 2 and 1, where numpy's ** has fast
+    # paths; location 0.0 turns a draw of -0.0 into +0.0
+    for beta, (d, mu), n, seed in itertools.product(
+            [-1.0, -0.5, 0.0, 0.3, 1.0], [(1.0, 0.0), (0.37, -2.5), (1e3, 1e-300)],
+            [0, 1, 7, 4096, 16385], [0, 1, 2]):
+        params = StableParams(alpha, beta, d, mu)
+        want = reference_sample(params, stream(3007, seed), n)
+        got = sample(params, stream(3007, seed), n)
+        assert got.tobytes() == want.tobytes(), (beta, d, mu, n, seed)
 
 
 def test_sampler_rejects_bad_n():

@@ -385,6 +385,40 @@ def test_write_csv_in_blocks_matches_one_pass(tmp_path, rows):
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "once.csv").read_bytes()
 
 
+# the column mixes the program writes: samples.csv, charfn_fit.csv, draws.csv,
+# statistics.csv and norming.csv, ratios.csv, and path_*.csv with its t
+# column formatted once as numpy strings
+_CSV_MIXES = ["f", "fffff", "if", "iff", "iffff", "sf"]
+_CSV_EDGES = [-0.0, 5e-324, 1.7976931348623157e308, 1e-05, 1e+16, math.inf, -math.inf,
+              math.nan]
+
+
+def _mix_column(kind, rows, key):
+    """``rows`` cells of a column of ``kind`` (i int, f float, s numpy str),
+    the floats starting with the edge values."""
+    if kind == "i":
+        return np.arange(rows) * 7919
+    values = sample(StableParams(1.5, 0.5), stream(4427, key), rows)
+    values[:len(_CSV_EDGES)] = _CSV_EDGES[:rows]
+    if kind == "s":
+        return np.array([repr(v) for v in values.tolist()])
+    return values
+
+
+@pytest.mark.parametrize("ragged", [False, True], ids=["even", "ragged"])
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("mix", _CSV_MIXES)
+def test_write_csv_matches_cell_by_cell_formatting(tmp_path, mix, rows, ragged):
+    # a ragged file's columns grow shorter left to right; it stops at the last
+    lengths = [rows + 3 * ragged * (len(mix) - 1 - i) for i in range(len(mix))]
+    columns = [_mix_column(kind, length, i) for i, (kind, length) in enumerate(zip(mix, lengths))]
+    header = ",".join(f"c{i}" for i in range(len(mix)))
+    assert _write_csv(tmp_path, "blocks.csv", header, *columns) == "blocks.csv"
+    _write_csv_at_once(tmp_path / "once.csv", header, *columns)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "once.csv").read_bytes()
+    assert len((tmp_path / "blocks.csv").read_bytes().splitlines()) == 1 + min(lengths)
+
+
 def test_write_csv_memory_stays_of_order_one_block(tmp_path):
     # formatting all 10**5 rows at once peaks at about 10 MB
     values = sample(StableParams(1.5, 0.0), stream(4423, 0), 10**5)
@@ -509,6 +543,17 @@ def test_lemma_refuses_deviation_moments_that_overflow(tmp_path):
                                          "sums overflows$"):
         verify_lemma(Exponential(1e-160), [2, 10], 50, 1, out_dir=str(out_dir))
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("campaign, name", [
+    (lambda: verify_lemma(Exponential(7e-308), [2, 10], 50, 1), "deviation sums"),
+    (lambda: verify_fclt(Exponential(1e-307), 100, 4, [1.0], 20, 1), "partial sums"),
+], ids=["lemma", "fclt"])
+@pytest.mark.filterwarnings("error")
+def test_partial_sums_that_overflow_are_refused_without_a_warning(campaign, name):
+    # a warning before the refusal would surface instead, as an error
+    with pytest.raises(ValueError, match=f"^{name} must be finite: .* overflows$"):
+        campaign()
 
 
 def test_product_refuses_a_b_n_that_overflows_before_drawing(monkeypatch):
