@@ -76,6 +76,10 @@ __all__ = [
 _SIM, _NULL, _CONTROL = 0, 1, 2
 # verify_sampler draws in chunks of this size, so changing it changes the draws.
 _ECF_CHUNK = 2**14
+# _ecf_kernel sums the draws in blocks of this size, and takes at most this
+# many baby steps and giant steps per matrix product.
+_ECF_BLOCK = 2**12
+_ECF_FACTOR = 16
 
 
 class Ecdf:
@@ -220,77 +224,128 @@ def _common_step(t: np.ndarray):
     return dt if drift <= _GRID_ULPS * np.abs(t).max() else None
 
 
-def _cis(y: np.ndarray) -> np.ndarray:
-    """exp(i*y) for real y, written as cos and sin into one complex array:
-    the values of np.exp(1j*y) at less cost."""
-    out = np.empty(y.shape, dtype=complex)
+def _cis(y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(i*y) for real y, written as cos and sin into one complex array,
+    ``out`` when given: the values of np.exp(1j*y) at less cost."""
+    if out is None:
+        out = np.empty(y.shape, dtype=complex)
     np.cos(y, out=out.real)
     np.sin(y, out=out.imag)
     return out
 
 
-def _ecf_sums(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j exp(i*t_k*x_j) for every frequency t_k of a 1-d grid t.
+def _ecf_kernel(t: np.ndarray, size: int):
+    """The function taking draws x to sum_j exp(i*t_k*x_j) for every
+    frequency t_k of the 1-d grid t; ``size``, the most draws a call takes,
+    sizes the workspace.
 
-    On an arithmetic grid t_k = t_0 + k*dt it steps through the grid,
-    multiplying by exp(i*dt*x), and keeps only O(x.size) memory.  When the
-    progression crosses zero inside the grid at an integer or half-integer
-    index (-t_0/dt within a few ulps of one), the values of |t| form one
-    progression: the kernel steps once through them, from w = 1 when 0 is
-    on the grid and from exp(i*min|t|*x), min|t| = |dt|/2, otherwise, and
-    gives each negative t the conjugate of the sum at its mirror -t, as the
-    draws are real.  On the default grid -5 + 0.1*k, k = 0..100, that is one
-    exponential per draw and 50 multiplies.  Any other arithmetic grid,
-    dt = 0 included, starts from exp(i*t_0*x).  A grid that is not
-    arithmetic takes the full outer product.  Every exponential is taken by
-    :func:`_cis`.  Raises ``ValueError`` where some t*x overflows, that is
-    where max|t| * max|x| is not finite.
+    On an arithmetic grid t_k = t_0 + k*dt the sums are power sums of
+    z = exp(i*dt*x).  When the progression crosses zero inside the grid at
+    an integer or half-integer index (-t_0/dt within a few ulps of one), the
+    values of |t| form one progression: the kernel takes the K distinct
+    |t|, from w0 = 1 when 0 is on the grid and from exp(i*min|t|*x),
+    min|t| = |dt|/2, otherwise, and gives each negative t the conjugate of
+    the sum at its mirror -t, as the draws are real.  Any other arithmetic
+    grid, dt = 0 included, takes its K = t.size values from
+    w0 = exp(i*t_0*x).
+
+    The power sums s_k = sum_j w0_j z_j^k, k < K, are taken in baby steps
+    and giant steps (Paterson & Stockmeyer 1973): with B = ceil(sqrt(K))
+    capped at ``_ECF_FACTOR``, A = ceil(K/B) and k = B*a + b, the (A x B)
+    matrix of s is P Q^T, where Q holds the rows z^b, b < B, and P the rows
+    w0 z^(B*a), a < A.  Each block of ``_ECF_BLOCK`` draws builds them with
+    A + B - 2 complex multiplies per draw and adds their product, taken by
+    BLAS, to the sums, with P in groups of at most ``_ECF_FACTOR`` rows.  On
+    the default grid -5 + 0.1*k, k = 0..100, that is K = 51, B = 8 and
+    A = 7: one exponential and 13 multiplies per draw and one 7 x 8 product
+    per block.  The workspace is built here once and overwritten by each
+    call: at most 2*_ECF_FACTOR + 1 rows of ``_ECF_BLOCK`` complex values,
+    about 2.1 MB whatever the grid, besides the (A x B) sums and the
+    returned array.
+
+    A grid that is not arithmetic, or whose span overflows, takes the full
+    outer product of each call's draws.  Every exponential is taken by
+    :func:`_cis`.  A call raises ``ValueError`` where some t*x overflows,
+    that is where max|t| * max|x| is not finite.
     """
-    reach = float(np.abs(t).max(initial=0.0)) * float(np.abs(x).max(initial=0.0))
-    if not math.isfinite(reach):
-        raise ValueError("t*x overflows: max|t| * max|samples| is not finite")
+    t_max = float(np.abs(t).max(initial=0.0))
+
+    def check(x: np.ndarray) -> None:
+        if not math.isfinite(t_max * float(np.abs(x).max(initial=0.0))):
+            raise ValueError("t*x overflows: max|t| * max|samples| is not finite")
+
     dt = _common_step(t)
     if dt is None:
-        return _cis(np.outer(t, x)).sum(axis=1)
+        def outer_sums(x: np.ndarray) -> np.ndarray:
+            check(x)
+            return _cis(np.outer(t, x)).sum(axis=1)
+        return outer_sums
+
     k = np.arange(t.size)
     # twice the index at which the progression crosses zero, to the nearest
     # integer; -1 when dt = 0, where there is no crossing
     twice_zero = round(-2.0 * (t[0] / dt)) if dt else -1
     if (0 <= twice_zero <= 2 * (t.size - 1)
-            and abs(t[0] + 0.5 * twice_zero * dt) <= _GRID_ULPS * np.abs(t).max()):
+            and abs(t[0] + 0.5 * twice_zero * dt) <= _GRID_ULPS * t_max):
         # |t_k| = |dt| * |2k - twice_zero| / 2, smallest |dt|/2 or 0
         index = np.abs(2 * k - twice_zero) // 2
         t0, dt, negative = 0.5 * abs(dt) * (twice_zero % 2), abs(dt), t < 0
     else:
         index, t0, negative = k, t[0], False
-    step = _cis(dt * x)
-    sums = np.empty(index.max() + 1, dtype=complex)
-    if t0 == 0:
-        sums[0] = x.size
-        w, first = step.copy(), 1
-    else:
-        w, first = _cis(t0 * x), 0
-    sums[first] = w.sum()
-    for j in range(first + 1, sums.size):
-        w *= step
-        sums[j] = w.sum()
-    out = sums[index]
-    np.conjugate(out, out=out, where=negative)
-    return out
+    count = int(index.max()) + 1
+    baby = min(math.isqrt(count - 1) + 1, _ECF_FACTOR)
+    giant = -(-count // baby)
+    width = min(size, _ECF_BLOCK)
+    scaled = np.empty(width)
+    q = np.empty((baby + 1, width), dtype=complex)   # z^b for b <= B
+    q[0] = 1.0
+    p = np.empty((min(giant, _ECF_FACTOR), width), dtype=complex)   # a group of w0 z^(B*a)
+    group = len(p)
+    sums = np.empty((giant, baby), dtype=complex)
+
+    def power_sums(x: np.ndarray) -> np.ndarray:
+        check(x)
+        sums.fill(0.0)
+        for lo in range(0, x.size, width):
+            block = x[lo : lo + width]
+            y, qb, pb = scaled[: block.size], q[:, : block.size], p[:, : block.size]
+            _cis(np.multiply(block, dt, out=y), out=qb[1])
+            for b in range(2, baby + 1):
+                np.multiply(qb[b - 1], qb[1], out=qb[b])
+            if t0 == 0:
+                pb[0] = 1.0
+            else:
+                _cis(np.multiply(block, t0, out=y), out=pb[0])
+            for a0 in range(0, giant, group):
+                rows = min(group, giant - a0)
+                if a0:   # the row after the last of the previous group
+                    np.multiply(pb[-1], qb[baby], out=pb[0])
+                for a in range(1, rows):
+                    np.multiply(pb[a - 1], qb[baby], out=pb[a])
+                sums[a0 : a0 + rows] += pb[:rows] @ qb[:baby].T
+        out = sums.ravel()[index]
+        np.conjugate(out, out=out, where=negative)
+        return out
+
+    return power_sums
 
 
 def empirical_char_fn(samples, t):
     """Sample mean of exp(i*t*X) at scalar or array ``t``, of ``t``'s shape.
 
-    The draws are summed in chunks of 2**14, so memory stays of the order of
-    one chunk for any grid that :func:`_ecf_sums` steps through.
+    The draws are summed in chunks of 2**14 by one :func:`_ecf_kernel`, so
+    on an arithmetic grid memory stays of the order of one block of 4096
+    draws.  Each draw costs one or two exponentials and, for the K distinct
+    |t| of the grid, about 2*sqrt(K) complex multiplies up to K = 256 and
+    K/16 beyond, besides its share of one small matrix product per block.
     """
     x = _as_samples(samples, "samples")
     t = _as_finite(t, "t")
     flat = t.ravel()
+    ecf_sums = _ecf_kernel(flat, min(x.size, _ECF_CHUNK))
     acc = np.zeros(flat.size, dtype=complex)
     for start in range(0, x.size, _ECF_CHUNK):
-        acc += _ecf_sums(flat, x[start : start + _ECF_CHUNK])
+        acc += ecf_sums(x[start : start + _ECF_CHUNK])
     out = (acc / x.size).reshape(t.shape)
     if t.ndim == 0:
         return complex(out)
@@ -461,12 +516,18 @@ def _frequency_grid(t_min: float = -5.0, t_max: float = 5.0, t_step: float = 0.1
     """t_min + t_step*k for k = 0, 1, ... up to the last point not above t_max,
     give or take 8 ulps of max|t| of rounding.  With its defaults it is
     -5 + 0.1*k for k = 0..100, the default grid of :func:`verify_sampler`
-    and of the command line's ``--t-min``, ``--t-max`` and ``--t-step``."""
+    and of the command line's ``--t-min``, ``--t-max`` and ``--t-step``.
+    A span t_max - t_min that overflows is refused, as the steps cannot be
+    counted from it, and so is a grid of 10**5 points or more."""
     _check_real(t_min, "t_min")
     _check_real(t_max, "t_max")
     _check_real(t_step, "t_step", 0.0)
     if not t_min < t_max:
         raise ValueError("need --t-min < --t-max")
+    # Python floats overflow to inf without a warning
+    if not math.isfinite(float(t_max) - float(t_min)):
+        raise ValueError(f"--t-max - --t-min overflows: the frequencies from {t_min!r} to "
+                         f"{t_max!r} span more than the largest float")
     slack = 8 * math.ulp(max(abs(t_min), abs(t_max)))
     steps = (t_max - t_min + slack) / t_step
     if not steps < _MAX_T_POINTS:
@@ -483,9 +544,10 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     characteristic function with the analytic one on a grid of frequencies,
     in sup norm.  The default grid is :func:`_frequency_grid`'s, -5 + 0.1*k
     for k = 0..100, which the command line builds too.  Each chunk of 2**14
-    draws goes through :func:`_ecf_sums`, so memory stays of the order of
-    one chunk; on the default grid that costs one exponential per draw and
-    50 multiplies, as each negative t takes the conjugate of its mirror.
+    draws goes through one :func:`_ecf_kernel`, so memory stays of the order
+    of one chunk; on the default grid that costs one exponential and 13
+    complex multiplies per draw and one 7 x 8 matrix product per 4096 draws,
+    as each negative t takes the conjugate of its mirror.
     The control re-tests the same draws against the law with doubled
     dispersion, so a dispersion whose double overflows is refused.
     """
@@ -501,6 +563,7 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     wrong = replace(params, dispersion=2.0 * params.dispersion)
 
     rng = stream(seed, _SIM)
+    ecf_sums = _ecf_kernel(grid, min(n, _ECF_CHUNK))
     acc = np.zeros(grid.size, dtype=complex)
     head = None
     remaining = n
@@ -509,7 +572,7 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
         remaining -= chunk.size
         if head is None:
             head = chunk[: min(5000, chunk.size)]
-        acc += _ecf_sums(grid, chunk)
+        acc += ecf_sums(chunk)
     ecf_vals = acc / n
 
     cf_vals = char_fn(params, grid)

@@ -429,6 +429,19 @@ def test_verify_sampler_rejects_non_finite_grid(tmp_path, capsys, grid_args):
     assert not out.exists()
 
 
+def test_verify_sampler_names_a_span_that_overflows(tmp_path, capsys):
+    # 2001 frequencies, but t_max - t_min = 2e308 is not a float
+    out = tmp_path / "o"
+    code = _run("verify-sampler", "--alpha", "1.5", "--beta", "0", "--n", "10",
+                "--t-min=-1e308", "--t-max", "1e308", "--t-step", "1e305", "--seed", "1",
+                "--out-dir", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: verify-sampler: --t-max - --t-min overflows: the frequencies from -1e+308 "
+        "to 1e+308 span more than the largest float\n")
+    assert not out.exists()
+
+
 def test_verify_sampler_grid_stops_at_t_max(tmp_path):
     # (5 - 0)/3 rounds to 2 steps, but t = 6 lies past --t-max
     code = _run("verify-sampler", "--alpha", "2", "--beta", "0", "--n", "100",

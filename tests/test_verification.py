@@ -9,6 +9,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from reference_ecf import reference_empirical_char_fn
 from scipy.special import erf, kolmogorov
 
 from stablesums import (
@@ -259,6 +260,49 @@ def test_ecf_memory_stays_of_order_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+def test_ecf_workspace_stays_bounded_on_the_largest_grid():
+    # 10**5 frequencies, the most a --t-step may give: the kernel's workspace
+    # is at most 33 rows of 4096 draws, beside the sums and the mean
+    x = sample(StableParams(1.5, 0.0), stream(4414, 0), 2**14)
+    t = -5.0 + 10.0 * np.arange(10**5) / (10**5 - 1)
+    tracemalloc.start()
+    try:
+        empirical_char_fn(x, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
+
+
+# A 10**4-point grid mirrored about 0 without it: 5000 distinct |t|, whose
+# powers the kernel takes in 20 groups of 16 giant steps
+WIDE_GRID = -5.0 + 10.0 * np.arange(10**4) / (10**4 - 1)
+
+
+def _fsum_ecf(x, t):
+    """The mean of exp(i*t*x) at each t, as a math.fsum of the cos and of
+    the sin of t*x over the draws."""
+    out = np.empty(t.size, dtype=complex)
+    for i, tk in enumerate(t.tolist()):
+        y = tk * x
+        out[i] = complex(math.fsum(np.cos(y).tolist()), math.fsum(np.sin(y).tolist()))
+    return out / x.size
+
+
+@pytest.mark.parametrize("name", [*sorted(ARITHMETIC_GRIDS), "wide"])
+def test_ecf_matrix_product_matches_the_recurrence_and_fsum(criterion_1_draws, name):
+    x = criterion_1_draws
+    t = WIDE_GRID if name == "wide" else ARITHMETIC_GRIDS[name]
+    got, oracle = empirical_char_fn(x, t), reference_empirical_char_fn(x, t)
+    np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+    # 4 * 10**8 cos and sin would take minutes: the wide grid is held to the
+    # exact sums at every 100th frequency and the last, the others at each t
+    at = np.unique(np.append(np.arange(0, t.size, 100 if name == "wide" else 1), t.size - 1))
+    exact = _fsum_ecf(x, t[at])
+    np.testing.assert_allclose(got[at], exact, rtol=0, atol=2e-15)
+    np.testing.assert_allclose(oracle[at], exact, rtol=0, atol=2e-15)
 
 
 def test_ecf_non_arithmetic_grid_is_exact_outer_product(criterion_1_draws):
