@@ -74,10 +74,11 @@ __all__ = [
 
 # Sub-stream labels: simulation replicates, null-law draws, control draws.
 _SIM, _NULL, _CONTROL = 0, 1, 2
-# verify_sampler draws in chunks of this size, so changing it changes the draws.
+# verify_sampler draws, and _ecf_kernel sums, in chunks of this size, so
+# changing it changes the draws and the last bits of the sums.
 _ECF_CHUNK = 2**14
-# _ecf_kernel sums the draws in blocks of this size, and takes at most this
-# many baby steps and giant steps per matrix product.
+# _ecf_kernel sums a chunk in blocks of this size, and takes at most this many
+# baby steps and giant steps per matrix product, or frequencies per outer product.
 _ECF_BLOCK = 2**12
 _ECF_FACTOR = 16
 
@@ -234,10 +235,12 @@ def _cis(y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _ecf_kernel(t: np.ndarray, size: int):
-    """The function taking draws x to sum_j exp(i*t_k*x_j) for every
-    frequency t_k of the 1-d grid t; ``size``, the most draws a call takes,
-    sizes the workspace.
+def _ecf_kernel(t: np.ndarray):
+    """The function that adds draws x of any length to running sums
+    sum_j exp(i*t_k*x_j), one for each frequency t_k of the 1-d grid t, and
+    returns them, the one array that every call adds to.  It cuts x into
+    pieces of ``_ECF_CHUNK`` draws and adds each piece's sums, taken as
+    below, to the running sums.
 
     On an arithmetic grid t_k = t_0 + k*dt the sums are power sums of
     z = exp(i*dt*x).  When the progression crosses zero inside the grid at
@@ -255,98 +258,96 @@ def _ecf_kernel(t: np.ndarray, size: int):
     matrix of s is P Q^T, where Q holds the rows z^b, b < B, and P the rows
     w0 z^(B*a), a < A.  Each block of ``_ECF_BLOCK`` draws builds them with
     A + B - 2 complex multiplies per draw and adds their product, taken by
-    BLAS, to the sums, with P in groups of at most ``_ECF_FACTOR`` rows.  On
-    the default grid -5 + 0.1*k, k = 0..100, that is K = 51, B = 8 and
-    A = 7: one exponential and 13 multiplies per draw and one 7 x 8 product
-    per block.  The workspace is built here once and overwritten by each
-    call: at most 2*_ECF_FACTOR + 1 rows of ``_ECF_BLOCK`` complex values,
-    about 2.1 MB whatever the grid, besides the (A x B) sums and the
-    returned array.
+    BLAS, to the piece's sums, with P in groups of at most ``_ECF_FACTOR``
+    rows.  On the default grid -5 + 0.1*k, k = 0..100, that is K = 51,
+    B = 8 and A = 7: one exponential and 13 multiplies per draw and one
+    7 x 8 product per block.  The workspace is built here once and
+    overwritten by each piece: at most 2*_ECF_FACTOR + 1 rows of
+    ``_ECF_BLOCK`` complex values, about 2.1 MB whatever the grid, besides
+    the (A x B) sums and the running sums.
 
-    A grid that is not arithmetic, or whose span overflows, takes the full
-    outer product of each call's draws.  Every exponential is taken by
+    A grid that is not arithmetic, or whose span overflows, takes the outer
+    product of each piece with at most ``_ECF_FACTOR`` frequencies at a
+    time, about 6 MB whatever the grid.  Every exponential is taken by
     :func:`_cis`.  A call raises ``ValueError`` where some t*x overflows,
     that is where max|t| * max|x| is not finite.
     """
     t_max = float(np.abs(t).max(initial=0.0))
-
-    def check(x: np.ndarray) -> None:
-        if not math.isfinite(t_max * float(np.abs(x).max(initial=0.0))):
-            raise ValueError("t*x overflows: max|t| * max|samples| is not finite")
-
+    total = np.zeros(t.size, dtype=complex)
     dt = _common_step(t)
     if dt is None:
-        def outer_sums(x: np.ndarray) -> np.ndarray:
-            check(x)
-            return _cis(np.outer(t, x)).sum(axis=1)
-        return outer_sums
-
-    k = np.arange(t.size)
-    # twice the index at which the progression crosses zero, to the nearest
-    # integer; -1 when dt = 0, where there is no crossing
-    twice_zero = round(-2.0 * (t[0] / dt)) if dt else -1
-    if (0 <= twice_zero <= 2 * (t.size - 1)
-            and abs(t[0] + 0.5 * twice_zero * dt) <= _GRID_ULPS * t_max):
-        # |t_k| = |dt| * |2k - twice_zero| / 2, smallest |dt|/2 or 0
-        index = np.abs(2 * k - twice_zero) // 2
-        t0, dt, negative = 0.5 * abs(dt) * (twice_zero % 2), abs(dt), t < 0
+        def add_piece(x: np.ndarray) -> None:
+            for lo in range(0, t.size, _ECF_FACTOR):
+                rows = slice(lo, lo + _ECF_FACTOR)
+                total[rows] += _cis(np.outer(t[rows], x)).sum(axis=1)
     else:
-        index, t0, negative = k, t[0], False
-    count = int(index.max()) + 1
-    baby = min(math.isqrt(count - 1) + 1, _ECF_FACTOR)
-    giant = -(-count // baby)
-    width = min(size, _ECF_BLOCK)
-    scaled = np.empty(width)
-    q = np.empty((baby + 1, width), dtype=complex)   # z^b for b <= B
-    q[0] = 1.0
-    p = np.empty((min(giant, _ECF_FACTOR), width), dtype=complex)   # a group of w0 z^(B*a)
-    group = len(p)
-    sums = np.empty((giant, baby), dtype=complex)
+        k = np.arange(t.size)
+        # twice the index at which the progression crosses zero, to the nearest
+        # integer; -1 when dt = 0, where there is no crossing
+        twice_zero = round(-2.0 * (t[0] / dt)) if dt else -1
+        if (0 <= twice_zero <= 2 * (t.size - 1)
+                and abs(t[0] + 0.5 * twice_zero * dt) <= _GRID_ULPS * t_max):
+            # |t_k| = |dt| * |2k - twice_zero| / 2, smallest |dt|/2 or 0
+            index = np.abs(2 * k - twice_zero) // 2
+            t0, dt, negative = 0.5 * abs(dt) * (twice_zero % 2), abs(dt), t < 0
+        else:
+            index, t0, negative = k, t[0], False
+        count = int(index.max()) + 1
+        baby = min(math.isqrt(count - 1) + 1, _ECF_FACTOR)
+        giant = -(-count // baby)
+        scaled = np.empty(_ECF_BLOCK)
+        q = np.empty((baby + 1, _ECF_BLOCK), dtype=complex)   # z^b for b <= B
+        q[0] = 1.0
+        # a group of w0 z^(B*a)
+        p = np.empty((min(giant, _ECF_FACTOR), _ECF_BLOCK), dtype=complex)
+        group = len(p)
+        sums = np.empty((giant, baby), dtype=complex)
 
-    def power_sums(x: np.ndarray) -> np.ndarray:
-        check(x)
-        sums.fill(0.0)
-        for lo in range(0, x.size, width):
-            block = x[lo : lo + width]
-            y, qb, pb = scaled[: block.size], q[:, : block.size], p[:, : block.size]
-            _cis(np.multiply(block, dt, out=y), out=qb[1])
-            for b in range(2, baby + 1):
-                np.multiply(qb[b - 1], qb[1], out=qb[b])
-            if t0 == 0:
-                pb[0] = 1.0
-            else:
-                _cis(np.multiply(block, t0, out=y), out=pb[0])
-            for a0 in range(0, giant, group):
-                rows = min(group, giant - a0)
-                if a0:   # the row after the last of the previous group
-                    np.multiply(pb[-1], qb[baby], out=pb[0])
-                for a in range(1, rows):
-                    np.multiply(pb[a - 1], qb[baby], out=pb[a])
-                sums[a0 : a0 + rows] += pb[:rows] @ qb[:baby].T
-        out = sums.ravel()[index]
-        np.conjugate(out, out=out, where=negative)
-        return out
+        def add_piece(x: np.ndarray) -> None:
+            sums.fill(0.0)
+            for lo in range(0, x.size, _ECF_BLOCK):
+                block = x[lo : lo + _ECF_BLOCK]
+                y, qb, pb = scaled[: block.size], q[:, : block.size], p[:, : block.size]
+                _cis(np.multiply(block, dt, out=y), out=qb[1])
+                for b in range(2, baby + 1):
+                    np.multiply(qb[b - 1], qb[1], out=qb[b])
+                if t0 == 0:
+                    pb[0] = 1.0
+                else:
+                    _cis(np.multiply(block, t0, out=y), out=pb[0])
+                for a0 in range(0, giant, group):
+                    rows = min(group, giant - a0)
+                    if a0:   # the row after the last of the previous group
+                        np.multiply(pb[-1], qb[baby], out=pb[0])
+                    for a in range(1, rows):
+                        np.multiply(pb[a - 1], qb[baby], out=pb[a])
+                    sums[a0 : a0 + rows] += pb[:rows] @ qb[:baby].T
+            out = sums.ravel()[index]
+            np.conjugate(out, out=out, where=negative)
+            total[:] += out
 
-    return power_sums
+    def add(x: np.ndarray) -> np.ndarray:
+        if not math.isfinite(t_max * float(np.abs(x).max(initial=0.0))):
+            raise ValueError("t*x overflows: max|t| * max|samples| is not finite")
+        for start in range(0, x.size, _ECF_CHUNK):
+            add_piece(x[start : start + _ECF_CHUNK])
+        return total
+
+    return add
 
 
 def empirical_char_fn(samples, t):
     """Sample mean of exp(i*t*X) at scalar or array ``t``, of ``t``'s shape.
 
-    The draws are summed in chunks of 2**14 by one :func:`_ecf_kernel`, so
-    on an arithmetic grid memory stays of the order of one block of 4096
-    draws.  Each draw costs one or two exponentials and, for the K distinct
-    |t| of the grid, about 2*sqrt(K) complex multiplies up to K = 256 and
-    K/16 beyond, besides its share of one small matrix product per block.
+    The draws are summed by one :func:`_ecf_kernel`, whose workspace stays
+    within a few MB on every grid.  On an arithmetic grid each draw costs
+    one or two exponentials and, for the K distinct |t| of the grid, about
+    2*sqrt(K) complex multiplies up to K = 256 and K/16 beyond, besides its
+    share of one small matrix product per block of 4096 draws.
     """
     x = _as_samples(samples, "samples")
     t = _as_finite(t, "t")
-    flat = t.ravel()
-    ecf_sums = _ecf_kernel(flat, min(x.size, _ECF_CHUNK))
-    acc = np.zeros(flat.size, dtype=complex)
-    for start in range(0, x.size, _ECF_CHUNK):
-        acc += ecf_sums(x[start : start + _ECF_CHUNK])
-    out = (acc / x.size).reshape(t.shape)
+    out = (_ecf_kernel(t.ravel())(x) / x.size).reshape(t.shape)
     if t.ndim == 0:
         return complex(out)
     return out
@@ -529,7 +530,7 @@ def _frequency_grid(t_min: float = -5.0, t_max: float = 5.0, t_step: float = 0.1
         raise ValueError(f"--t-max - --t-min overflows: the frequencies from {t_min!r} to "
                          f"{t_max!r} span more than the largest float")
     slack = 8 * math.ulp(max(abs(t_min), abs(t_max)))
-    steps = (t_max - t_min + slack) / t_step
+    steps = (t_max - t_min) / t_step + slack / t_step   # span + slack may overflow
     if not steps < _MAX_T_POINTS:
         raise ValueError(f"--t-step {t_step!r} gives {steps + 1:.4g} frequencies "
                          f"from --t-min to --t-max, more than {_MAX_T_POINTS}")
@@ -543,12 +544,12 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     Draws n variates, at most 10**9, and compares their empirical
     characteristic function with the analytic one on a grid of frequencies,
     in sup norm.  The default grid is :func:`_frequency_grid`'s, -5 + 0.1*k
-    for k = 0..100, which the command line builds too.  Each chunk of 2**14
-    draws goes through one :func:`_ecf_kernel`, so memory stays of the order
-    of one chunk; on the default grid that costs one exponential and 13
-    complex multiplies per draw and one 7 x 8 matrix product per 4096 draws,
-    as each negative t takes the conjugate of its mirror.
-    The control re-tests the same draws against the law with doubled
+    for k = 0..100, which the command line builds too.  It draws in chunks
+    of 2**14 and adds each to the sums of one :func:`_ecf_kernel`, so memory
+    stays of the order of one chunk on every grid.  On the default grid that
+    costs one exponential and 13 complex multiplies per draw and one 7 x 8
+    matrix product per 4096 draws, as each negative t takes the conjugate of
+    its mirror.  The control re-tests the same draws against the law with doubled
     dispersion, so a dispersion whose double overflows is refused.
     """
     n = _check_count(n, "n", 1)
@@ -563,8 +564,7 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     wrong = replace(params, dispersion=2.0 * params.dispersion)
 
     rng = stream(seed, _SIM)
-    ecf_sums = _ecf_kernel(grid, min(n, _ECF_CHUNK))
-    acc = np.zeros(grid.size, dtype=complex)
+    add_draws = _ecf_kernel(grid)
     head = None
     remaining = n
     while remaining > 0:
@@ -572,8 +572,8 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
         remaining -= chunk.size
         if head is None:
             head = chunk[: min(5000, chunk.size)]
-        acc += ecf_sums(chunk)
-    ecf_vals = acc / n
+        sums = add_draws(chunk)
+    ecf_vals = sums / n
 
     cf_vals = char_fn(params, grid)
     gaps = np.abs(ecf_vals - cf_vals)

@@ -442,6 +442,19 @@ def test_verify_sampler_names_a_span_that_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_sampler_counts_a_grid_whose_slack_overflows(tmp_path, capsys):
+    # 1798 frequencies up to the largest float: t_max - t_min is finite, so
+    # the grid is built, and the run ends at the product that overflows
+    out = tmp_path / "o"
+    code = _run("verify-sampler", "--alpha", "1.5", "--beta", "0.5", "--n", "20",
+                "--t-min", "0", "--t-max", "1.7976931348623157e308", "--t-step", "1e305",
+                "--seed", "0", "--out-dir", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: verify-sampler: t*x overflows: max|t| * max|samples| is not finite\n")
+    assert not out.exists()
+
+
 def test_verify_sampler_grid_stops_at_t_max(tmp_path):
     # (5 - 0)/3 rounds to 2 steps, but t = 6 lies past --t-max
     code = _run("verify-sampler", "--alpha", "2", "--beta", "0", "--n", "100",

@@ -43,8 +43,10 @@ from stablesums import (
 from stablesums.functionals import _riemann_kernel
 from stablesums.rng import stream
 from stablesums.verification import (
+    _ECF_CHUNK,
     _MAX_SAMPLER_N,
     _common_step,
+    _ecf_kernel,
     _frequency_grid,
     _half_dispersion,
     _json,
@@ -215,11 +217,21 @@ def criterion_1_draws(request):
 
 
 @pytest.mark.parametrize("name", sorted(ARITHMETIC_GRIDS))
-def test_ecf_power_recurrence_matches_outer_product(criterion_1_draws, name):
+def test_ecf_matrix_product_path_matches_outer_product(criterion_1_draws, name):
     x, t = criterion_1_draws, ARITHMETIC_GRIDS[name]
-    assert _common_step(t) is not None  # the recurrence path is the one tested
+    assert _common_step(t) is not None  # the matrix-product path is the one tested
     direct = np.exp(1j * np.outer(t, x)).mean(axis=1)
     np.testing.assert_allclose(empirical_char_fn(x, t), direct,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(ARITHMETIC_GRIDS))
+def test_ecf_power_recurrence_matches_outer_product(criterion_1_draws, name):
+    # the oracle of tests/reference_ecf.py holds to the outer product as
+    # closely as the kernel it checks
+    x, t = criterion_1_draws, ARITHMETIC_GRIDS[name]
+    direct = np.exp(1j * np.outer(t, x)).mean(axis=1)
+    np.testing.assert_allclose(reference_empirical_char_fn(x, t), direct,
                                rtol=0, atol=1e-12)
 
 
@@ -260,6 +272,21 @@ def test_ecf_memory_stays_of_order_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+def test_ecf_memory_stays_bounded_on_a_non_arithmetic_grid():
+    # the outer product of 200 frequencies with one chunk would take 75 MiB;
+    # the kernel takes it 16 frequencies at a time
+    x = sample(StableParams(1.5, 0.0), stream(4415, 0), 2**14)
+    t = stream(4415, 1).uniform(-5.0, 5.0, 200)
+    assert _common_step(t) is None
+    tracemalloc.start()
+    try:
+        empirical_char_fn(x, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
 
 
 def test_ecf_workspace_stays_bounded_on_the_largest_grid():
@@ -315,6 +342,25 @@ def test_ecf_non_arithmetic_grid_is_exact_outer_product(criterion_1_draws):
     np.testing.assert_array_equal(empirical_char_fn(x, t), acc / x.size)
 
 
+@pytest.mark.parametrize("t", [np.array([2.5]), np.array([0.3, 1.7, 4.0]),
+                               ARITHMETIC_GRIDS["cli-default"]],
+                         ids=["one-point", "non-arithmetic", "arithmetic"])
+def test_ecf_kernel_sums_draws_alike_in_one_call_or_in_chunks(criterion_1_draws, t):
+    # verify_sampler adds its draws a chunk at a time, empirical_char_fn in
+    # one call; the running sums take the same bits
+    x = criterion_1_draws
+    add_draws = _ecf_kernel(t)
+    for start in range(0, x.size, _ECF_CHUNK):
+        chunked = add_draws(x[start : start + _ECF_CHUNK])
+    assert chunked.tobytes() == _ecf_kernel(t)(x).tobytes()
+
+
+@pytest.mark.parametrize("t", [[], np.zeros((0, 3))], ids=["empty", "0x3"])
+def test_ecf_of_an_empty_grid_is_empty(t):
+    got = empirical_char_fn(np.array([0.5, -1.0]), t)
+    assert got.shape == np.shape(t) and got.dtype == complex
+
+
 @pytest.mark.parametrize("t_grid", [[], [[0.5, 1.0]], [0.5, math.nan], [math.inf]],
                          ids=["empty", "2-d", "nan", "inf"])
 def test_verify_sampler_refuses_a_bad_frequency_grid(t_grid):
@@ -324,6 +370,36 @@ def test_verify_sampler_refuses_a_bad_frequency_grid(t_grid):
 
 def test_default_frequency_grid_keeps_its_bits():
     assert _frequency_grid().tobytes() == (-5.0 + 0.1 * np.arange(101)).tobytes()
+
+
+def test_frequency_grid_counts_steps_when_its_slack_overflows():
+    # t_max - t_min is finite, but t_max - t_min + 8 ulps is not
+    t_max = 1.7976931348623157e308
+    grid = _frequency_grid(0.0, t_max, 1e305)
+    assert grid.tobytes() == (0.0 + 1e305 * np.arange(1798)).tobytes()
+    assert grid[-1] <= t_max
+
+
+def test_frequency_grid_sweep_keeps_its_points():
+    # decimal grids, whose step counts land within rounding of an integer, and
+    # whole numbers of steps: counted as the span plus the slack, over the step
+    rng = stream(4416, 0)
+    for i in range(2000):
+        if i % 2:
+            t_step = float(rng.choice([0.1, 0.01, 0.05, 0.3, 0.7, 1e-3, 1 / 3]))
+            t_min = float(rng.integers(-1000, 1000)) * float(rng.choice([0.01, 0.1, 1.0]))
+            t_max = t_min + t_step * int(rng.integers(1, 5000))
+        else:
+            scale = 10.0 ** -int(rng.integers(0, 6))
+            t_min, t_max = sorted(rng.integers(-10**4, 10**4, 2) * scale)
+            t_step = int(rng.integers(1, 1000)) * 10.0 ** -int(rng.integers(0, 6))
+        slack = 8 * math.ulp(max(abs(t_min), abs(t_max)))
+        steps = (t_max - t_min + slack) / t_step
+        if not t_min < t_max or not steps < 10**5:
+            continue
+        want = t_min + t_step * np.arange(math.floor(steps) + 1)
+        assert _frequency_grid(t_min, t_max, t_step).tobytes() == want.tobytes(), (
+            t_min, t_max, t_step)
 
 
 def _no_draws(monkeypatch):
