@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import _as_samples, _check_count, _check_real, _power, as_generator, streams
+from .rng import _as_samples, _check_count, _check_real, _power, _replicates, as_generator
 from .stable import StableParams, sample
 
 __all__ = [
@@ -337,23 +337,24 @@ class MeanAbsDeviation(NamedTuple):
 def mean_abs_deviation(spec: DoaSpec, k: int, reps: int, seed) -> MeanAbsDeviation:
     """Monte Carlo estimate of E|S_k - k*mu| with its standard error.
 
-    Replicate r draws from the sub-stream (seed, r), so the estimate does
-    not depend on how the replicates are chunked or ordered.  For indices
-    alpha < 2 the summand has infinite variance; the reported standard error
-    is then the usual finite-sample estimate and should be read
-    qualitatively.
+    Replicate r draws from the sub-stream (seed, r), through
+    :func:`~stablesums.rng._replicates` as every campaign does, so the
+    estimate does not depend on how the replicates are chunked or ordered.
+    For indices alpha < 2 the summand has infinite variance; the reported
+    standard error is then the usual finite-sample estimate and should be
+    read qualitatively.  An estimate or standard error that is not finite (a
+    draw or a sum overflows) is refused with a ``ValueError``.
     """
     k = _check_count(k, "k", 1)
     reps = _check_count(reps, "reps", 2)
     mu = spec.known_mu
-    devs = np.empty(reps)
-    for r, rng in enumerate(streams(seed, count=reps)):
-        x = sample_doa(spec, rng, k)
-        devs[r] = abs(float(np.sum(x - mu)))
-    return MeanAbsDeviation(
-        estimate=float(devs.mean()),
-        stderr=float(devs.std(ddof=1) / math.sqrt(reps)),
-    )
+    with np.errstate(all="ignore"):   # checked below
+        devs = _replicates(seed, (), reps, lambda rng: abs(np.sum(sample_doa(spec, rng, k) - mu)))
+        estimate, stderr = devs.mean(), devs.std(ddof=1) / math.sqrt(reps)
+    if not np.isfinite([estimate, stderr]).all():
+        raise ValueError("the mean absolute deviation E|S_k - k*mu| or its standard error "
+                         "is not finite: a draw or a sum overflows")
+    return MeanAbsDeviation(estimate=float(estimate), stderr=float(stderr))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,9 @@ distinct entropy.
 takes the prefix's pool from ``SeedSequence`` and mixes the indices into it
 (:func:`_stir`, :func:`_key`) on numpy arrays, with the bits :func:`stream`
 gives each one.  Its items are one shared, re-keyed generator and cannot
-``spawn()``.
+``spawn()``.  Every Monte Carlo replicate of the package is drawn through
+:func:`_replicates`, which walks :func:`streams` and stores replicate r's
+values in row r of one matrix.
 
 The input checks the simulation entry points share (counts, seeds among
 them, real parameters, sample arrays, float powers) live here too, so each is
@@ -183,6 +185,16 @@ def streams(seed: int, *prefix: int, count: int):
     # seed to the 4 pool words.
     const = _INIT_A * pow(_MULT_A, 16 + 4 * len(prefix), 2**32) & _MASK32
     return _rekeyed(pool, const, count)
+
+
+def _replicates(seed: int, prefix: tuple, reps: int, row, width: int = 1) -> np.ndarray:
+    """The (reps, width) matrix whose row r is ``row(g)``, where g is the
+    generator of ``stream(seed, *prefix, r)``, taken from :func:`streams`;
+    ``row`` returns a float or ``width`` floats."""
+    out = np.empty((reps, width))
+    for r, rng in enumerate(streams(seed, *prefix, count=reps)):
+        out[r] = row(rng)
+    return out
 
 
 def _rekeyed(pool: list, const: int, count: int):

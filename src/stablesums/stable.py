@@ -579,7 +579,10 @@ def _standard_cdf(alpha: float, beta: float, z: np.ndarray):
         # F(z; beta) = 1 - F(-z; -beta), so only beta > 0 is integrated
         f, err = _integral(1.0, abs(beta)).cdf(z if beta > 0.0 else -z)
         return (f if beta > 0.0 else 1.0 - f), err
-    f = np.full_like(z, _integral(alpha, beta).gap / math.pi)   # F(0)
+    # F(0) = gap / pi, taken at |beta| and mirrored, so that F(0; beta) and
+    # F(0; -beta) sum to 1 and F(0; 0) is 1/2, whatever the rounding of gap
+    f0 = 0.5 if beta == 0.0 else _integral(alpha, abs(beta)).gap / math.pi
+    f = np.full_like(z, f0 if beta >= 0.0 else 1.0 - f0)
     err = np.zeros_like(z)
     for sign in (1.0, -1.0):
         side = sign * z > 0.0

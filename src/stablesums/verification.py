@@ -9,9 +9,11 @@ was rejected, so a test with no power cannot certify anything.
 
 Replicate r of every campaign draws from the sub-stream (seed, label, r) with
 fixed labels per role, which keeps reports byte-identical across reruns
-and chunkings.  :func:`~stablesums.rng.streams` keys the sub-streams of all
+and chunkings.  Every campaign draws its replicates through one helper,
+:func:`~stablesums.rng._replicates`: it keys the sub-streams of all
 replicates in one vectorized pass, with the bits of
-:func:`~stablesums.rng.stream` at each address.
+:func:`~stablesums.rng.stream` at each address, and stores replicate r's
+values in row r of one matrix.
 
 The replicated campaigns build what every replicate shares once per
 campaign: k and log(k*mu), the cut indices, the Riemann cells, the increment
@@ -50,7 +52,7 @@ from .functionals import (
     qi_log,
 )
 from .paths import DoaSpec, _increment_law, _partial_sums, sample_doa
-from .rng import _as_finite, _as_samples, _check_count, _check_real, stream, streams
+from .rng import _as_finite, _as_samples, _check_count, _check_real, _replicates, stream
 from .stable import _MAX_ABSERR, StableParams, cdf, char_fn, sample
 
 # The campaigns call the kernels behind these public functions, not the
@@ -632,16 +634,17 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     increment_law = _increment_law(alpha, beta, grid)
     integral, eps = _riemann_kernel(np.arange(grid + 1) / grid, t, eps)
     path = np.empty(grid + 1)
-    integrals = np.empty(reps)
-    for r, rng in enumerate(streams(seed, _SIM, count=reps)):
-        _partial_sums(sample(increment_law, rng, grid), path)
-        integrals[r] = integral(path)
+
+    def path_integral(rng):
+        return integral(_partial_sums(sample(increment_law, rng, grid), path))
+
+    integrals = _replicates(seed, (_SIM,), reps, path_integral)
     direct = sample(law, stream(seed, _NULL), reps)
-    stat, p = ks_two_sample(integrals, direct)
+    stat, p = ks_two_sample(integrals[:, 0], direct)
 
     wrong_law = _half_dispersion(law)
     wrong = sample(wrong_law, stream(seed, _CONTROL), reps)
-    control_stat, _ = ks_two_sample(integrals, wrong)
+    control_stat, _ = ks_two_sample(integrals[:, 0], wrong)
 
     config = {
         "alpha": float(alpha),
@@ -660,7 +663,7 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     report = _report("verify-remark", seed, grid, reps, stat, threshold, config,
                      details, "direct draws at half dispersion", control_stat)
     if out_dir is not None:
-        statistics, laws = _write_marginals(out_dir, [t], integrals[:, None], [law])
+        statistics, laws = _write_marginals(out_dir, [t], integrals, [law])
         report.artifacts = [
             statistics,
             _write_csv(out_dir, "draws.csv", "rep,value", np.arange(reps), direct),
@@ -715,9 +718,8 @@ def verify_fclt(spec: DoaSpec, n: int, grid: int, times: Sequence[float], reps: 
 
     fn = qi_log(spec.known_mu)
     statistic = _functional_kernel(fn, spec.known_mu, float(spec.a(n)), n, np.array(cuts))
-    stats = np.empty((reps, len(times)))
-    for r, rng in enumerate(streams(seed, _SIM, count=reps)):
-        stats[r] = statistic(sample_doa(spec, rng, n))
+    stats = _replicates(seed, (_SIM,), reps, lambda rng: statistic(sample_doa(spec, rng, n)),
+                        len(times))
 
     laws = [limit_law(spec.known_alpha, spec.known_beta, t, fn.f_prime_at_mu)
             for t in times]
@@ -772,12 +774,10 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     spec.b(n)   # refuses an n*mu that overflows, and so any k*mu of the kernel
     exponent = mu / a_n
     statistic = _log_product_kernel(mu, exponent, n)
-    logs = np.empty(reps)
-    for r, rng in enumerate(streams(seed, _SIM, count=reps)):
-        logs[r] = statistic(sample_doa(spec, rng, n))
+    logs = _replicates(seed, (_SIM,), reps, lambda rng: statistic(sample_doa(spec, rng, n)))
 
     law = limit_law(spec.known_alpha, spec.known_beta, 1.0, 1.0)
-    [(stat, p, control_stat)] = _marginal_fits(logs[:, None], [law])
+    [(stat, p, control_stat)] = _marginal_fits(logs, [law])
 
     cfg = {
         "spec": _spec_dict(spec),
@@ -794,7 +794,7 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     report = _report("verify-product", seed, n, reps, stat, threshold, cfg, details,
                      "half-dispersion null", control_stat)
     if out_dir is not None:
-        report.artifacts = _write_marginals(out_dir, [1.0], logs[:, None], [law])
+        report.artifacts = _write_marginals(out_dir, [1.0], logs, [law])
     return report
 
 
@@ -825,15 +825,16 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     k = np.arange(1, nmax + 1, dtype=float)
     sums = np.empty(nmax + 1)
     deviations = sums[1:]
-    q = np.empty((reps, len(ns)))
-    for r, rng in enumerate(streams(seed, _SIM, count=reps)):
+
+    def deviation_sums(rng):
         x = sample_doa(spec, rng, nmax)
         x -= mu   # centered draws: a point mass sums to exactly zero
         _partial_sums(x, sums)
         np.abs(deviations, out=deviations)
-        deviations /= k
-        _partial_sums(deviations, sums, "deviation sums")
-        q[r] = sums[n_arr]
+        np.divide(deviations, k, out=deviations)
+        return _partial_sums(deviations, sums, "deviation sums")[n_arr]
+
+    q = _replicates(seed, (_SIM,), reps, deviation_sums, len(ns))
 
     def _band_stat(ratios: np.ndarray) -> float:
         if np.all(ratios == 0.0):

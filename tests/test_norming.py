@@ -139,6 +139,14 @@ def test_mean_abs_deviation_validation():
         mean_abs_deviation(Exponential(1.0), 5, 1, 1)
 
 
+@pytest.mark.parametrize("k", [10, 100])
+def test_mean_abs_deviation_refuses_what_overflows(k):
+    # draws near 1e307: at k = 10 the standard error overflows, at k = 100
+    # the sums; warnings are errors here, so none may come before the refusal
+    with pytest.raises(ValueError, match="mean absolute deviation"):
+        mean_abs_deviation(Exponential(1e-307), k, 5, 0)
+
+
 def test_pareto_norming_calibrates_the_limit():
     # end to end: centered, scaled heavy-tail sums against direct draws from
     # the fully skewed unit-dispersion law the constant was derived for

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stablesums.rng import _KEY_BLOCK, MAX_SEED, stream, streams
+from stablesums.rng import _KEY_BLOCK, MAX_SEED, _replicates, stream, streams
 
 
 def _oracle(seed, *path):
@@ -62,6 +62,21 @@ def test_streams_keys_run_across_key_blocks():
     count = _KEY_BLOCK + 5
     got = [_key(g) for g in streams(11, 0, count=count)]
     assert got == [_key(_oracle(11, 0, r)) for r in range(count)]
+
+
+@pytest.mark.parametrize("prefix", [(), (0,)])
+@pytest.mark.parametrize("width", [1, 3])
+def test_replicates_row_r_is_the_row_of_stream_r(prefix, width):
+    # past the first block of keyed indices, so rows come from two blocks
+    reps = _KEY_BLOCK + 4
+
+    def row(gen):
+        return gen.random() if width == 1 else gen.standard_normal(width)
+
+    got = _replicates(5, prefix, reps, row, width)
+    assert got.shape == (reps, width)
+    want = [np.atleast_1d(row(stream(5, *prefix, r))) for r in range(reps)]
+    np.testing.assert_array_equal(got, want)
 
 
 def test_stream_spawns_its_children_and_streams_items_cannot():

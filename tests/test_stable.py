@@ -9,7 +9,7 @@ import timeit
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_inversion import inversion_cdf
 from reference_sampler import reference_sample
@@ -565,6 +565,7 @@ _POINTS = st.lists(st.one_of(st.floats(-20.0, 20.0), st.floats(-1e12, 1e12)),
 
 @settings(max_examples=60, deadline=None)
 @given(alpha=_ALPHAS, beta=_BETAS, xs=_POINTS)
+@example(alpha=0.0625, beta=0.0, xs=[0.0])   # F(0) = 1/2 at beta = 0, mirrored exactly
 def test_cdf_properties(alpha, beta, xs):
     xs = np.sort(np.array(xs))
     f = cdf(StableParams(alpha, beta), xs)
