@@ -64,7 +64,7 @@ from .paths import (
     TwoSidedPareto,
     simulate_levy_path,
 )
-from .rng import _check_count, stream, streams
+from .rng import _check_count, _check_reps, stream
 from .stable import QuadratureError, StableParams, cdf, sample
 from .verification import (
     VerificationReport,
@@ -307,10 +307,10 @@ def _execute(config: CampaignConfig) -> VerificationReport:
         ])
     if c == "paths":
         law = StableParams(_require(p, "alpha"), _require(p, "beta"), 1.0, 0.0)
-        reps = _check_count(_require(p, "reps"), "reps", 1)
+        reps = _check_reps(_require(p, "reps"), 1)
         names, t_text = [], None
-        for r, rng in enumerate(streams(seed, 0, count=reps)):
-            path = simulate_levy_path(law.alpha, law.beta, rng, p["grid"])
+        for r in range(reps):
+            path = simulate_levy_path(law.alpha, law.beta, stream(seed, 0, r), p["grid"])
             if t_text is None:   # every path has the same grid: format it once
                 t_text = np.array([repr(t) for t in path.times.tolist()])
             names.append(_write_csv(out, f"path_{r:04d}.csv", "t,value", t_text, path.values))

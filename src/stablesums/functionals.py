@@ -177,8 +177,14 @@ def log_product_statistic(x, mu: float, exponent: float) -> float:
 
 
 def product_statistic(x, mu: float, exponent: float) -> float:
-    """prod_k (S_k / (k*mu)) ** exponent, computed in log space throughout."""
-    return math.exp(log_product_statistic(x, mu, exponent))
+    """prod_k (S_k / (k*mu)) ** exponent, computed in log space throughout; a
+    product that overflows is refused with a ``ValueError``."""
+    log = log_product_statistic(x, mu, exponent)
+    try:
+        return math.exp(log)
+    except OverflowError:
+        raise ValueError(f"the product prod_k (S_k/(k*mu))**exponent = exp({log!r}) "
+                         "overflows") from None
 
 
 def _riemann_kernel(times: np.ndarray, t: float, eps: Optional[float] = None):

@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import _as_samples, _check_count, _check_real, _power, _replicates, as_generator
+from .rng import (_as_samples, _check_count, _check_real, _check_reps, _power, _replicates,
+                  as_generator)
 from .stable import StableParams, sample
 
 __all__ = [
@@ -346,7 +347,7 @@ def mean_abs_deviation(spec: DoaSpec, k: int, reps: int, seed) -> MeanAbsDeviati
     draw or a sum overflows) is refused with a ``ValueError``.
     """
     k = _check_count(k, "k", 1)
-    reps = _check_count(reps, "reps", 2)
+    reps = _check_reps(reps, 2)
     mu = spec.known_mu
     with np.errstate(all="ignore"):   # checked below
         devs = _replicates(seed, (), reps, lambda rng: abs(np.sum(sample_doa(spec, rng, k) - mu)))
@@ -428,10 +429,10 @@ def partial_sum_process(x, mu: float, a_n: float, grid: int = DEFAULT_GRID) -> S
     _check_real(mu, "mu")
     _check_real(a_n, "a_n", 0.0)
     n, m = x.size, _check_count(grid, "grid", 1)
-    sums = _partial_sums(x - mu, np.empty(n + 1))
     j = np.arange(m + 1)
-    k = n * j // m
-    values = sums[k] / a_n
+    with np.errstate(all="ignore"):   # sums and values that are not finite are refused
+        sums = _partial_sums(x - mu, np.empty(n + 1))
+        values = sums[n * j // m] / a_n
     return SamplePath(times=j / m, values=values)
 
 

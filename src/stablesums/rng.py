@@ -12,13 +12,12 @@ The stream at address ``(seed, *path)`` is numpy's own
 ``(seed, *path, 1)``, ...  The seed is one 64-bit integer and each path
 component one 32-bit word, so distinct addresses give ``SeedSequence``
 distinct entropy.
-:func:`streams` keys a run of replicate indices in one vectorized pass: it
-takes the prefix's pool from ``SeedSequence`` and mixes the indices into it
+Every Monte Carlo replicate of the package is drawn through
+:func:`_replicates`, which stores replicate r's values in row r of one
+matrix.  It keys the replicate indices a block at a time: it takes the
+prefix's pool from ``SeedSequence`` and mixes the indices into it
 (:func:`_stir`, :func:`_key`) on numpy arrays, with the bits :func:`stream`
-gives each one.  Its items are one shared, re-keyed generator and cannot
-``spawn()``.  Every Monte Carlo replicate of the package is drawn through
-:func:`_replicates`, which walks :func:`streams` and stores replicate r's
-values in row r of one matrix.
+gives each one, and re-keys one shared generator for each row.
 
 The input checks the simulation entry points share (counts, seeds among
 them, real parameters, sample arrays, float powers) live here too, so each is
@@ -31,7 +30,7 @@ import math
 
 import numpy as np
 
-__all__ = ["MAX_SEED", "stream", "streams", "as_generator"]
+__all__ = ["MAX_SEED", "stream", "as_generator"]
 
 # Seeds are 64-bit by contract; SeedSequence would accept more but campaign
 # reports store them as plain integers.
@@ -165,41 +164,32 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
 
-def streams(seed: int, *prefix: int, count: int):
-    """The generators of ``stream(seed, *prefix, r)`` for r = 0..count-1, in
-    order, with the same bits.
+def _check_reps(reps, minimum: int = 0) -> int:
+    """``reps`` as an int in [minimum, 2**32], so each replicate index is one
+    32-bit path word; anything else is refused with a ``ValueError``."""
+    reps = _check_count(reps, "reps", minimum)
+    if reps > 2**32:
+        raise ValueError(f"reps must be in [{minimum}, 2**32], got {reps}")
+    return reps
 
-    The address is checked here; the keys are derived lazily, a block of
-    replicate indices at a time, in numpy.  Every item is one and the same
-    Generator, re-keyed before it is yielded, so draw from each item before
-    taking the next; it has no ``SeedSequence`` and its ``spawn()`` raises
-    numpy's ``TypeError``.  ``count`` is at most 2**32, so each index is one
-    32-bit word.
+
+def _replicates(seed: int, prefix: tuple, reps: int, row, width: int = 1) -> np.ndarray:
+    """The (reps, width) matrix whose row r is ``row(g)``, where g draws the
+    bits of ``stream(seed, *prefix, r)``; ``row`` returns a float or ``width``
+    floats.
+
+    The address and ``reps`` are checked before anything is allocated.  The
+    keys are derived a block of replicate indices at a time, in numpy, and g
+    is one and the same Generator, re-keyed before each row: it has no
+    ``SeedSequence`` and its ``spawn()`` raises numpy's ``TypeError``.
     """
-    count = _check_count(count, "count", 0)
-    if count > 2**32:
-        raise ValueError(f"count must be in [0, 2**32], got {count}")
+    reps = _check_reps(reps)
     pool = _seed_sequence(seed, prefix).pool.tolist()
     # SeedSequence has hashed 4 words to fill its pool, 12 to cross-mix it
     # and 4 per word past the pool: one per prefix component, as it pads the
     # seed to the 4 pool words.
     const = _INIT_A * pow(_MULT_A, 16 + 4 * len(prefix), 2**32) & _MASK32
-    return _rekeyed(pool, const, count)
-
-
-def _replicates(seed: int, prefix: tuple, reps: int, row, width: int = 1) -> np.ndarray:
-    """The (reps, width) matrix whose row r is ``row(g)``, where g is the
-    generator of ``stream(seed, *prefix, r)``, taken from :func:`streams`;
-    ``row`` returns a float or ``width`` floats."""
     out = np.empty((reps, width))
-    for r, rng in enumerate(streams(seed, *prefix, count=reps)):
-        out[r] = row(rng)
-    return out
-
-
-def _rekeyed(pool: list, const: int, count: int):
-    """The items of :func:`streams`: one Generator whose Philox is given, for
-    each index r, the state of a fresh Philox keyed for r."""
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     # counter 0, and nothing buffered: no Philox block, no spare 32-bit half
@@ -207,12 +197,13 @@ def _rekeyed(pool: list, const: int, count: int):
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for start in range(0, count, _KEY_BLOCK):
-        index = np.arange(start, min(start + _KEY_BLOCK, count), dtype=np.uint64)
-        for key in _key(_stir(pool, index, const)):
+    for start in range(0, reps, _KEY_BLOCK):
+        index = np.arange(start, min(start + _KEY_BLOCK, reps), dtype=np.uint64)
+        for r, key in enumerate(_key(_stir(pool, index, const)), start):
             state["state"]["key"] = key
             bitgen.state = state
-            yield gen
+            out[r] = row(gen)
+    return out
 
 
 def as_generator(seed) -> np.random.Generator:

@@ -10,8 +10,8 @@ was rejected, so a test with no power cannot certify anything.
 Replicate r of every campaign draws from the sub-stream (seed, label, r) with
 fixed labels per role, which keeps reports byte-identical across reruns
 and chunkings.  Every campaign draws its replicates through one helper,
-:func:`~stablesums.rng._replicates`: it keys the sub-streams of all
-replicates in one vectorized pass, with the bits of
+:func:`~stablesums.rng._replicates`: it keys the sub-streams of the
+replicates a block of indices at a time, with the bits of
 :func:`~stablesums.rng.stream` at each address, and stores replicate r's
 values in row r of one matrix.
 
@@ -52,7 +52,8 @@ from .functionals import (
     qi_log,
 )
 from .paths import DoaSpec, _increment_law, _partial_sums, sample_doa
-from .rng import _as_finite, _as_samples, _check_count, _check_real, _replicates, stream
+from .rng import (_as_finite, _as_samples, _check_count, _check_real, _check_reps, _replicates,
+                  stream)
 from .stable import _MAX_ABSERR, StableParams, cdf, char_fn, sample
 
 # The campaigns call the kernels behind these public functions, not the
@@ -627,7 +628,7 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     object: one ``sample`` call of ``grid`` increments, then their partial
     sums and the Riemann sum, in buffers built once.
     """
-    reps = _check_count(reps, "reps", 2)
+    reps = _check_reps(reps, 2)
     _check_real(threshold, "threshold", 0.0)
     law = limit_law(alpha, beta, t, 1.0)
     grid = _check_count(grid, "grid", 1)
@@ -697,7 +698,7 @@ def verify_fclt(spec: DoaSpec, n: int, grid: int, times: Sequence[float], reps: 
         raise ValueError("verify_fclt needs a spec with positivity=True")
     n = _check_count(n, "n", 1)
     m = _check_count(grid, "grid", 1)
-    reps = _check_count(reps, "reps", 2)
+    reps = _check_reps(reps, 2)
     _check_real(threshold, "threshold", 0.0)
     times = list(times)
     if not times:
@@ -767,7 +768,7 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     """
     if not spec.positivity:
         raise ValueError("verify_product needs a spec with positivity=True")
-    reps = _check_count(reps, "reps", 2)
+    reps = _check_reps(reps, 2)
     n = _check_count(n, "n", 1)
     _check_real(threshold, "threshold", 0.0)
     a_n, mu = float(spec.a(n)), spec.known_mu
@@ -813,7 +814,7 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     by a_n/log(n), which a genuinely bounded ratio must reject.  Deviation
     sums, or their mean or standard error, that overflow raise ``ValueError``.
     """
-    reps = _check_count(reps, "reps", 2)
+    reps = _check_reps(reps, 2)
     ns = [_check_count(v, "ns", 2) for v in ns]
     if len(ns) < 2 or sorted(set(ns)) != ns:
         raise ValueError("ns must be >= 2 distinct increasing integers")

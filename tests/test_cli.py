@@ -386,6 +386,20 @@ def test_bad_params_exit_two(tmp_path, capsys, args):
     assert not out.exists()  # config errors never touch the filesystem
 
 
+@pytest.mark.parametrize("args, minimum", [
+    (("paths", "--alpha", "1.5", "--beta", "0", "--grid", "4"), 1),
+    (("verify-fclt", "--n", "10", "--grid", "4", "--times", "1"), 2),
+])
+def test_a_replicate_count_past_2_to_the_32_is_refused_by_name(tmp_path, capsys, args,
+                                                               minimum):
+    # refused before any path file is written or the replicate matrix allocated
+    out = tmp_path / "o"
+    assert _run(*args, "--reps", "4294967297", "--seed", "1", "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {args[0]}: reps must be in [{minimum}, 2**32], got 4294967297\n")
+    assert not out.exists()
+
+
 def test_family_options_from_a_config_file(tmp_path, capsys):
     # a config key is held to the family exactly as its flag is, and the
     # report records only the options the run read

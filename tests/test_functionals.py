@@ -115,6 +115,13 @@ def test_product_statistic_at_the_mean_is_one():
     assert product_statistic(x, 1.5, 0.3) == 1.0
 
 
+def test_product_statistic_that_overflows_is_refused_by_name():
+    # log = 10 * 2 * log(1e300), past the largest float's log
+    with pytest.raises(ValueError, match=r"^the product prod_k \(S_k/\(k\*mu\)\)\*\*exponent "
+                       r"= exp\(13815\.51\d*\) overflows$"):
+        product_statistic(np.array([1e300, 1e300]), 1.0, 10.0)
+
+
 def test_log_product_domain_error_names_index():
     with pytest.raises(DomainError, match="k=2"):
         log_product_statistic(np.array([1.0, -5.0, 10.0]), 2.0, 0.1)

@@ -252,6 +252,18 @@ def test_partial_sums_that_overflow_are_refused_by_name(state):
             partial_sum_process(np.array([1e308, 1e308]), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("x, mu, a_n, grid, message", [
+    # the centering x - mu overflows
+    ([1e308], -1e308, 1.0, 4, "partial sums must be finite"),
+    # the division by a_n overflows
+    ([1e308, 7e307], 0.0, 1e-10, 2, "path values must be finite"),
+])
+def test_partial_sum_process_refuses_without_a_warning(x, mu, a_n, grid, message):
+    # warnings are errors here: a RuntimeWarning would stand in for the refusal
+    with pytest.raises(ValueError, match=f"^{message}"):
+        partial_sum_process(np.array(x), mu, a_n, grid)
+
+
 def test_levy_path_shape_and_start():
     path = simulate_levy_path(1.5, 1.0, stream(2, 0), grid=32)
     assert path.times.size == 33

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stablesums.rng import _KEY_BLOCK, MAX_SEED, _replicates, stream, streams
+from stablesums.rng import _KEY_BLOCK, MAX_SEED, _replicates, stream
 
 
 def _oracle(seed, *path):
@@ -36,6 +36,18 @@ def test_stream_is_the_seed_sequence_stream(seed, path):
     assert got.standard_normal(3).tolist() == want.standard_normal(3).tolist()
 
 
+def _keyed_rows(seed, prefix, reps):
+    """_replicates' matrix when row r draws 2 uniforms and 2 exponentials,
+    and the Philox key each row was drawn under."""
+    keys = []
+
+    def row(gen):
+        keys.append(_key(gen))
+        return np.concatenate((gen.random(2), gen.standard_exponential(2)))
+
+    return _replicates(seed, tuple(prefix), reps, row, 4), keys
+
+
 @settings(max_examples=100, deadline=None)
 @given(SEEDS, PATHS, st.integers(0, 40))
 @example(0, [], 0)
@@ -47,21 +59,18 @@ def test_stream_is_the_seed_sequence_stream(seed, path):
 @example(5, [2**32 - 1], 2)
 @example(MAX_SEED, [1, 2, 3, 2**32 - 1], 3)
 @example(2**32, [0, 9, 2**31, 4, 2**32 - 1], 2)
-def test_streams_are_the_stream_of_each_replicate(seed, prefix, count):
-    items = 0
-    for r, got in enumerate(streams(seed, *prefix, count=count)):
-        want = _oracle(seed, *prefix, r)
-        assert _key(got) == _key(want)
-        assert got.random(2).tolist() == want.random(2).tolist()
-        assert got.standard_exponential(2).tolist() == want.standard_exponential(2).tolist()
-        items += 1
-    assert items == count
+def test_streams_are_the_stream_of_each_replicate(seed, prefix, reps):
+    got, keys = _keyed_rows(seed, prefix, reps)
+    assert got.shape == (reps, 4)
+    wants = [_oracle(seed, *prefix, r) for r in range(reps)]
+    assert keys == [_key(want) for want in wants]
+    for row, want in zip(got.tolist(), wants):
+        assert row == want.random(2).tolist() + want.standard_exponential(2).tolist()
 
 
 def test_streams_keys_run_across_key_blocks():
-    count = _KEY_BLOCK + 5
-    got = [_key(g) for g in streams(11, 0, count=count)]
-    assert got == [_key(_oracle(11, 0, r)) for r in range(count)]
+    _, keys = _keyed_rows(11, (0,), _KEY_BLOCK + 5)
+    assert keys == [_key(_oracle(11, 0, r)) for r in range(_KEY_BLOCK + 5)]
 
 
 @pytest.mark.parametrize("prefix", [(), (0,)])
@@ -79,7 +88,7 @@ def test_replicates_row_r_is_the_row_of_stream_r(prefix, width):
     np.testing.assert_array_equal(got, want)
 
 
-def test_stream_spawns_its_children_and_streams_items_cannot():
+def test_stream_spawns_its_children_and_replicate_generators_cannot():
     for seed, path in [(3, ()), (3, (0,)), (MAX_SEED, (2**32 - 1, 5))]:
         children = stream(seed, *path).spawn(2)
         for i, child in enumerate(children):
@@ -88,10 +97,13 @@ def test_stream_spawns_its_children_and_streams_items_cannot():
             assert child.random(3).tolist() == want.random(3).tolist()
     # one shared generator, re-keyed for each replicate: it has no SeedSequence
     with pytest.raises(TypeError):
-        next(streams(3, 0, count=1)).spawn(1)
+        _replicates(3, (0,), 1, lambda gen: gen.spawn(1))
 
 
-def test_streams_checks_its_seed_when_called():
-    # refused at the call, before any item is taken
+def _unreached(gen):
+    raise AssertionError("a row was drawn")
+
+
+def test_replicates_check_the_seed_before_any_row():
     with pytest.raises(ValueError, match="^seed must be in"):
-        streams(MAX_SEED + 1, count=1)
+        _replicates(MAX_SEED + 1, (), 1, _unreached)

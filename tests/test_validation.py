@@ -1,6 +1,6 @@
 """The one check every real-valued library input goes through, seen through
 representative public callers; the check of seeds, stream path components and
-stream counts; and the refusal of a derived constant that overflows."""
+replicate counts; and the refusal of a derived constant that overflows."""
 
 import math
 
@@ -16,7 +16,7 @@ from stablesums import (
     tail_dispersion,
     verify_lemma,
 )
-from stablesums.rng import MAX_SEED, stream, streams
+from stablesums.rng import MAX_SEED, _replicates, stream
 from stablesums.stable import scale_shift
 
 # caller: (call taking the value, parameter name, interval as the error names it)
@@ -37,6 +37,10 @@ CALLERS = {
     "verify_lemma.band": (lambda v: verify_lemma(Exponential(1.0), [2, 4], 2, 1, band=v),
                           "band", "(1, inf)"),
 }
+
+
+def _unreached(gen):
+    raise AssertionError("a row was drawn")
 
 
 def _cases():
@@ -93,7 +97,7 @@ def test_seed_range_ends_are_accepted():
 def test_stream_path_components_are_counts(component):
     shown = repr(component)
     for call in (lambda: stream(3, component), lambda: stream(3, 0, component),
-                 lambda: streams(3, component, count=2)):
+                 lambda: _replicates(3, (component,), 2, _unreached)):
         with pytest.raises(ValueError) as refused:
             call()
         assert str(refused.value) == f"stream path component must be an integer >= 0, got {shown}"
@@ -103,7 +107,7 @@ def test_stream_path_components_are_counts(component):
 def test_stream_path_components_are_single_words(component):
     message = f"stream path component must be in [0, 2**32), got {int(component)}"
     for call in (lambda: stream(3, component), lambda: stream(3, 0, component),
-                 lambda: streams(3, component, count=2)):
+                 lambda: _replicates(3, (component,), 2, _unreached)):
         with pytest.raises(ValueError) as refused:
             call()
         assert str(refused.value) == message
@@ -119,15 +123,16 @@ def test_stream_path_components_may_be_numpy_integers():
     assert stream(3, np.int64(1)).random(3).tolist() == stream(3, 1).random(3).tolist()
 
 
-@pytest.mark.parametrize("count, message", [
-    (2**32 + 1, "count must be in [0, 2**32], got 4294967297"),
-    (-1, "count must be an integer >= 0, got -1"),
-    (True, "count must be an integer >= 0, got True"),
-    (2.0, "count must be an integer >= 0, got 2.0"),
+@pytest.mark.parametrize("reps, message", [
+    (2**32 + 1, "reps must be in [0, 2**32], got 4294967297"),
+    (-1, "reps must be an integer >= 0, got -1"),
+    (True, "reps must be an integer >= 0, got True"),
+    (2.0, "reps must be an integer >= 0, got 2.0"),
 ])
-def test_stream_counts_are_counts(count, message):
+def test_replicate_counts_are_counts(reps, message):
+    # refused before the (reps x 1) matrix is allocated or a row drawn
     with pytest.raises(ValueError) as refused:
-        streams(3, 0, count=count)
+        _replicates(3, (0,), reps, _unreached)
     assert str(refused.value) == message
 
 
