@@ -64,7 +64,7 @@ from .paths import (
     TwoSidedPareto,
     simulate_levy_path,
 )
-from .rng import _check_count, _check_reps, stream
+from .rng import _check_count, _check_reps, _sized_by, stream
 from .stable import QuadratureError, StableParams, cdf, sample
 from .verification import (
     VerificationReport,
@@ -309,11 +309,13 @@ def _execute(config: CampaignConfig) -> VerificationReport:
         law = StableParams(_require(p, "alpha"), _require(p, "beta"), 1.0, 0.0)
         reps = _check_reps(_require(p, "reps"), 1)
         names, t_text = [], None
-        for r in range(reps):
-            path = simulate_levy_path(law.alpha, law.beta, stream(seed, 0, r), p["grid"])
-            if t_text is None:   # every path has the same grid: format it once
-                t_text = np.array([repr(t) for t in path.times.tolist()])
-            names.append(_write_csv(out, f"path_{r:04d}.csv", "t,value", t_text, path.values))
+        with _sized_by(f"grid = {p['grid']}"):
+            for r in range(reps):
+                path = simulate_levy_path(law.alpha, law.beta, stream(seed, 0, r), p["grid"])
+                if t_text is None:   # every path has the same grid: format it once
+                    t_text = np.array([repr(t) for t in path.times.tolist()])
+                names.append(_write_csv(out, f"path_{r:04d}.csv", "t,value", t_text,
+                                        path.values))
         names.append(_write(out, "limit_laws.json", _json({repr(1.0): asdict(law)})))
         return _trivial_report(config, "paths", p["grid"], reps, {}, names)
     if c == "verify-sampler":

@@ -330,6 +330,24 @@ def karamata_partial_sum(a, n: int) -> float:
     return total
 
 
+def _standard_error(values: np.ndarray) -> np.ndarray:
+    """The standard error of the mean of each column of ``values`` (of all
+    of a 1-d array): the sample standard deviation over sqrt(rows).
+
+    Where that is not finite only because the squared deviations overflow,
+    each column is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1), which is exact; elsewhere the bits are those of
+    the unscaled formula.
+    """
+    count = math.sqrt(values.shape[0])
+    with np.errstate(all="ignore"):
+        stderr = values.std(axis=0, ddof=1) / count
+        if np.isfinite(stderr).all() or not np.isfinite(values).all():
+            return stderr
+        _, exponent = np.frexp(np.abs(values).max(axis=0))
+        return np.ldexp(np.ldexp(values, -exponent).std(axis=0, ddof=1) / count, exponent)
+
+
 class MeanAbsDeviation(NamedTuple):
     estimate: float
     stderr: float
@@ -343,15 +361,17 @@ def mean_abs_deviation(spec: DoaSpec, k: int, reps: int, seed) -> MeanAbsDeviati
     estimate does not depend on how the replicates are chunked or ordered.
     For indices alpha < 2 the summand has infinite variance; the reported
     standard error is then the usual finite-sample estimate and should be
-    read qualitatively.  An estimate or standard error that is not finite (a
+    read qualitatively; it is taken at a power-of-two scale where the squared
+    deviations overflow.  An estimate or standard error that is not finite (a
     draw or a sum overflows) is refused with a ``ValueError``.
     """
     k = _check_count(k, "k", 1)
     reps = _check_reps(reps, 2)
     mu = spec.known_mu
     with np.errstate(all="ignore"):   # checked below
-        devs = _replicates(seed, (), reps, lambda rng: abs(np.sum(sample_doa(spec, rng, k) - mu)))
-        estimate, stderr = devs.mean(), devs.std(ddof=1) / math.sqrt(reps)
+        devs = _replicates(seed, (), reps, lambda rng: sample_doa(spec, rng, k),
+                           lambda x: abs(np.sum(x - mu)))
+        estimate, stderr = devs.mean(), _standard_error(devs[:, 0])
     if not np.isfinite([estimate, stderr]).all():
         raise ValueError("the mean absolute deviation E|S_k - k*mu| or its standard error "
                          "is not finite: a draw or a sum overflows")

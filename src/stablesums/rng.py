@@ -17,7 +17,10 @@ Every Monte Carlo replicate of the package is drawn through
 matrix.  It keys the replicate indices a block at a time: it takes the
 prefix's pool from ``SeedSequence`` and mixes the indices into it
 (:func:`_stir`, :func:`_key`) on numpy arrays, with the bits :func:`stream`
-gives each one, and re-keys one shared generator for each row.
+gives each one, and re-keys one shared generator for each draw.  The draws
+stay on the calling thread; where two cores are usable, each replicate's
+row is computed from its draw on one worker thread while the next one is
+drawn, with the same bits as inline.
 
 The input checks the simulation entry points share (counts, seeds among
 them, real parameters, sample arrays, float powers) live here too, so each is
@@ -26,7 +29,12 @@ written once.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import queue
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -90,6 +98,16 @@ def _as_samples(x, name: str) -> np.ndarray:
     return _as_finite(x, name)
 
 
+@contextmanager
+def _sized_by(what: str):
+    """Re-raise a ``MemoryError`` from the block as one that names the size
+    ``what`` (such as "n = 10") whose arrays could not be allocated."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise MemoryError(f"cannot allocate for {what}: {str(exc) or 'MemoryError'}") from None
+
+
 def _seed_sequence(seed, path) -> np.random.SeedSequence:
     """``SeedSequence(seed, spawn_key=path)`` once the address is checked: a
     seed in [0, 2**64) and path components in [0, 2**32), each refused
@@ -115,6 +133,23 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # Replicate indices are keyed this many at a time, so memory stays bounded.
 _KEY_BLOCK = 2**12
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The threads of a replicate loop, read at each call: 2 where two cores are
+# usable (this thread draws, one worker computes the rows), else 1 (inline).
+_THREADS = 2 if _usable_cores() >= 2 else 1
+# The worker is handed the draws in batches of about this many bytes, with at
+# most _QUEUED batches waiting: one replicate per batch costs more in hand-offs
+# than it gains, and more batches waiting cost memory.
+_BATCH_BYTES = 2**18
+_QUEUED = 2
 
 
 def _hash(value, const: int, mult: int):
@@ -173,15 +208,23 @@ def _check_reps(reps, minimum: int = 0) -> int:
     return reps
 
 
-def _replicates(seed: int, prefix: tuple, reps: int, row, width: int = 1) -> np.ndarray:
-    """The (reps, width) matrix whose row r is ``row(g)``, where g draws the
-    bits of ``stream(seed, *prefix, r)``; ``row`` returns a float or ``width``
-    floats.
+def _replicates(seed: int, prefix: tuple, reps: int, draw, row, width: int = 1) -> np.ndarray:
+    """The (reps, width) matrix whose row r is ``row(draw(g))``, where g draws
+    the bits of ``stream(seed, *prefix, r)``; ``draw`` returns a fresh array,
+    and ``row`` a float or ``width`` floats.
 
     The address and ``reps`` are checked before anything is allocated.  The
     keys are derived a block of replicate indices at a time, in numpy, and g
-    is one and the same Generator, re-keyed before each row: it has no
+    is one and the same Generator, re-keyed before each draw: it has no
     ``SeedSequence`` and its ``spawn()`` raises numpy's ``TypeError``.
+
+    ``draw`` runs on the calling thread.  With ``_THREADS`` at 2, ``row`` runs
+    off it, on one worker thread, while the calling thread draws the next
+    replicates; so ``row`` must not touch g, only the array it is given (and
+    buffers of its own: one thread runs every row, in order).  The worker
+    runs in a copy of the calling context, so ``np.errstate`` holds in the
+    rows.  Each row gets the same bits either way, and the error raised is
+    the one of the lowest replicate, as inline.
     """
     reps = _check_reps(reps)
     pool = _seed_sequence(seed, prefix).pool.tolist()
@@ -197,13 +240,74 @@ def _replicates(seed: int, prefix: tuple, reps: int, row, width: int = 1) -> np.
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for start in range(0, reps, _KEY_BLOCK):
-        index = np.arange(start, min(start + _KEY_BLOCK, reps), dtype=np.uint64)
-        for r, key in enumerate(_key(_stir(pool, index, const)), start):
-            state["state"]["key"] = key
-            bitgen.state = state
-            out[r] = row(gen)
+
+    def drawn():
+        for start in range(0, reps, _KEY_BLOCK):
+            index = np.arange(start, min(start + _KEY_BLOCK, reps), dtype=np.uint64)
+            for r, key in enumerate(_key(_stir(pool, index, const)), start):
+                state["state"]["key"] = key
+                bitgen.state = state
+                yield r, draw(gen)
+
+    if _THREADS < 2:
+        for r, x in drawn():
+            out[r] = row(x)
+    else:
+        _pipeline(drawn(), row, out)
     return out
+
+
+def _pipeline(drawn, row, out: np.ndarray) -> None:
+    """``out[r] = row(x)`` for each (r, x) that the iterator ``drawn`` yields,
+    on one worker thread, while this thread draws the next ones.
+
+    The draws are handed over in batches of about ``_BATCH_BYTES``, at most
+    ``_QUEUED`` batches ahead of the worker.  After a row error the worker
+    computes no more rows and this thread draws no more; after a draw error
+    the rows already drawn are computed.  Every row handed over precedes the
+    failed draw, so a row error is the lowest one and wins.  The worker is
+    joined on every way out, KeyboardInterrupt included.
+    """
+    batches = queue.Queue(_QUEUED)
+    failed = []   # the worker's row error
+    errors = np.geterr()   # numpy 1.x keeps these per thread, 2.x in the context
+
+    def work():
+        with np.errstate(**errors):
+            while (batch := batches.get()) is not None:
+                if failed:
+                    continue   # drain the queue, so that no put blocks
+                for r, x in batch:
+                    try:
+                        out[r] = row(x)
+                    except BaseException as exc:   # raised again on the calling thread
+                        failed.append(exc)
+                        break
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,),
+                              daemon=True)
+    worker.start()
+    batch, size, drawing = [], 0, None
+    try:
+        try:
+            for r, x in drawn:
+                batch.append((r, x))
+                size += x.nbytes
+                if size >= _BATCH_BYTES:
+                    batches.put(batch)
+                    batch, size = [], 0
+                if failed:
+                    break
+        except Exception as exc:
+            drawing = exc
+        batches.put(batch)
+    finally:
+        batches.put(None)
+        worker.join()
+    if failed:
+        raise failed[0]
+    if drawing is not None:
+        raise drawing
 
 
 def as_generator(seed) -> np.random.Generator:

@@ -13,7 +13,11 @@ and chunkings.  Every campaign draws its replicates through one helper,
 :func:`~stablesums.rng._replicates`: it keys the sub-streams of the
 replicates a block of indices at a time, with the bits of
 :func:`~stablesums.rng.stream` at each address, and stores replicate r's
-values in row r of one matrix.
+values in row r of one matrix.  A campaign hands it two closures: the draw,
+which calls ``sample`` or ``sample_doa`` on the calling thread, and the row,
+which computes the replicate's values from that draw alone, on a worker
+thread where two cores are usable.  Only the row closures use the working
+buffers below, and one thread runs them all, in order.
 
 The replicated campaigns build what every replicate shares once per
 campaign: k and log(k*mu), the cut indices, the Riemann cells, the increment
@@ -51,9 +55,9 @@ from .functionals import (
     limit_law,
     qi_log,
 )
-from .paths import DoaSpec, _increment_law, _partial_sums, sample_doa
+from .paths import DoaSpec, _increment_law, _partial_sums, _standard_error, sample_doa
 from .rng import (_as_finite, _as_samples, _check_count, _check_real, _check_reps, _replicates,
-                  stream)
+                  _sized_by, stream)
 from .stable import _MAX_ABSERR, StableParams, cdf, char_fn, sample
 
 # The campaigns call the kernels behind these public functions, not the
@@ -633,13 +637,15 @@ def verify_remark(alpha: float, beta: float, reps: int, grid: int, seed,
     law = limit_law(alpha, beta, t, 1.0)
     grid = _check_count(grid, "grid", 1)
     increment_law = _increment_law(alpha, beta, grid)
-    integral, eps = _riemann_kernel(np.arange(grid + 1) / grid, t, eps)
-    path = np.empty(grid + 1)
+    with _sized_by(f"grid = {grid}"):
+        integral, eps = _riemann_kernel(np.arange(grid + 1) / grid, t, eps)
+        path = np.empty(grid + 1)
 
-    def path_integral(rng):
-        return integral(_partial_sums(sample(increment_law, rng, grid), path))
+    def path_integral(increments):
+        return integral(_partial_sums(increments, path))
 
-    integrals = _replicates(seed, (_SIM,), reps, path_integral)
+    integrals = _replicates(seed, (_SIM,), reps, lambda rng: sample(increment_law, rng, grid),
+                            path_integral)
     direct = sample(law, stream(seed, _NULL), reps)
     stat, p = ks_two_sample(integrals[:, 0], direct)
 
@@ -718,8 +724,9 @@ def verify_fclt(spec: DoaSpec, n: int, grid: int, times: Sequence[float], reps: 
     cuts = [n * j // m for j in steps]
 
     fn = qi_log(spec.known_mu)
-    statistic = _functional_kernel(fn, spec.known_mu, float(spec.a(n)), n, np.array(cuts))
-    stats = _replicates(seed, (_SIM,), reps, lambda rng: statistic(sample_doa(spec, rng, n)),
+    with _sized_by(f"n = {n}"):
+        statistic = _functional_kernel(fn, spec.known_mu, float(spec.a(n)), n, np.array(cuts))
+    stats = _replicates(seed, (_SIM,), reps, lambda rng: sample_doa(spec, rng, n), statistic,
                         len(times))
 
     laws = [limit_law(spec.known_alpha, spec.known_beta, t, fn.f_prime_at_mu)
@@ -774,8 +781,9 @@ def verify_product(spec: DoaSpec, n: int, reps: int, seed,
     a_n, mu = float(spec.a(n)), spec.known_mu
     spec.b(n)   # refuses an n*mu that overflows, and so any k*mu of the kernel
     exponent = mu / a_n
-    statistic = _log_product_kernel(mu, exponent, n)
-    logs = _replicates(seed, (_SIM,), reps, lambda rng: statistic(sample_doa(spec, rng, n)))
+    with _sized_by(f"n = {n}"):
+        statistic = _log_product_kernel(mu, exponent, n)
+    logs = _replicates(seed, (_SIM,), reps, lambda rng: sample_doa(spec, rng, n), statistic)
 
     law = limit_law(spec.known_alpha, spec.known_beta, 1.0, 1.0)
     [(stat, p, control_stat)] = _marginal_fits(logs, [law])
@@ -812,7 +820,8 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     most 1 + trend_tol (trend_tol > 0).  Statistic = max(spread/band,
     growth/(1+trend_tol)), threshold 1.  The control rescales the same sums
     by a_n/log(n), which a genuinely bounded ratio must reject.  Deviation
-    sums, or their mean or standard error, that overflow raise ``ValueError``.
+    sums, or their mean, that overflow raise ``ValueError``; their standard
+    error is taken at a power-of-two scale where their squares overflow.
     """
     reps = _check_reps(reps, 2)
     ns = [_check_count(v, "ns", 2) for v in ns]
@@ -823,19 +832,20 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
     n_arr = np.array(ns)
     a_vals, b_vals = spec.a(n_arr), spec.b(n_arr)
     mu, nmax = spec.known_mu, ns[-1]
-    k = np.arange(1, nmax + 1, dtype=float)
-    sums = np.empty(nmax + 1)
+    with _sized_by(f"ns up to {nmax}"):
+        k = np.arange(1, nmax + 1, dtype=float)
+        sums = np.empty(nmax + 1)
     deviations = sums[1:]
 
-    def deviation_sums(rng):
-        x = sample_doa(spec, rng, nmax)
+    def deviation_sums(x):
         x -= mu   # centered draws: a point mass sums to exactly zero
         _partial_sums(x, sums)
         np.abs(deviations, out=deviations)
         np.divide(deviations, k, out=deviations)
         return _partial_sums(deviations, sums, "deviation sums")[n_arr]
 
-    q = _replicates(seed, (_SIM,), reps, deviation_sums, len(ns))
+    q = _replicates(seed, (_SIM,), reps, lambda rng: sample_doa(spec, rng, nmax),
+                    deviation_sums, len(ns))
 
     def _band_stat(ratios: np.ndarray) -> float:
         if np.all(ratios == 0.0):
@@ -848,7 +858,7 @@ def verify_lemma(spec: DoaSpec, ns: Sequence[int], reps: int, seed,
 
     with np.errstate(all="ignore"):   # checked below
         means = q.mean(axis=0)
-        stderr = q.std(axis=0, ddof=1) / math.sqrt(reps)
+    stderr = _standard_error(q)
     if not np.isfinite([means, stderr]).all():
         raise ValueError("the mean or standard error of the deviation sums overflows")
     ratios = means / a_vals

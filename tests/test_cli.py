@@ -552,17 +552,25 @@ def test_an_overflow_anywhere_in_a_run_exits_two(tmp_path, capsys, args):
       "--reps", "50"], _LEMMA_MOMENTS_OVERFLOW),
     (["verify-lemma", "--family", "exponential", "--rate", "7e-308", "--ns", "2,10",
       "--reps", "50"], "deviation sums must be finite: a draw is inf or nan, or the sum overflows"),
-    (["verify-lemma", "--family", "exponential", "--rate", "1e-160", "--ns", "2,10",
-      "--reps", "50"], _LEMMA_MOMENTS_OVERFLOW),
     (["verify-product", "--family", "exponential", "--rate", "1e-305", "--n", "4000",
       "--reps", "4"], "b_n overflows at n=4000"),
 ], ids=["a_n", "lemma-a_n", "lemma-b_n", "sums", "point-mass-sums", "lemma-mean",
-        "lemma-deviation-sums", "lemma-stderr", "product-b_n"])
+        "lemma-deviation-sums", "product-b_n"])
 def test_an_overflow_in_a_run_names_the_quantity(tmp_path, capsys, args, name):
     out = tmp_path / "o"
     assert _run(*args, "--seed", "1", "--out-dir", str(out)) == 2
     assert capsys.readouterr().err == f"error: {args[0]}: {name}\n"
     assert not out.exists()
+
+
+def test_a_standard_error_whose_squares_overflow_is_not_refused(tmp_path, capsys):
+    # deviation sums near 1e160: their squares overflow, their standard
+    # error is taken at a power-of-two scale
+    assert _run("verify-lemma", "--family", "exponential", "--rate", "1e-160", "--ns", "2,10",
+                "--reps", "50", "--seed", "1", "--out-dir", str(tmp_path)) in (0, 1)
+    assert capsys.readouterr().err == ""
+    details = json.loads((tmp_path / "report.json").read_text())["details"]
+    assert all(0.0 < se < math.inf for se in details["ratio_stderr"])
 
 
 def test_verify_sampler_at_a_huge_dispersion_runs_without_a_warning(tmp_path, capsys):
@@ -766,6 +774,43 @@ def test_allocation_failure_exits_two(tmp_path, capsys, monkeypatch, args, bindi
     out = tmp_path / "out"
     assert _run(*args, "--out-dir", str(out)) == 2
     assert capsys.readouterr().err == f"error: {args[0]}: {shown}\n"
+    assert not out.exists()
+
+
+_LIMIT = """
+import resource, sys
+import stablesums.cli
+limit = 3 * 2**30   # address space: numpy and the small buffers fit, 745 GiB does not
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(stablesums.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("args, size", [
+    (["verify-fclt", "--n", "100000000000", "--grid", "4", "--times", "1", "--reps", "2"],
+     "n = 100000000000"),
+    (["paths", "--alpha", "1.5", "--beta", "0", "--grid", "100000000000", "--reps", "1"],
+     "grid = 100000000000"),
+    (["verify-lemma", "--ns", "2,100000000000", "--reps", "2"], "ns up to 100000000000"),
+    (["verify-remark", "--alpha", "1.5", "--beta", "0", "--grid", "100000000000",
+      "--reps", "2"], "grid = 100000000000"),
+    (["verify-product", "--tail-index", "1.5", "--n", "100000000000", "--reps", "2"],
+     "n = 100000000000"),
+], ids=["verify-fclt", "paths", "verify-lemma", "verify-remark", "verify-product"])
+def test_an_allocation_failure_names_the_size(tmp_path, args, size):
+    # a size too large to allocate, in a process whose address space is
+    # bounded: one error line that names the option, exit 2, nothing written
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(stablesums.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", _LIMIT, *args, "--seed", "1",
+                           "--out-dir", str(out)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {args[0]}: cannot allocate for {size}: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
     assert not out.exists()
 
 

@@ -20,6 +20,7 @@ from stablesums import (
     sample_doa,
     tail_dispersion,
 )
+from stablesums.paths import _standard_error
 from stablesums.rng import stream
 
 
@@ -139,12 +140,35 @@ def test_mean_abs_deviation_validation():
         mean_abs_deviation(Exponential(1.0), 5, 1, 1)
 
 
-@pytest.mark.parametrize("k", [10, 100])
+@pytest.mark.parametrize("k", [100])
 def test_mean_abs_deviation_refuses_what_overflows(k):
-    # draws near 1e307: at k = 10 the standard error overflows, at k = 100
-    # the sums; warnings are errors here, so none may come before the refusal
+    # draws near 1e307: at k = 100 the sums overflow; warnings are errors
+    # here, so none may come before the refusal
     with pytest.raises(ValueError, match="mean absolute deviation"):
         mean_abs_deviation(Exponential(1e-307), k, 5, 0)
+
+
+def test_mean_abs_deviation_scales_a_standard_error_whose_squares_overflow():
+    # deviations near 1e299 square past the float range; scaled by a power of
+    # two, the standard error is that of the unit exponential, scaled back
+    unit = mean_abs_deviation(Exponential(1.0), 10, 400, 17)
+    huge = mean_abs_deviation(Exponential(2.0**-995), 10, 400, 17)
+    assert huge == (math.ldexp(unit.estimate, 995), math.ldexp(unit.stderr, 995))
+    got = mean_abs_deviation(Exponential(3e-300), 10, 400, 17)
+    assert got.estimate == pytest.approx(7.960874100961112e299, rel=1e-12)
+    assert got.stderr == pytest.approx(2.9371606307050434e298, rel=1e-12)
+    # deviations near 1e307 at k = 10, refused for their square before
+    assert math.isfinite(mean_abs_deviation(Exponential(1e-307), 10, 5, 0).stderr)
+
+
+@pytest.mark.parametrize("shape", [(2,), (50,), (7, 3), (400, 1)])
+@pytest.mark.parametrize("scale", [1.0, 1e-160])
+def test_a_finite_standard_error_keeps_the_bits_of_the_formula(shape, scale):
+    # at 1e-160 the squares are subnormal: a scaled formula would give other bits
+    values = np.abs(sample(StableParams(1.2, 0.5), stream(8, 1), math.prod(shape)))
+    values = values.reshape(shape) * scale
+    want = values.std(axis=0, ddof=1) / math.sqrt(shape[0])
+    assert _standard_error(values).tobytes() == want.tobytes()
 
 
 def test_pareto_norming_calibrates_the_limit():

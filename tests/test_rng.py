@@ -18,6 +18,10 @@ def _key(gen):
     return gen.bit_generator.state["state"]["key"].tolist()
 
 
+def _unreached(_):
+    raise AssertionError("a replicate was drawn")
+
+
 SEEDS = st.one_of(st.sampled_from([0, 2**32, MAX_SEED]), st.integers(0, MAX_SEED))
 # a path component is one 32-bit word
 PATHS = st.lists(st.integers(0, 2**32 - 1), max_size=4)
@@ -37,15 +41,15 @@ def test_stream_is_the_seed_sequence_stream(seed, path):
 
 
 def _keyed_rows(seed, prefix, reps):
-    """_replicates' matrix when row r draws 2 uniforms and 2 exponentials,
-    and the Philox key each row was drawn under."""
+    """_replicates' matrix when replicate r draws 2 uniforms and 2
+    exponentials as its row, and the Philox key each was drawn under."""
     keys = []
 
-    def row(gen):
+    def draw(gen):
         keys.append(_key(gen))
         return np.concatenate((gen.random(2), gen.standard_exponential(2)))
 
-    return _replicates(seed, tuple(prefix), reps, row, 4), keys
+    return _replicates(seed, tuple(prefix), reps, draw, lambda x: x, 4), keys
 
 
 @settings(max_examples=100, deadline=None)
@@ -79,12 +83,15 @@ def test_replicates_row_r_is_the_row_of_stream_r(prefix, width):
     # past the first block of keyed indices, so rows come from two blocks
     reps = _KEY_BLOCK + 4
 
-    def row(gen):
-        return gen.random() if width == 1 else gen.standard_normal(width)
+    def draw(gen):
+        return gen.random(width) if width == 1 else gen.standard_normal(width)
 
-    got = _replicates(5, prefix, reps, row, width)
+    def row(x):
+        return x[0] if width == 1 else x
+
+    got = _replicates(5, prefix, reps, draw, row, width)
     assert got.shape == (reps, width)
-    want = [np.atleast_1d(row(stream(5, *prefix, r))) for r in range(reps)]
+    want = [np.atleast_1d(row(draw(stream(5, *prefix, r)))) for r in range(reps)]
     np.testing.assert_array_equal(got, want)
 
 
@@ -97,13 +104,9 @@ def test_stream_spawns_its_children_and_replicate_generators_cannot():
             assert child.random(3).tolist() == want.random(3).tolist()
     # one shared generator, re-keyed for each replicate: it has no SeedSequence
     with pytest.raises(TypeError):
-        _replicates(3, (0,), 1, lambda gen: gen.spawn(1))
-
-
-def _unreached(gen):
-    raise AssertionError("a row was drawn")
+        _replicates(3, (0,), 1, lambda gen: gen.spawn(1), _unreached)
 
 
 def test_replicates_check_the_seed_before_any_row():
     with pytest.raises(ValueError, match="^seed must be in"):
-        _replicates(MAX_SEED + 1, (), 1, _unreached)
+        _replicates(MAX_SEED + 1, (), 1, _unreached, _unreached)

@@ -39,8 +39,8 @@ CALLERS = {
 }
 
 
-def _unreached(gen):
-    raise AssertionError("a row was drawn")
+def _unreached(_):
+    raise AssertionError("a replicate was drawn")
 
 
 def _cases():
@@ -97,7 +97,7 @@ def test_seed_range_ends_are_accepted():
 def test_stream_path_components_are_counts(component):
     shown = repr(component)
     for call in (lambda: stream(3, component), lambda: stream(3, 0, component),
-                 lambda: _replicates(3, (component,), 2, _unreached)):
+                 lambda: _replicates(3, (component,), 2, _unreached, _unreached)):
         with pytest.raises(ValueError) as refused:
             call()
         assert str(refused.value) == f"stream path component must be an integer >= 0, got {shown}"
@@ -107,7 +107,7 @@ def test_stream_path_components_are_counts(component):
 def test_stream_path_components_are_single_words(component):
     message = f"stream path component must be in [0, 2**32), got {int(component)}"
     for call in (lambda: stream(3, component), lambda: stream(3, 0, component),
-                 lambda: _replicates(3, (component,), 2, _unreached)):
+                 lambda: _replicates(3, (component,), 2, _unreached, _unreached)):
         with pytest.raises(ValueError) as refused:
             call()
         assert str(refused.value) == message
@@ -132,7 +132,7 @@ def test_stream_path_components_may_be_numpy_integers():
 def test_replicate_counts_are_counts(reps, message):
     # refused before the (reps x 1) matrix is allocated or a row drawn
     with pytest.raises(ValueError) as refused:
-        _replicates(3, (0,), reps, _unreached)
+        _replicates(3, (0,), reps, _unreached, _unreached)
     assert str(refused.value) == message
 
 

@@ -657,12 +657,25 @@ def test_json_refuses_a_non_finite_float(value):
 # Warnings are errors under this suite, so each refusal below also shows
 # that nothing warned on the way to it.
 def test_lemma_refuses_deviation_moments_that_overflow(tmp_path):
-    # |S_k - k*mu|/k summed is near 1e160, and its square overflows in the std
+    # |S_k - k*mu|/k summed is near 1e307: each is finite, their mean over
+    # the replicates overflows
     out_dir = tmp_path / "out"
     with pytest.raises(ValueError, match="^the mean or standard error of the deviation "
                                          "sums overflows$"):
-        verify_lemma(Exponential(1e-160), [2, 10], 50, 1, out_dir=str(out_dir))
+        verify_lemma(Exponential(1e-307), [2, 10], 50, 1, out_dir=str(out_dir))
     assert not out_dir.exists()
+
+
+def test_lemma_scales_a_standard_error_whose_squares_overflow():
+    # every value is 2**995 times that of the unit exponential: the ratios
+    # and their standard errors keep their bits, though the squares overflow
+    unit = verify_lemma(Exponential(1.0), [2, 10, 100], 50, 3).details
+    huge = verify_lemma(Exponential(2.0**-995), [2, 10, 100], 50, 3).details
+    for key in ("ratios", "ratio_stderr", "control_ratios"):
+        assert np.asarray(huge[key]).tobytes() == np.asarray(unit[key]).tobytes()
+    # sums near 1e160, refused for their square before
+    assert np.isfinite(verify_lemma(Exponential(1e-160), [2, 10], 50, 1)
+                       .details["ratio_stderr"]).all()
 
 
 @pytest.mark.parametrize("campaign, name", [
