@@ -17,10 +17,15 @@ Every Monte Carlo replicate of the package is drawn through
 matrix.  It keys the replicate indices a block at a time: it takes the
 prefix's pool from ``SeedSequence`` and mixes the indices into it
 (:func:`_stir`, :func:`_key`) on numpy arrays, with the bits :func:`stream`
-gives each one, and re-keys one shared generator for each draw.  The draws
-stay on the calling thread; where two cores are usable, each replicate's
-row is computed from its draw on one worker thread while the next one is
-drawn, with the same bits as inline.
+gives each one, and re-keys one shared generator for each draw.
+
+:func:`_pipeline` is the package's one threaded loop: the replicate rows of
+:func:`_replicates` and the ECF sums of ``verify_sampler`` run through it.
+The draws stay on the calling thread; where two cores are usable, what is
+computed from each draw runs on one worker thread while the next one is
+drawn, in draw order, with the same bits as inline.  For the length of the
+loop the worker has one CPU of the caller's mask and the caller the others,
+as the kernel would otherwise keep the worker on its creator's CPU.
 
 The input checks the simulation entry points share (counts, seeds among
 them, real parameters, sample arrays, float powers) live here too, so each is
@@ -135,16 +140,28 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _KEY_BLOCK = 2**12
 
 
-def _usable_cores() -> int:
+def _affinity() -> set:
+    """The calling thread's CPU mask; empty where the platform has no such
+    call."""
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
+        return os.sched_getaffinity(0)
+    except AttributeError:
+        return set()
 
 
-# The threads of a replicate loop, read at each call: 2 where two cores are
-# usable (this thread draws, one worker computes the rows), else 1 (inline).
-_THREADS = 2 if _usable_cores() >= 2 else 1
+def _place(cpus: set) -> bool:
+    """Set the calling thread's CPU mask to ``cpus``; False where the
+    platform has no such call or refuses it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+# The threads of a _pipeline loop, read at each call: 2 where two cores are
+# usable (this thread draws, one worker uses the draws), else 1 (inline).
+_THREADS = 2 if (len(_affinity()) or os.cpu_count() or 1) >= 2 else 1
 # The worker is handed the draws in batches of about this many bytes, with at
 # most _QUEUED batches waiting: one replicate per batch costs more in hand-offs
 # than it gains, and more batches waiting cost memory.
@@ -219,12 +236,12 @@ def _replicates(seed: int, prefix: tuple, reps: int, draw, row, width: int = 1) 
     ``SeedSequence`` and its ``spawn()`` raises numpy's ``TypeError``.
 
     ``draw`` runs on the calling thread.  With ``_THREADS`` at 2, ``row`` runs
-    off it, on one worker thread, while the calling thread draws the next
-    replicates; so ``row`` must not touch g, only the array it is given (and
-    buffers of its own: one thread runs every row, in order).  The worker
-    runs in a copy of the calling context, so ``np.errstate`` holds in the
-    rows.  Each row gets the same bits either way, and the error raised is
-    the one of the lowest replicate, as inline.
+    off it, on the worker thread of :func:`_pipeline`, while the calling
+    thread draws the next replicates; so ``row`` must not touch g, only the
+    array it is given (and buffers of its own: one thread runs every row, in
+    order).  The worker runs in a copy of the calling context, so
+    ``np.errstate`` holds in the rows.  Each row gets the same bits either
+    way, and the error raised is the one of the lowest replicate, as inline.
     """
     reps = _check_reps(reps)
     pool = _seed_sequence(seed, prefix).pool.tolist()
@@ -249,44 +266,60 @@ def _replicates(seed: int, prefix: tuple, reps: int, draw, row, width: int = 1) 
                 bitgen.state = state
                 yield r, draw(gen)
 
-    if _THREADS < 2:
-        for r, x in drawn():
-            out[r] = row(x)
-    else:
-        _pipeline(drawn(), row, out)
+    def use(r, x):
+        out[r] = row(x)
+
+    _pipeline(drawn(), use)
     return out
 
 
-def _pipeline(drawn, row, out: np.ndarray) -> None:
-    """``out[r] = row(x)`` for each (r, x) that the iterator ``drawn`` yields,
-    on one worker thread, while this thread draws the next ones.
+def _pipeline(drawn, use) -> None:
+    """``use(r, x)`` for each (r, x) that the iterator ``drawn`` yields, in
+    order.
 
-    The draws are handed over in batches of about ``_BATCH_BYTES``, at most
-    ``_QUEUED`` batches ahead of the worker.  After a row error the worker
-    computes no more rows and this thread draws no more; after a draw error
-    the rows already drawn are computed.  Every row handed over precedes the
-    failed draw, so a row error is the lowest one and wins.  The worker is
-    joined on every way out, KeyboardInterrupt included.
+    With ``_THREADS`` below 2 that is a plain loop on this thread.  Otherwise
+    ``use`` runs on one worker thread, in a copy of this thread's context (so
+    ``np.errstate`` holds there), while this thread draws the next ones; the
+    draws are handed over in batches of about ``_BATCH_BYTES``, at most
+    ``_QUEUED`` batches ahead of the worker.  For the length of the loop the
+    worker is placed on one CPU of this thread's mask, picked by the process
+    id modulo its size so that concurrent processes spread, and this thread
+    on the others: a new thread starts on its creator's CPU, where the two
+    would take turns.  With one CPU in the mask, or none that can be set,
+    the loop runs unplaced.
+
+    After an error in ``use`` the worker takes no more and this thread draws
+    no more; after a draw error the ones already drawn are used.  Every one
+    handed over precedes the failed draw, so an error in ``use`` is the one
+    of the lowest r and wins.  The worker is joined, and this thread's mask
+    restored, on every way out, KeyboardInterrupt included.
     """
+    if _THREADS < 2:
+        for r, x in drawn:
+            use(r, x)
+        return
     batches = queue.Queue(_QUEUED)
-    failed = []   # the worker's row error
-    errors = np.geterr()   # numpy 1.x keeps these per thread, 2.x in the context
+    failed = []   # the worker's error
+    cpus = _affinity()
+    mine = sorted(cpus)[os.getpid() % len(cpus)] if len(cpus) >= 2 else None
 
     def work():
-        with np.errstate(**errors):
-            while (batch := batches.get()) is not None:
-                if failed:
-                    continue   # drain the queue, so that no put blocks
-                for r, x in batch:
-                    try:
-                        out[r] = row(x)
-                    except BaseException as exc:   # raised again on the calling thread
-                        failed.append(exc)
-                        break
+        if mine is not None:
+            _place({mine})
+        while (batch := batches.get()) is not None:
+            if failed:
+                continue   # drain the queue, so that no put blocks
+            for r, x in batch:
+                try:
+                    use(r, x)
+                except BaseException as exc:   # raised again on the calling thread
+                    failed.append(exc)
+                    break
 
     worker = threading.Thread(target=contextvars.copy_context().run, args=(work,),
                               daemon=True)
     worker.start()
+    placed = mine is not None and _place(cpus - {mine})
     batch, size, drawing = [], 0, None
     try:
         try:
@@ -304,6 +337,8 @@ def _pipeline(drawn, row, out: np.ndarray) -> None:
     finally:
         batches.put(None)
         worker.join()
+        if placed:
+            _place(cpus)
     if failed:
         raise failed[0]
     if drawing is not None:

@@ -17,7 +17,10 @@ values in row r of one matrix.  A campaign hands it two closures: the draw,
 which calls ``sample`` or ``sample_doa`` on the calling thread, and the row,
 which computes the replicate's values from that draw alone, on a worker
 thread where two cores are usable.  Only the row closures use the working
-buffers below, and one thread runs them all, in order.
+buffers below, and one thread runs them all, in order.  ``verify_sampler``
+draws its one stream through the loop beneath that helper,
+:func:`~stablesums.rng._pipeline`: each chunk is drawn on the calling thread
+and added to the ECF sums on the worker, in chunk order.
 
 The replicated campaigns build what every replicate shares once per
 campaign: k and log(k*mu), the cut indices, the Riemann cells, the increment
@@ -56,8 +59,8 @@ from .functionals import (
     qi_log,
 )
 from .paths import DoaSpec, _increment_law, _partial_sums, _standard_error, sample_doa
-from .rng import (_as_finite, _as_samples, _check_count, _check_real, _check_reps, _replicates,
-                  _sized_by, stream)
+from .rng import (_as_finite, _as_samples, _check_count, _check_real, _check_reps, _pipeline,
+                  _replicates, _sized_by, stream)
 from .stable import _MAX_ABSERR, StableParams, cdf, char_fn, sample
 
 # The campaigns call the kernels behind these public functions, not the
@@ -553,11 +556,15 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     in sup norm.  The default grid is :func:`_frequency_grid`'s, -5 + 0.1*k
     for k = 0..100, which the command line builds too.  It draws in chunks
     of 2**14 and adds each to the sums of one :func:`_ecf_kernel`, so memory
-    stays of the order of one chunk on every grid.  On the default grid that
-    costs one exponential and 13 complex multiplies per draw and one 7 x 8
-    matrix product per 4096 draws, as each negative t takes the conjugate of
-    its mirror.  The control re-tests the same draws against the law with doubled
-    dispersion, so a dispersion whose double overflows is refused.
+    stays of the order of a few chunks on every grid.  The chunks are drawn
+    on the calling thread; where two cores are usable they are added on the
+    worker thread of :func:`~stablesums.rng._pipeline` while the next ones
+    are drawn, in chunk order, so the sums have the same bits either way.
+    On the default grid the sums cost one exponential and 13 complex
+    multiplies per draw and one 7 x 8 matrix product per 4096 draws, as each
+    negative t takes the conjugate of its mirror.  The control re-tests the
+    same draws against the law with doubled dispersion, so a dispersion
+    whose double overflows is refused.
     """
     n = _check_count(n, "n", 1)
     _check_real(n, "n", 1, _MAX_SAMPLER_N, "[]")
@@ -572,14 +579,18 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
 
     rng = stream(seed, _SIM)
     add_draws = _ecf_kernel(grid)
+    sums = add_draws(np.empty(0))   # the running sums, which every call adds to
     head = None
-    remaining = n
-    while remaining > 0:
-        chunk = sample(params, rng, min(_ECF_CHUNK, remaining))
-        remaining -= chunk.size
-        if head is None:
-            head = chunk[: min(5000, chunk.size)]
-        sums = add_draws(chunk)
+
+    def drawn():
+        nonlocal head
+        for start in range(0, n, _ECF_CHUNK):
+            chunk = sample(params, rng, min(_ECF_CHUNK, n - start))
+            if head is None:
+                head = chunk[:5000]
+            yield start, chunk
+
+    _pipeline(drawn(), lambda _, chunk: add_draws(chunk))
     ecf_vals = sums / n
 
     cf_vals = char_fn(params, grid)

@@ -1,13 +1,16 @@
 """The replicate loop with its rows on a worker thread.
 
-``rng._replicates`` draws each replicate on the calling thread and, where two
-cores are usable, computes its row on one worker thread meanwhile.  The
+``rng._pipeline`` draws on the calling thread and, where two cores are
+usable, hands each draw to one worker thread meanwhile: the rows of
+``rng._replicates`` and the ECF sums of ``verify_sampler`` run there.  The
 private ``_THREADS`` picks 1 (inline) or 2 (the worker), so every check here
 runs at both counts: the same bytes from every campaign, the error of the
 lowest replicate, the floating-point policy of the caller in the rows, and
-no thread left running.
+no thread left running.  With two CPUs in the mask the worker has one of
+them for the loop and the calling thread the others.
 """
 
+import os
 import sys
 import threading
 import time
@@ -15,12 +18,14 @@ import time
 import numpy as np
 import pytest
 
-from stablesums import Exponential, Pareto, mean_abs_deviation, rng
+from stablesums import Exponential, Pareto, StableParams, mean_abs_deviation, rng, verify_sampler
 from stablesums.cli import main
 
 # campaign argument lists at tiny scale; reps and n are large enough that
-# the draws fill several batches when a batch is one draw
+# the draws fill several batches when a batch is one draw (verify-sampler
+# draws 2**14 at a time)
 _CAMPAIGNS = {
+    "verify-sampler": ["--alpha", "1.5", "--beta", "0.5", "--n", "70000"],
     "verify-remark": ["--alpha", "1.5", "--beta", "1", "--reps", "30", "--grid", "64"],
     "verify-fclt": ["--n", "200", "--grid", "8", "--times", "0.5,1", "--reps", "30"],
     "verify-product": ["--tail-index", "1.5", "--n", "200", "--reps", "30"],
@@ -87,15 +92,18 @@ def test_rows_keep_their_bits_under_a_short_switch_interval(monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
-def _failing_loop(draw_fails=None, row_fails=(), reps=12, seen=None):
+def _failing_loop(draw_fails=None, row_fails=(), reps=12, seen=None, masks=None):
     """_replicates over ``reps`` replicates whose draw raises at replicate
     ``draw_fails`` and whose row raises at each replicate of ``row_fails``;
-    ``seen`` collects the replicates whose rows ran."""
+    ``seen`` collects the replicates whose rows ran, and ``masks`` the CPU
+    masks that the draws and the rows ran under."""
     drawn = []
 
     def draw(gen):
         r = len(drawn)
         drawn.append(r)
+        if masks is not None:
+            masks["draw"].add(frozenset(os.sched_getaffinity(0)))
         if r == draw_fails:
             raise ValueError(f"draw {r}")
         return np.full(4, float(r))
@@ -104,6 +112,8 @@ def _failing_loop(draw_fails=None, row_fails=(), reps=12, seen=None):
         r = int(x[0])
         if seen is not None:
             seen.append(r)
+        if masks is not None:
+            masks["row"].add(frozenset(os.sched_getaffinity(0)))
         if r in row_fails:
             time.sleep(0.02)   # the next draws, and a draw error, come first
             raise ValueError(f"row {r}")
@@ -160,6 +170,7 @@ def test_mean_abs_deviation_ignores_overflow_in_its_rows(loop):
 @pytest.mark.parametrize("loop", _LOOPS, indirect=True)
 def test_no_thread_outlives_the_loop(loop):
     before = threading.active_count()
+    mask = rng._affinity()
     assert _failing_loop().shape == (12, 1)
     assert threading.active_count() == before
     for draw_fails, row_fails in [(None, (2,)), (7, ())]:
@@ -175,3 +186,59 @@ def test_no_thread_outlives_the_loop(loop):
     with pytest.raises(KeyboardInterrupt):
         rng._replicates(3, (0,), 100, interrupted, np.sum)
     assert threading.active_count() == before
+    assert rng._affinity() == mask
+
+
+_two_cpus = pytest.mark.skipif(len(rng._affinity()) < 2, reason="needs two usable CPUs")
+
+
+@_two_cpus
+@pytest.mark.parametrize("draw_fails, row_fails, message", [
+    (None, (), None),
+    (None, (4,), "row 4"),
+    (7, (), "draw 7"),
+])
+def test_the_worker_has_a_cpu_of_its_own_for_the_loop(monkeypatch, draw_fails, row_fails,
+                                                      message):
+    monkeypatch.setattr(rng, "_THREADS", 2)
+    monkeypatch.setattr(rng, "_BATCH_BYTES", 1)
+    before = os.sched_getaffinity(0)
+    masks = {"draw": set(), "row": set()}
+    if message is None:
+        _failing_loop(masks=masks)
+    else:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _failing_loop(draw_fails, row_fails, masks=masks)
+    (row,), (draw,) = masks["row"], masks["draw"]
+    assert len(row) == 1 and row <= before
+    assert draw == before - row
+    assert os.sched_getaffinity(0) == before
+
+
+@pytest.mark.parametrize("broken", ["raises", "missing"])
+def test_a_mask_that_cannot_be_set_leaves_the_loop_unplaced(monkeypatch, broken):
+    def draw(gen):
+        return gen.standard_normal(64)
+
+    monkeypatch.setattr(rng, "_THREADS", 1)
+    want = rng._replicates(2, (1,), 300, draw, np.cumsum, 64)
+    monkeypatch.setattr(rng, "_THREADS", 2)
+    monkeypatch.setattr(rng, "_BATCH_BYTES", 1)
+    tried = []
+    if broken == "raises":
+        def refuse(pid, cpus):
+            tried.append(cpus)
+            raise OSError(22, "Invalid argument")
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    got = rng._replicates(2, (1,), 300, draw, np.cumsum, 64)
+    assert got.tobytes() == want.tobytes()
+    # the worker and the calling thread each tried to take their CPUs
+    assert len(tried) == (2 if broken == "raises" and len(rng._affinity()) >= 2 else 0)
+
+
+@pytest.mark.parametrize("loop", _LOOPS, indirect=True)
+def test_verify_sampler_refuses_draws_whose_t_x_overflows(loop):
+    with pytest.raises(ValueError, match=r"^t\*x overflows"):
+        verify_sampler(StableParams(1.5, 0.5), 3 * 2**14, 0, t_grid=[0.0, 1e308])
