@@ -301,11 +301,11 @@ def _pipeline(drawn, use) -> None:
     batches = queue.Queue(_QUEUED)
     failed = []   # the worker's error
     cpus = _affinity()
-    mine = sorted(cpus)[os.getpid() % len(cpus)] if len(cpus) >= 2 else None
+    worker_cpu = sorted(cpus)[os.getpid() % len(cpus)] if len(cpus) >= 2 else None
 
     def work():
-        if mine is not None:
-            _place({mine})
+        if worker_cpu is not None:
+            _place({worker_cpu})
         while (batch := batches.get()) is not None:
             if failed:
                 continue   # drain the queue, so that no put blocks
@@ -319,7 +319,7 @@ def _pipeline(drawn, use) -> None:
     worker = threading.Thread(target=contextvars.copy_context().run, args=(work,),
                               daemon=True)
     worker.start()
-    placed = mine is not None and _place(cpus - {mine})
+    placed = worker_cpu is not None and _place(cpus - {worker_cpu})
     batch, size, drawing = [], 0, None
     try:
         try:
