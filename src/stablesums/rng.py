@@ -24,8 +24,8 @@ gives each one, and re-keys one shared generator for each draw.
 The draws stay on the calling thread; where two cores are usable, what is
 computed from each draw runs on one worker thread while the next one is
 drawn, in draw order, with the same bits as inline.  For the length of the
-loop the worker has one CPU of the caller's mask and the caller the others,
-as the kernel would otherwise keep the worker on its creator's CPU.
+loop the worker has the highest CPU of the caller's mask and the caller the
+others, as the kernel would otherwise keep the worker on its creator's CPU.
 
 The input checks the simulation entry points share (counts, seeds among
 them, real parameters, sample arrays, float powers) live here too, so each is
@@ -149,14 +149,13 @@ def _affinity() -> set:
         return set()
 
 
-def _place(cpus: set) -> bool:
-    """Set the calling thread's CPU mask to ``cpus``; False where the
-    platform has no such call or refuses it."""
+def _place(cpus: set) -> None:
+    """Set the calling thread's CPU mask to ``cpus``, where the platform has
+    such a call and accepts it."""
     try:
         os.sched_setaffinity(0, cpus)
     except (AttributeError, OSError):
-        return False
-    return True
+        pass
 
 
 # The threads of a _pipeline loop, read at each call: 2 where two cores are
@@ -282,11 +281,11 @@ def _pipeline(drawn, use) -> None:
     ``np.errstate`` holds there), while this thread draws the next ones; the
     draws are handed over in batches of about ``_BATCH_BYTES``, at most
     ``_QUEUED`` batches ahead of the worker.  For the length of the loop the
-    worker is placed on one CPU of this thread's mask, picked by the process
-    id modulo its size so that concurrent processes spread, and this thread
-    on the others: a new thread starts on its creator's CPU, where the two
-    would take turns.  With one CPU in the mask, or none that can be set,
-    the loop runs unplaced.
+    worker is placed on the highest CPU of this thread's mask and this thread
+    on the others: unplaced, the kernel keeps the two on one CPU, where they
+    take turns.  Loops in concurrent processes all put their workers on that
+    one CPU, and two of them ran slower than unplaced.  With one CPU in
+    the mask, or none that can be set, the loop runs unplaced.
 
     After an error in ``use`` the worker takes no more and this thread draws
     no more; after a draw error the ones already drawn are used.  Every one
@@ -301,7 +300,7 @@ def _pipeline(drawn, use) -> None:
     batches = queue.Queue(_QUEUED)
     failed = []   # the worker's error
     cpus = _affinity()
-    worker_cpu = sorted(cpus)[os.getpid() % len(cpus)] if len(cpus) >= 2 else None
+    worker_cpu = max(cpus) if len(cpus) >= 2 else None
 
     def work():
         if worker_cpu is not None:
@@ -319,9 +318,10 @@ def _pipeline(drawn, use) -> None:
     worker = threading.Thread(target=contextvars.copy_context().run, args=(work,),
                               daemon=True)
     worker.start()
-    placed = worker_cpu is not None and _place(cpus - {worker_cpu})
     batch, size, drawing = [], 0, None
     try:
+        if worker_cpu is not None:
+            _place(cpus - {worker_cpu})
         try:
             for r, x in drawn:
                 batch.append((r, x))
@@ -337,7 +337,7 @@ def _pipeline(drawn, use) -> None:
     finally:
         batches.put(None)
         worker.join()
-        if placed:
+        if worker_cpu is not None:
             _place(cpus)
     if failed:
         raise failed[0]

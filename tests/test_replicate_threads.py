@@ -210,9 +210,28 @@ def test_the_worker_has_a_cpu_of_its_own_for_the_loop(monkeypatch, draw_fails, r
         with pytest.raises(ValueError, match=f"^{message}$"):
             _failing_loop(draw_fails, row_fails, masks=masks)
     (row,), (draw,) = masks["row"], masks["draw"]
-    assert len(row) == 1 and row <= before
+    assert row == {max(before)}
     assert draw == before - row
     assert os.sched_getaffinity(0) == before
+
+
+@_two_cpus
+def test_an_interrupt_as_the_caller_takes_its_cpus_gives_its_mask_back(monkeypatch):
+    monkeypatch.setattr(rng, "_THREADS", 2)
+    before = os.sched_getaffinity(0)
+    threads = threading.active_count()
+    set_mask, caller = os.sched_setaffinity, threading.get_ident()
+
+    def interrupted(pid, cpus):
+        set_mask(pid, cpus)
+        if threading.get_ident() == caller and set(cpus) != before:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "sched_setaffinity", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        rng._replicates(3, (0,), 20, lambda gen: gen.random(3), np.sum)
+    assert os.sched_getaffinity(0) == before
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("broken", ["raises", "missing"])
@@ -234,8 +253,9 @@ def test_a_mask_that_cannot_be_set_leaves_the_loop_unplaced(monkeypatch, broken)
         monkeypatch.delattr(os, "sched_setaffinity", raising=False)
     got = rng._replicates(2, (1,), 300, draw, np.cumsum, 64)
     assert got.tobytes() == want.tobytes()
-    # the worker and the calling thread each tried to take their CPUs
-    assert len(tried) == (2 if broken == "raises" and len(rng._affinity()) >= 2 else 0)
+    # the worker and the calling thread each tried to take their CPUs, and
+    # the calling thread to take its mask back
+    assert len(tried) == (3 if broken == "raises" and len(rng._affinity()) >= 2 else 0)
 
 
 @pytest.mark.parametrize("loop", _LOOPS, indirect=True)
