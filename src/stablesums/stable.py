@@ -20,6 +20,24 @@ Branches of the characteristic function, chosen exactly by alpha:
 
 ``beta`` has no effect at alpha == 2 and is kept only for bookkeeping.
 
+Sampling
+--------
+``sample`` draws alpha == 2 as normal variates and every other law by the
+Chambers-Mallows-Stuck (1976) transform of one uniform angle and one
+exponential.  Its sines and cosines all come from numpy's ``tan``, which
+numpy runs as an AVX-512 loop several times faster than its scalar ``sin``
+and ``cos`` (on an AVX2 host ``tan`` is scalar too, and a draw costs about
+5-8% more than through ``sin`` and ``cos``): ``_sin`` takes sin(a),
+|a| <= pi, as 2u / (1 + u^2) with u = tan(a/2), and ``_cos`` takes cos(phi),
+|phi| <= pi/2, as the sine of pi/2 - |phi|, with pi/2 in two parts, so that
+the difference is accurate to an ulp next to |phi| = pi/2, where the heavy
+tail comes from.  For alpha in [0.3, 1.9] and alpha != 1 the draws are
+within a median of 1 to 2 ulp and at most 14 ulp of 40-digit arithmetic on
+the same angles (the C library's sine and cosine: 1 and 7).  They differ
+from the transform on the C library's sine and cosine by at most about
+2.5e-15 relative for alpha >= 0.3, and by 1.5e-14 at alpha = 0.05, where
+the powers 1/alpha and (1 - alpha)/alpha carry the cosines' rounding.
+
 CDF
 ---
 ``cdf`` evaluates a whole array of x in one vectorized kernel; only the
@@ -188,13 +206,43 @@ def scale_shift(params: StableParams, c: float, d: float) -> StableParams:
     return replace(params, dispersion=new_disp, location=new_loc)
 
 
+# pi/2 as math.pi / 2 plus the double nearest its rounding error
+_HALF_PI_LO = 6.123233995736766e-17
+
+
+def _sin(a, scratch, out=None):
+    """sin(a) for |a| <= pi, as 2u / (1 + u**2) with u = tan(a / 2), into
+    ``out`` (which may be ``a``) or a new array; ``scratch`` is overwritten."""
+    u = np.multiply(a, 0.5, out=out)
+    np.tan(u, out=u)
+    den = np.multiply(u, u, out=scratch)
+    den += 1.0
+    u += u
+    u /= den
+    return u
+
+
+def _cos(phi, scratch):
+    """cos(phi) for |phi| <= pi/2, in place, as sin(pi/2 - |phi|); pi/2 is
+    taken in two parts, so the difference keeps its relative accuracy near
+    |phi| = pi/2, where the draws' heavy tail comes from."""
+    delta = np.abs(phi, out=phi)
+    np.subtract(math.pi / 2.0, delta, out=delta)
+    delta += _HALF_PI_LO
+    return _sin(delta, scratch, out=delta)
+
+
 def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draws of the unit-dispersion, zero-location law, alpha in (0,2).
 
     The operations run in place on the draws' own buffers, in the order and
-    association of the textbook expressions, so the bits are theirs."""
+    association of the textbook expressions with ``_sin`` and ``_cos`` for
+    their sines and cosines, so the bits are those of these expressions
+    (``tests/reference_sampler.py``).  The exponentials are drawn after the
+    uniforms, into the trigonometry's scratch array once it is done with, so
+    a call holds at most four arrays of n floats at once."""
     theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-    w = rng.standard_exponential(n)
+    scratch = np.empty(n)
     if alpha == 1.0:
         # ((pi/2 + beta theta) tan theta - beta log((pi/2 w) cos theta
         #  / (pi/2 + beta theta))) / (pi/2)
@@ -203,8 +251,10 @@ def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, n: int) -
         shifted += half_pi
         x = np.tan(theta)
         x *= shifted
+        cos_theta = _cos(theta, scratch)
+        w = rng.standard_exponential(out=scratch)
         w *= half_pi
-        w *= np.cos(theta, out=theta)
+        w *= cos_theta
         w /= shifted
         np.log(w, out=w)
         w *= beta
@@ -218,13 +268,13 @@ def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, n: int) -
     scale = (1.0 + (beta * skew) ** 2) ** (0.5 / alpha)
     arg = theta + pivot
     arg *= alpha
-    x = np.sin(arg)
+    x = _sin(arg, scratch)
     x *= scale
-    ratio = np.subtract(theta, arg, out=arg)
-    np.cos(ratio, out=ratio)
+    ratio = _cos(np.subtract(theta, arg, out=arg), scratch)
+    cos_theta = _cos(theta, scratch)
+    w = rng.standard_exponential(out=scratch)
     ratio /= w
     ratio **= (1.0 - alpha) / alpha
-    cos_theta = np.cos(theta, out=theta)
     cos_theta **= 1.0 / alpha
     x /= cos_theta
     x *= ratio

@@ -132,8 +132,8 @@ PINNED = {
          (494.90147136548427, -9714.285714285716)]),
     "exact stable": (
         ExactStable(StableParams(1.5, 0.5, 2.0, 1.0)),
-        [-0.4738564951006454, -2.539248339008829, -0.2886342808601514,
-         4.091167516597364, 3.4037498296157684],
+        [-0.4738564951006454, -2.5392483390088296, -0.2886342808601514,
+         4.091167516597364, 3.403749829615768],
         [(1.5874010519681994, 1.0), (34.19951893353393, 100.0),
          (736.806299728077, 10000.0)]),
     "degenerate": (

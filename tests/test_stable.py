@@ -261,6 +261,71 @@ def test_sampler_keeps_the_bits_of_the_textbook_expressions(alpha):
         assert got.tobytes() == want.tobytes(), (beta, d, mu, n, seed)
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 1.0, 1.2, 1.5, 1.9, 2.0])
+def test_sampler_meets_the_transform_on_the_c_librarys_sine_and_cosine(alpha):
+    # the powers 1/alpha and (1-alpha)/alpha carry the cosines' rounding; at
+    # alpha == 1 the two terms of a draw can cancel, so the bound is absolute
+    rtol = 4e-15 * max(1.0, abs(1.0 - alpha) / alpha)
+    for beta, seed in itertools.product([-1.0, -0.5, 0.0, 0.3, 1.0], [0, 1, 2]):
+        params = StableParams(alpha, beta)
+        want = reference_sample(params, stream(3007, seed), 16385, sin=np.sin, cos=np.cos)
+        got = sample(params, stream(3007, seed), 16385)
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol if alpha == 1.0 else 0.0,
+                                   err_msg=f"beta={beta}, seed={seed}")
+
+
+@pytest.mark.parametrize("angle", [math.pi, -math.pi, math.pi / 2, -math.pi / 2, 0.0, -0.0])
+def test_half_angle_sine_at_the_ends_of_its_interval(angle):
+    got = stable._sin(np.array([angle]), np.empty(1))[0]
+    want = math.sin(angle)
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert abs(got - want) <= 2.0 * math.ulp(want)
+
+
+# -pi/2 is the angle the sampler draws from a uniform of 0
+@pytest.mark.parametrize("angle", [-math.pi / 2, math.pi / 2, 0.0, -0.0])
+def test_half_angle_cosine_at_the_ends_of_its_interval(angle):
+    got = stable._cos(np.array([angle]), np.empty(1))[0]
+    want = math.cos(angle)
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert abs(got - want) <= 2.0 * math.ulp(want)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 1.0, 1.2, 1.5, 1.9, 2.0])
+def test_sampler_raises_no_floating_point_error(alpha):
+    for beta in [-1.0, -0.5, 0.0, 0.3, 1.0]:
+        with np.errstate(all="raise"):
+            sample(StableParams(alpha, beta), stream(3008, 0), 16385)
+
+
+def _mp_standard_draws(alpha, beta, theta, w):
+    """The alpha != 1 transform in 40-digit arithmetic, on the sampler's own
+    float constants and angles: only its sines, cosines, powers, products and
+    quotients are exact."""
+    skew = math.tan(math.pi * alpha / 2.0)
+    pivot = math.atan(beta * skew) / alpha
+    scale = (1.0 + (beta * skew) ** 2) ** (0.5 / alpha)
+    arg = (theta + pivot) * alpha
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        return np.array([float(scale * mpmath.sin(g) / mpmath.cos(t) ** (1 / a)
+                               * (mpmath.cos(c) / e) ** ((1 - a) / a))
+                         for t, e, g, c in zip(theta.tolist(), w.tolist(), arg.tolist(),
+                                               (theta - arg).tolist())])
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.5, 0.0), (1.5, 1.0), (1.2, 0.5), (0.5, -0.5)])
+def test_sampler_within_a_few_ulp_of_mpmath(alpha, beta):
+    n = 2000
+    rng = stream(3009, 0)
+    theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
+    w = rng.standard_exponential(n)
+    want = _mp_standard_draws(alpha, beta, theta, w)
+    got = sample(StableParams(alpha, beta), stream(3009, 0), n)
+    ulps = np.abs(got - want) / np.spacing(np.abs(want))
+    assert np.median(ulps) <= 2.0 and ulps.max() <= 32.0, (np.median(ulps), ulps.max())
+
+
 def test_sampler_rejects_bad_n():
     with pytest.raises(ValueError):
         sample(StableParams(1.5, 0.0), stream(1, 0), -1)
