@@ -6,9 +6,12 @@ campaign writes ``report.json`` plus CSV artifacts into ``--out-dir``
 (default: current directory).  Exit codes: 0 campaign passed, 1 campaign
 failed (report still written), 2 configuration error, a bad flag, an input
 whose derived constants overflow, an input too large to allocate, and an
-unreadable, undecodable or unwritable file included (nothing written), 3 numerical
-failure: the error estimate of a stable CDF value exceeded its tolerance (no
-report written).  Each error prints one line ``error: <subcommand>: ...``.
+unreadable, undecodable or unwritable file included (nothing written, but
+the files before an unwritable one), 3 numerical failure: the error estimate
+of a stable CDF value exceeded its tolerance (no report written), 130
+interrupted (no report written).  Each error prints one line
+``error: <subcommand>: ...``, and a file under its final name is whole: each
+is written under a temporary name and renamed once closed.
 
 One floating-point policy holds in ``main``: an evaluation that overflows by
 design, such as ``stable.cdf``, silences its own scope and checks its
@@ -489,6 +492,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError, FloatingPointError, QuadratureError) as exc:
         print(f"error: {ns.campaign}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3 if isinstance(exc, QuadratureError) else 2
+    except KeyboardInterrupt:
+        print(f"error: {ns.campaign}: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -12,20 +12,21 @@ The stream at address ``(seed, *path)`` is numpy's own
 ``(seed, *path, 1)``, ...  The seed is one 64-bit integer and each path
 component one 32-bit word, so distinct addresses give ``SeedSequence``
 distinct entropy.
-Every Monte Carlo replicate of the package is drawn through
-:func:`_replicates`, which stores replicate r's values in row r of one
-matrix.  It keys the replicate indices a block at a time: it takes the
-prefix's pool from ``SeedSequence`` and mixes the indices into it
+The replicates of the four replicated campaigns and of ``mean_abs_deviation``
+are drawn through :func:`_replicates` (the ``paths`` subcommand draws path r
+from ``stream(seed, 0, r)`` itself), which stores replicate r's values in row
+r of one matrix.  It keys the replicate indices a block at a time: it takes
+the prefix's pool from ``SeedSequence`` and mixes the indices into it
 (:func:`_stir`, :func:`_key`) on numpy arrays, with the bits :func:`stream`
 gives each one, and re-keys one shared generator for each draw.
 
 :func:`_pipeline` is the package's one threaded loop: the replicate rows of
 :func:`_replicates` and the ECF sums of ``verify_sampler`` run through it.
-The draws stay on the calling thread; where two cores are usable, what is
-computed from each draw runs on one worker thread while the next one is
-drawn, in draw order, with the same bits as inline.  For the length of the
-loop the worker has the highest CPU of the caller's mask and the caller the
-others, as the kernel would otherwise keep the worker on its creator's CPU.
+The draws stay on the calling thread; where the caller's CPU mask holds two
+CPUs, what is computed from each draw runs on one worker thread while the
+next one is drawn, in draw order, with the same bits as inline.  The worker
+then has the highest CPU of that mask and the caller the others, as the
+kernel would otherwise keep the worker on its creator's CPU.
 
 The input checks the simulation entry points share (counts, seeds among
 them, real parameters, sample arrays, float powers) live here too, so each is
@@ -158,9 +159,6 @@ def _place(cpus: set) -> None:
         pass
 
 
-# The threads of a _pipeline loop, read at each call: 2 where two cores are
-# usable (this thread draws, one worker uses the draws), else 1 (inline).
-_THREADS = 2 if (len(_affinity()) or os.cpu_count() or 1) >= 2 else 1
 # The worker is handed the draws in batches of about this many bytes, with at
 # most _QUEUED batches waiting: one replicate per batch costs more in hand-offs
 # than it gains, and more batches waiting cost memory.
@@ -234,9 +232,9 @@ def _replicates(seed: int, prefix: tuple, reps: int, draw, row, width: int = 1) 
     is one and the same Generator, re-keyed before each draw: it has no
     ``SeedSequence`` and its ``spawn()`` raises numpy's ``TypeError``.
 
-    ``draw`` runs on the calling thread.  With ``_THREADS`` at 2, ``row`` runs
-    off it, on the worker thread of :func:`_pipeline`, while the calling
-    thread draws the next replicates; so ``row`` must not touch g, only the
+    ``draw`` runs on the calling thread.  Where :func:`_pipeline` starts its
+    worker, ``row`` runs off it, on that worker, while the calling thread
+    draws the next replicates; so ``row`` must not touch g, only the
     array it is given (and buffers of its own: one thread runs every row, in
     order).  The worker runs in a copy of the calling context, so
     ``np.errstate`` holds in the rows.  Each row gets the same bits either
@@ -276,7 +274,8 @@ def _pipeline(drawn, use) -> None:
     """``use(r, x)`` for each (r, x) that the iterator ``drawn`` yields, in
     order.
 
-    With ``_THREADS`` below 2 that is a plain loop on this thread.  Otherwise
+    With one CPU in this thread's mask, read here at each call (or with no
+    mask read and one core), that is a plain loop on this thread.  Otherwise
     ``use`` runs on one worker thread, in a copy of this thread's context (so
     ``np.errstate`` holds there), while this thread draws the next ones; the
     draws are handed over in batches of about ``_BATCH_BYTES``, at most
@@ -284,8 +283,8 @@ def _pipeline(drawn, use) -> None:
     worker is placed on the highest CPU of this thread's mask and this thread
     on the others: unplaced, the kernel keeps the two on one CPU, where they
     take turns.  Loops in concurrent processes all put their workers on that
-    one CPU, and two of them ran slower than unplaced.  With one CPU in
-    the mask, or none that can be set, the loop runs unplaced.
+    one CPU, and two of them ran slower than unplaced.  With a mask that
+    cannot be read or set, the loop runs unplaced.
 
     After an error in ``use`` the worker takes no more and this thread draws
     no more; after a draw error the ones already drawn are used.  Every one
@@ -293,14 +292,14 @@ def _pipeline(drawn, use) -> None:
     of the lowest r and wins.  The worker is joined, and this thread's mask
     restored, on every way out, KeyboardInterrupt included.
     """
-    if _THREADS < 2:
+    cpus = _affinity()
+    if (len(cpus) or os.cpu_count() or 1) < 2:
         for r, x in drawn:
             use(r, x)
         return
     batches = queue.Queue(_QUEUED)
     failed = []   # the worker's error
-    cpus = _affinity()
-    worker_cpu = max(cpus) if len(cpus) >= 2 else None
+    worker_cpu = max(cpus) if cpus else None
 
     def work():
         if worker_cpu is not None:

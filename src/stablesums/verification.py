@@ -16,9 +16,9 @@ replicates a block of indices at a time, with the bits of
 values in row r of one matrix.  A campaign hands it two closures: the draw,
 which calls ``sample`` or ``sample_doa`` on the calling thread, and the row,
 which computes the replicate's values from that draw alone, on a worker
-thread where two cores are usable.  Only the row closures use the working
-buffers below, and one thread runs them all, in order.  ``verify_sampler``
-draws its one stream through the loop beneath that helper,
+thread where the CPU mask holds two CPUs.  Only the row closures use the
+working buffers below, and one thread runs them all, in order.
+``verify_sampler`` draws its one stream through the loop beneath that helper,
 :func:`~stablesums.rng._pipeline`: each chunk is drawn on the calling thread
 and added to the ECF sums on the worker, in chunk order.
 
@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Optional, Sequence
@@ -246,11 +247,10 @@ def _cis(y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 def _ecf_kernel(t: np.ndarray):
-    """The function that adds draws x of any length to running sums
-    sum_j exp(i*t_k*x_j), one for each frequency t_k of the 1-d grid t, and
-    returns them, the one array that every call adds to.  It cuts x into
-    pieces of ``_ECF_CHUNK`` draws and adds each piece's sums, taken as
-    below, to the running sums.
+    """The pair (add, sums): ``add(x)`` adds draws x of any length to the
+    running sums sum_j exp(i*t_k*x_j), one for each frequency t_k of the 1-d
+    grid t, in the array ``sums``.  It cuts x into pieces of ``_ECF_CHUNK``
+    draws and adds each piece's sums, taken as below, to the running sums.
 
     On an arithmetic grid t_k = t_0 + k*dt the sums are power sums of
     z = exp(i*dt*x).  When the progression crosses zero inside the grid at
@@ -336,14 +336,13 @@ def _ecf_kernel(t: np.ndarray):
             np.conjugate(out, out=out, where=negative)
             total[:] += out
 
-    def add(x: np.ndarray) -> np.ndarray:
+    def add(x: np.ndarray) -> None:
         if not math.isfinite(t_max * float(np.abs(x).max(initial=0.0))):
             raise ValueError("t*x overflows: max|t| * max|samples| is not finite")
         for start in range(0, x.size, _ECF_CHUNK):
             add_piece(x[start : start + _ECF_CHUNK])
-        return total
 
-    return add
+    return add, total
 
 
 def empirical_char_fn(samples, t):
@@ -357,7 +356,9 @@ def empirical_char_fn(samples, t):
     """
     x = _as_samples(samples, "samples")
     t = _as_finite(t, "t")
-    out = (_ecf_kernel(t.ravel())(x) / x.size).reshape(t.shape)
+    add, sums = _ecf_kernel(t.ravel())
+    add(x)
+    out = (sums / x.size).reshape(t.shape)
     if t.ndim == 0:
         return complex(out)
     return out
@@ -458,11 +459,26 @@ def _spec_dict(spec: DoaSpec) -> dict:
 _CSV_BLOCK = 4096
 
 
+@contextmanager
 def _open(out_dir, name: str):
     """``out_dir/name`` opened for text, making ``out_dir`` at the first
-    write, so a run that stops at a check leaves no directory behind."""
+    write, so a run that stops at a check leaves no directory behind.  The
+    text goes to a temporary name in ``out_dir``, which is moved to ``name``
+    once the file has closed cleanly, so a file under its final name is
+    whole.  On any error the temporary file is removed, and an ``OSError`` is
+    raised again as one that names ``name``."""
     os.makedirs(out_dir, exist_ok=True)
-    return open(os.path.join(out_dir, name), "w", newline="\n")
+    part = os.path.join(out_dir, f".{name}.part")
+    try:
+        with open(part, "w", newline="\n") as fh:
+            yield fh
+        os.replace(part, os.path.join(out_dir, name))
+    except BaseException as exc:
+        with suppress(OSError):
+            os.remove(part)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {name}: {exc}") from None
+        raise
 
 
 def _write(out_dir, name: str, text: str) -> str:
@@ -557,9 +573,9 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     for k = 0..100, which the command line builds too.  It draws in chunks
     of 2**14 and adds each to the sums of one :func:`_ecf_kernel`, so memory
     stays of the order of a few chunks on every grid.  The chunks are drawn
-    on the calling thread; where two cores are usable they are added on the
-    worker thread of :func:`~stablesums.rng._pipeline` while the next ones
-    are drawn, in chunk order, so the sums have the same bits either way.
+    on the calling thread; where the CPU mask holds two CPUs they are added
+    on the worker thread of :func:`~stablesums.rng._pipeline` while the next
+    ones are drawn, in chunk order, so the sums have the same bits either way.
     On the default grid the sums cost one exponential and 13 complex
     multiplies per draw and one 7 x 8 matrix product per 4096 draws, as each
     negative t takes the conjugate of its mirror.  The control re-tests the
@@ -578,8 +594,7 @@ def verify_sampler(params: StableParams, n: int, seed, t_grid=None,
     wrong = replace(params, dispersion=2.0 * params.dispersion)
 
     rng = stream(seed, _SIM)
-    add_draws = _ecf_kernel(grid)
-    sums = add_draws(np.empty(0))   # the running sums, which every call adds to
+    add_draws, sums = _ecf_kernel(grid)
     head = None
 
     def drawn():

@@ -13,8 +13,9 @@ the bytes hashed, so ``report.json`` does not depend on where it ran.
     python tests/bytes_manifest.py golden
 
 ``write`` runs the source tree DIR (default: this checkout), its ``src/``
-and its ``bench/workloads.py``, with the private replicate-loop thread count
-``rng._THREADS`` at 1 or 2 (default: as the package picks it).  ``diff``
+and its ``bench/workloads.py``, with the replicate loop inline (``--threads
+1``) or with its worker (2) as :func:`loop_patches` fakes the CPU mask that
+``rng._pipeline`` reads (default: this process's own mask).  ``diff``
 prints every name whose value differs between two manifests, or that only
 one of them has, and exits 1 if there is any.  ``golden`` writes this
 checkout's tiny-scale manifest into ``tests/bytes_tiny.json`` under this
@@ -48,6 +49,19 @@ def simd_key() -> str:
     space-separated."""
     from numpy._core import _multiarray_umath as umath
     return " ".join(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))
+
+
+def loop_patches(threads: int) -> list:
+    """The (object, name, value) replacements under which ``rng._pipeline``
+    runs inline (``threads`` 1) or with its worker (2), by the rule it
+    applies to the mask it reads: a mask of one CPU; for the worker, this
+    process's own mask where it holds two CPUs, else no mask on two cores."""
+    from stablesums import rng
+    if threads == 1:
+        return [(rng, "_affinity", lambda: {0})]
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        return [(rng, "_affinity", lambda: os.sched_getaffinity(0))]
+    return [(rng, "_affinity", set), (os, "cpu_count", lambda: 2)]
 
 
 def _workloads(tree: Path):
@@ -112,8 +126,8 @@ def _main(argv=None) -> int:
         return 0
     sys.path.insert(0, str(args.tree.resolve() / "src"))
     if args.threads is not None:
-        from stablesums import rng
-        rng._THREADS = args.threads
+        for obj, name, value in loop_patches(args.threads):
+            setattr(obj, name, value)
     entries = manifest(args.scale, args.tree.resolve())
     Path(args.out).write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
     return 0

@@ -13,14 +13,13 @@ its diff names the files that moved.
 import json
 
 import pytest
-from bytes_manifest import GOLDEN, differences, manifest, simd_key
-
-from stablesums import rng
+from bytes_manifest import GOLDEN, differences, loop_patches, manifest, simd_key
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_bench_command_lines_keep_their_bytes(monkeypatch, threads):
-    monkeypatch.setattr(rng, "_THREADS", threads)
+    for obj, name, value in loop_patches(threads):
+        monkeypatch.setattr(obj, name, value)
     got = manifest("tiny")
     golden = json.loads(GOLDEN.read_text())
     want = golden.get(simd_key())

@@ -7,18 +7,19 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import stablesums
-from stablesums import (Degenerate, Exponential, Pareto, StableParams, TwoSidedPareto,
+from stablesums import (Degenerate, Exponential, Pareto, StableParams, TwoSidedPareto, rng,
                         stable, verify_sampler)
 from stablesums.cli import (_OPTIONS, CampaignConfig, _resolve, build_parser, emit_plotdata,
                             main, run)
 from stablesums.paths import simulate_levy_path
 from stablesums.rng import stream
-from stablesums.verification import _write_csv
+from stablesums.verification import _open, _write_csv
 
 
 def _run(*args):
@@ -812,6 +813,69 @@ def test_an_allocation_failure_names_the_size(tmp_path, args, size):
     assert proc.stderr.startswith(f"error: {args[0]}: cannot allocate for {size}: ")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
     assert not out.exists()
+
+
+_FILE_LIMIT = """
+import resource, sys
+import stablesums.cli
+limit = 2**16   # bytes per file: statistics.csv at 3000 replicates does not fit
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+sys.exit(stablesums.cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_write_failure_names_the_file_and_leaves_none_of_it(tmp_path):
+    # a file that outgrows the process's file size limit: one error line that
+    # names it, exit 2, and neither a truncated file nor its temporary one
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(stablesums.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", _FILE_LIMIT, "verify-fclt", "--family",
+                           "exponential", "--n", "1000", "--grid", "16", "--times", "0.5,1.0",
+                           "--reps", "3000", "--seed", "1", "--out-dir", str(out)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: verify-fclt: cannot write statistics.csv: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert os.listdir(out) == []
+
+
+def test_an_interrupted_write_leaves_no_file(tmp_path):
+    with pytest.raises(KeyboardInterrupt):
+        with _open(tmp_path, "samples.csv") as fh:
+            fh.write("value\n")
+            raise KeyboardInterrupt
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("module, name, after", [
+    (stablesums.cli, "verify_fclt", 0),
+    (stablesums.verification, "sample_doa", 3),
+], ids=["campaign", "replicate-draw"])
+def test_an_interrupt_exits_130_with_one_line(tmp_path, capsys, monkeypatch, module, name,
+                                              after):
+    # Ctrl-C in the campaign, or in a replicate's draw while the rows run on
+    # the worker: one line, exit 130, no report, and the CPU mask given back
+    real, calls = getattr(module, name), []
+
+    def interrupted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > after:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, interrupted)
+    mask, threads = rng._affinity(), threading.active_count()
+    out = tmp_path / "out"
+    assert _run("verify-fclt", "--n", "200", "--grid", "8", "--times", "0.5,1", "--reps", "30",
+                "--seed", "1", "--out-dir", str(out)) == 130
+    assert capsys.readouterr().err == "error: verify-fclt: interrupted\n"
+    assert len(calls) == after + 1
+    assert not (out / "report.json").exists()
+    assert rng._affinity() == mask
+    assert threading.active_count() == threads
 
 
 def test_readme_pipeline_writes_overlay(tmp_path):

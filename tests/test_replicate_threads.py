@@ -1,13 +1,14 @@
 """The replicate loop with its rows on a worker thread.
 
-``rng._pipeline`` draws on the calling thread and, where two cores are
-usable, hands each draw to one worker thread meanwhile: the rows of
-``rng._replicates`` and the ECF sums of ``verify_sampler`` run there.  The
-private ``_THREADS`` picks 1 (inline) or 2 (the worker), so every check here
-runs at both counts: the same bytes from every campaign, the error of the
-lowest replicate, the floating-point policy of the caller in the rows, and
-no thread left running.  With two CPUs in the mask the worker has one of
-them for the loop and the calling thread the others.
+``rng._pipeline`` draws on the calling thread and, where the CPU mask it
+reads at each loop holds two CPUs, hands each draw to one worker thread
+meanwhile: the rows of ``rng._replicates`` and the ECF sums of
+``verify_sampler`` run there.  The checks fake that mask
+(``bytes_manifest.loop_patches``) to run at 1 thread (inline) and at 2 (the
+worker): the same bytes from every campaign, the error of the lowest
+replicate, the floating-point policy of the caller in the rows, and no
+thread left running.  With two CPUs in the mask the worker has one of them
+for the loop and the calling thread the others.
 """
 
 import os
@@ -17,6 +18,7 @@ import time
 
 import numpy as np
 import pytest
+from bytes_manifest import loop_patches
 
 from stablesums import Exponential, Pareto, StableParams, mean_abs_deviation, rng, verify_sampler
 from stablesums.cli import main
@@ -37,11 +39,17 @@ _CAMPAIGNS = {
 _LOOPS = [(1, rng._BATCH_BYTES), (2, rng._BATCH_BYTES), (2, 1)]
 
 
+def _set_loop(monkeypatch, threads, batch=rng._BATCH_BYTES):
+    """Run the loops inline (``threads`` 1) or with the worker (2), handing
+    it the draws in batches of ``batch`` bytes."""
+    for obj, name, value in loop_patches(threads):
+        monkeypatch.setattr(obj, name, value)
+    monkeypatch.setattr(rng, "_BATCH_BYTES", batch)
+
+
 @pytest.fixture
 def loop(monkeypatch, request):
-    threads, batch = request.param
-    monkeypatch.setattr(rng, "_THREADS", threads)
-    monkeypatch.setattr(rng, "_BATCH_BYTES", batch)
+    _set_loop(monkeypatch, *request.param)
     return request.param
 
 
@@ -57,8 +65,7 @@ def _written(tmp_path, campaign, name):
 def test_campaign_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch, campaign):
     runs = []
     for threads, batch in _LOOPS:
-        monkeypatch.setattr(rng, "_THREADS", threads)
-        monkeypatch.setattr(rng, "_BATCH_BYTES", batch)
+        _set_loop(monkeypatch, threads, batch)
         runs.append(_written(tmp_path, campaign, f"{threads}-{batch}"))
     assert runs[0][1]
     assert runs[1] == runs[0] and runs[2] == runs[0]
@@ -67,8 +74,7 @@ def test_campaign_bytes_do_not_depend_on_the_thread_count(tmp_path, monkeypatch,
 def test_mean_abs_deviation_does_not_depend_on_the_thread_count(monkeypatch):
     got = []
     for threads, batch in _LOOPS:
-        monkeypatch.setattr(rng, "_THREADS", threads)
-        monkeypatch.setattr(rng, "_BATCH_BYTES", batch)
+        _set_loop(monkeypatch, threads, batch)
         got.append(mean_abs_deviation(Pareto(1.5), 50, 40, 9))
     assert got[1] == got[0] and got[2] == got[0]
 
@@ -79,10 +85,9 @@ def test_rows_keep_their_bits_under_a_short_switch_interval(monkeypatch):
     def draw(gen):
         return gen.standard_normal(64)
 
-    monkeypatch.setattr(rng, "_THREADS", 1)
+    _set_loop(monkeypatch, 1)
     want = rng._replicates(2, (1,), 3000, draw, np.cumsum, 64)
-    monkeypatch.setattr(rng, "_THREADS", 2)
-    monkeypatch.setattr(rng, "_BATCH_BYTES", 1)
+    _set_loop(monkeypatch, 2, 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -200,8 +205,7 @@ _two_cpus = pytest.mark.skipif(len(rng._affinity()) < 2, reason="needs two usabl
 ])
 def test_the_worker_has_a_cpu_of_its_own_for_the_loop(monkeypatch, draw_fails, row_fails,
                                                       message):
-    monkeypatch.setattr(rng, "_THREADS", 2)
-    monkeypatch.setattr(rng, "_BATCH_BYTES", 1)
+    _set_loop(monkeypatch, 2, 1)
     before = os.sched_getaffinity(0)
     masks = {"draw": set(), "row": set()}
     if message is None:
@@ -217,7 +221,7 @@ def test_the_worker_has_a_cpu_of_its_own_for_the_loop(monkeypatch, draw_fails, r
 
 @_two_cpus
 def test_an_interrupt_as_the_caller_takes_its_cpus_gives_its_mask_back(monkeypatch):
-    monkeypatch.setattr(rng, "_THREADS", 2)
+    _set_loop(monkeypatch, 2)
     before = os.sched_getaffinity(0)
     threads = threading.active_count()
     set_mask, caller = os.sched_setaffinity, threading.get_ident()
@@ -239,10 +243,9 @@ def test_a_mask_that_cannot_be_set_leaves_the_loop_unplaced(monkeypatch, broken)
     def draw(gen):
         return gen.standard_normal(64)
 
-    monkeypatch.setattr(rng, "_THREADS", 1)
+    _set_loop(monkeypatch, 1)
     want = rng._replicates(2, (1,), 300, draw, np.cumsum, 64)
-    monkeypatch.setattr(rng, "_THREADS", 2)
-    monkeypatch.setattr(rng, "_BATCH_BYTES", 1)
+    _set_loop(monkeypatch, 2, 1)
     tried = []
     if broken == "raises":
         def refuse(pid, cpus):
@@ -262,3 +265,50 @@ def test_a_mask_that_cannot_be_set_leaves_the_loop_unplaced(monkeypatch, broken)
 def test_verify_sampler_refuses_draws_whose_t_x_overflows(loop):
     with pytest.raises(ValueError, match=r"^t\*x overflows"):
         verify_sampler(StableParams(1.5, 0.5), 3 * 2**14, 0, t_grid=[0.0, 1e308])
+
+
+def _rows_seen(seen):
+    """A row that records the thread it ran on and the threads running."""
+    def row(x):
+        seen.add((threading.get_ident(), threading.active_count()))
+        return np.cumsum(x)
+    return row
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a settable CPU mask")
+def test_a_mask_narrowed_to_one_cpu_after_import_runs_the_loop_inline():
+    # a process that pins itself after import, as a forked child may, runs
+    # every row on its one thread
+    def draw(gen):
+        return gen.standard_normal(64)
+
+    want = rng._replicates(2, (1,), 300, draw, np.cumsum, 64)
+    before = os.sched_getaffinity(0)
+    seen = set()
+    os.sched_setaffinity(0, {min(before)})
+    try:
+        got = rng._replicates(2, (1,), 300, draw, _rows_seen(seen), 64)
+    finally:
+        os.sched_setaffinity(0, before)
+    assert seen == {(threading.get_ident(), threading.active_count())}
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cores, inline", [(None, True), (1, True), (2, False)])
+def test_with_no_mask_read_the_core_count_decides(monkeypatch, cores, inline):
+    def draw(gen):
+        return gen.standard_normal(64)
+
+    want = rng._replicates(2, (1,), 300, draw, np.cumsum, 64)
+    placed = []
+    monkeypatch.setattr(rng, "_affinity", set)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: placed.append(cpus),
+                        raising=False)
+    seen = set()
+    got = rng._replicates(2, (1,), 300, draw, _rows_seen(seen), 64)
+    assert got.tobytes() == want.tobytes()
+    ((ident, running),) = seen
+    assert (ident == threading.get_ident()) == inline
+    assert running == threading.active_count() + (0 if inline else 1)
+    assert placed == []   # no mask read, none set

@@ -349,10 +349,12 @@ def test_ecf_kernel_sums_draws_alike_in_one_call_or_in_chunks(criterion_1_draws,
     # verify_sampler adds its draws a chunk at a time, empirical_char_fn in
     # one call; the running sums take the same bits
     x = criterion_1_draws
-    add_draws = _ecf_kernel(t)
+    add_draws, chunked = _ecf_kernel(t)
     for start in range(0, x.size, _ECF_CHUNK):
-        chunked = add_draws(x[start : start + _ECF_CHUNK])
-    assert chunked.tobytes() == _ecf_kernel(t)(x).tobytes()
+        add_draws(x[start : start + _ECF_CHUNK])
+    add_all, whole = _ecf_kernel(t)
+    add_all(x)
+    assert chunked.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("t", [[], np.zeros((0, 3))], ids=["empty", "0x3"])
